@@ -31,7 +31,6 @@ from .modsym import (
     build_space,
     calibrate_periods,
     eigen_symbol,
-    symbol_value,
 )
 from .padic import (
     PadicThetaTower,

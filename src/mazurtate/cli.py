@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: curve, msym, theta, plfunc, kurihara, qexp, verify.
-Global flags: --catalog <path>, --json, --no-timing, --threads <n>.
+Global flags: --catalog <path>, --json, --no-timing.
 Exit codes: 0 all checks pass or vacuous, 1 check failure, 2 usage or
 input error.  Structured output is one JSON object per run with the
 fields of the run report; numbers are serialized as decimal strings and
@@ -198,16 +198,22 @@ def cmd_msym(args) -> RunReport:
 
 def cmd_theta(args) -> RunReport:
     curve = _get_curve(args.label, args)
-    pair = eigen_pair(curve)
+    plus, minus = eigen_pair(curve)
     if args.mode == "calibrated":
-        calibrate_periods(pair[0], curve)
-    theta = theta_element(curve, args.modulus, pair)
+        # only Omega^+ is calibrated; the minus part stays integral
+        plus = plus.calibrated(calibrate_periods(plus, curve))
+    theta = theta_element(curve, args.modulus, (plus, minus))
     report = RunReport(
         "theta", {"label": args.label, "M": args.modulus, "mode": args.mode}
     )
     report.outputs["coefficients"] = {
         f"sigma_{a}": v for a, v in sorted(theta.element.coeffs.items())
     }
+    if args.mode == "calibrated":
+        report.outputs["normalization"] = {
+            "plus": plus.scaling_mode,
+            "minus": minus.scaling_mode,
+        }
     report.outputs["augmentation"] = theta.augmentation()
     flip = theta.element.conjugation_flip()
     cov = all(
@@ -544,14 +550,8 @@ def cmd_verify(args) -> RunReport:
         )
     names = list(SUITES) if args.suite == "all" else [args.suite]
     report = RunReport("verify", {"suite": args.suite})
-    if args.threads > 1 and len(names) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(lambda n: (n, SUITES[n](args)), names))
-    else:
-        results = [(n, SUITES[n](args)) for n in names]
-    for name, (outputs, checks) in results:  # ordered assembly
+    for name in names:
+        outputs, checks = SUITES[name](args)
         for k, v in outputs.items():
             report.outputs[f"{name}.{k}"] = v
         for c in checks:
@@ -589,7 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="structured output",
     )
     common.add_argument("--no-timing", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
         prog="mazurtate",
         description="Exact modular-symbol, theta-element, p-adic L-function, "
@@ -676,7 +675,6 @@ def main(argv=None) -> int:
         ("catalog", None),
         ("json", False),
         ("no_timing", False),
-        ("threads", 1),
     ):
         if not hasattr(args, name):
             setattr(args, name, default)

@@ -177,8 +177,7 @@ def kurihara_number(
     values = plus_symbol.values_mod(n)
     total = 0
     for a in units_mod(n):
-        v = values[a]
-        term = v.numerator * pow(v.denominator, -1, pk)
+        term = values[a] % pk
         for ell in factors:
             term = term * log_tables[ell][a % ell] % pk
         total = (total + term) % pk

@@ -19,9 +19,9 @@ the sign of the - functional by its first nonzero coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .curves import CurveData
 from .nt import euler_phi, factorize, units_mod
@@ -301,7 +301,12 @@ class ModularSymbolSpace:
     # -- paths ----------------------------------------------------------
 
     def path_vector(self, r, decomposition=unimodular_path) -> tuple[Fraction, ...]:
-        """Class of {i.infinity -> r} in the quotient basis."""
+        """Class of {i.infinity -> r} in the quotient basis.
+
+        Symbol values never go through this dense vector (``EigenSymbol``
+        sums its integer table along the path); it is the homology-class
+        reference those values are checked against.
+        """
         vec = [Fraction(0)] * self.dimension
         for c, d in decomposition(r):
             red = self.reduction[self.p1_index(c, d)]
@@ -389,45 +394,47 @@ def merel_matrices(n: int):
 GOOD_HECKE_BOUND = 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigenSymbol:
     """Hecke-eigen functional on a symbol space, one sign at a time.
 
     ``vector`` is a left eigenvector of the Hecke matrices (a functional
-    on the homology space).  In integral-normalized mode its value set on
-    Manin generators is Z with content 1; period calibration multiplies
-    values by ``calibration_scalar``.
+    on the homology space).  ``table`` holds its integer value on each
+    P^1(Z/N) element, with content 1, so [r] is the sum of table entries
+    along a unimodular path to r.  ``scale`` multiplies every value and
+    is fixed with ``scaling_mode`` when the symbol is built: 1 for
+    "integral-normalized", the period scalar for "period-calibrated".
     """
 
     space: ModularSymbolSpace
     curve_label: str
     sign: int
     vector: tuple[Fraction, ...]
+    table: tuple[int, ...]
+    scale: Fraction = Fraction(1)
     scaling_mode: str = "integral-normalized"
-    calibration_scalar: Fraction | None = None
-    _value_cache: dict = field(default_factory=dict, repr=False)
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def raw_value(self, r) -> Fraction:
-        vec = self.space.path_vector(r)
-        return sum(a * b for a, b in zip(self.vector, vec))
+    def raw_value(self, r) -> int:
+        """[r] in the integral normalization, whatever the symbol's scale."""
+        N, index, table = self.space.N, self.space._p1_index, self.table
+        return sum(table[index[c % N, d % N]] for c, d in unimodular_path(r))
 
-    def value(self, r) -> Fraction:
+    def value(self, r) -> int | Fraction:
         v = self.raw_value(r)
-        if self.scaling_mode == "period-calibrated":
-            if self.calibration_scalar is None:
-                raise CalibrationError("eigen-symbol has not been calibrated")
-            v *= self.calibration_scalar
-        return v
+        return v if self.scale == 1 else self.scale * v
 
-    def values_mod(self, M: int) -> dict[int, Fraction]:
+    def values_mod(self, M: int) -> dict[int, int | Fraction]:
         """[a/M] for all units a mod M, memoized per denominator."""
-        key = (M, self.scaling_mode)
-        if key not in self._value_cache:
-            self._value_cache[key] = {
-                a: self.value(Fraction(a, M) if M > 1 else 0)
-                for a in units_mod(M)
+        if M not in self._values:
+            self._values[M] = {
+                a: self.value(Fraction(a, M) if M > 1 else 0) for a in units_mod(M)
             }
-        return self._value_cache[key]
+        return self._values[M]
+
+    def calibrated(self, lam: Fraction) -> "EigenSymbol":
+        """The period-calibrated symbol lam * [r], as a new value."""
+        return replace(self, scale=Fraction(lam), scaling_mode="period-calibrated")
 
 
 def _eigen_kernel(space, curve, sign):
@@ -455,7 +462,7 @@ def _eigen_kernel(space, curve, sign):
     return left_kernel(stacked)
 
 
-_eigen_cache: dict[tuple[str, int], EigenSymbol] = {}
+_eigen_cache: dict[tuple[tuple[int, ...], int, int], EigenSymbol] = {}
 
 
 def eigen_symbol(space: ModularSymbolSpace, curve: CurveData, sign: int) -> EigenSymbol:
@@ -463,7 +470,8 @@ def eigen_symbol(space: ModularSymbolSpace, curve: CurveData, sign: int) -> Eige
 
     The simultaneous (T_ell, a_ell) eigenspace in the given sign part
     must be one-dimensional; an oldform collision raises
-    ``NotNewformError``.
+    ``NotNewformError``.  Symbols are cached by the curve model
+    (a-invariants and conductor), never by its label.
     """
     if curve.conductor != space.N:
         raise ValueError(
@@ -471,7 +479,7 @@ def eigen_symbol(space: ModularSymbolSpace, curve: CurveData, sign: int) -> Eige
         )
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    key = (curve.label, sign)
+    key = (curve.a_invariants, curve.conductor, sign)
     if key in _eigen_cache:
         return _eigen_cache[key]
     basis = _eigen_kernel(space, curve, sign)
@@ -482,47 +490,31 @@ def eigen_symbol(space: ModularSymbolSpace, curve: CurveData, sign: int) -> Eige
         )
     vec = basis[0]
     # scale so that the value set on Manin generators is Z with content 1
-    values = []
-    for red in space.reduction:
-        values.append(sum(a * b for a, b in zip(vec, red)))
-    from math import lcm
-
-    den = 1
-    for v in values:
-        den = lcm(den, v.denominator)
+    values = [sum(a * b for a, b in zip(vec, red)) for red in space.reduction]
+    den = lcm(*(v.denominator for v in values))
     ints = [int(v * den) for v in values]
-    content = 0
-    for v in ints:
-        content = gcd(content, v)
+    content = gcd(*ints)
     assert content > 0, "eigen functional vanishes on all generators"
-    scale = Fraction(den, content)
-    vec = [v * scale for v in vec]
-    sym = EigenSymbol(space, curve.label, sign, tuple(vec))
+    vec = [v * Fraction(den, content) for v in vec]
+    table = [v // content for v in ints]
+    sym = EigenSymbol(space, curve.label, sign, tuple(vec), tuple(table))
     # sign normalization
-    anchor = sym.raw_value(0) if sign == 1 else Fraction(0)
-    if anchor < 0:
-        vec = [-v for v in vec]
-    elif anchor == 0:
-        first = next((v for v in vec if v != 0), Fraction(1))
-        if first < 0:
-            vec = [-v for v in vec]
-    sym = EigenSymbol(space, curve.label, sign, tuple(vec))
+    anchor = sym.raw_value(0) if sign == 1 else 0
+    if anchor < 0 or (anchor == 0 and next((v for v in vec if v != 0), 1) < 0):
+        sym = EigenSymbol(
+            space, curve.label, sign, tuple(-v for v in vec), tuple(-v for v in table)
+        )
     _eigen_cache[key] = sym
     return sym
-
-
-def symbol_value(eigen: EigenSymbol, r) -> Fraction:
-    """The normalized symbol [r]^sign in the eigen-symbol's scaling mode."""
-    return eigen.value(r)
 
 
 def calibrate_periods(eigen: EigenSymbol, curve: CurveData, oracle=None) -> Fraction:
     """Pin the rational scalar matching [0]^+ to the numeric L(E,1)/Omega^+.
 
     Returns lambda with lambda * [0]^+_integral = L(E,1)/Omega^+ to
-    relative 1e-6, as a ratio of integers below 1e6, and stores it on the
-    eigen-symbol (switching it to period-calibrated mode).  A curve with
-    L(E,1) = 0 leaves the scalar undetermined at r = 0.
+    relative 1e-6, as a ratio of integers below 1e6; nothing is mutated,
+    and ``eigen.calibrated(lambda)`` gives the period-calibrated symbol.
+    A curve with L(E,1) = 0 leaves the scalar undetermined at r = 0.
     """
     if eigen.sign != 1:
         raise CalibrationError("period calibration uses the + eigen-symbol")
@@ -550,9 +542,6 @@ def calibrate_periods(eigen: EigenSymbol, curve: CurveData, oracle=None) -> Frac
         raise CalibrationError(
             f"no small rational matches {target} for {curve.label}"
         )
-    eigen.calibration_scalar = lam
-    eigen.scaling_mode = "period-calibrated"
-    eigen._value_cache.clear()
     return lam
 
 

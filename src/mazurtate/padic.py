@@ -185,10 +185,11 @@ class PadicThetaTower:
 
 
 def _reduce_theta(curve, M, k_modulus, pair) -> GroupRingElement:
+    """theta_M mod k_modulus, from the integer values of integral-normalized symbols."""
+    if any(sym.scaling_mode != "integral-normalized" for sym in pair):
+        raise ValueError("p-adic towers use integral-normalized symbols")
     theta = theta_element(curve, M, pair)
-    return theta.element.map_coeffs(lambda v: ModInt(
-        v.numerator * pow(v.denominator, -1, k_modulus), k_modulus
-    ))
+    return theta.element.map_coeffs(lambda v: ModInt(v, k_modulus))
 
 
 def stabilize(
@@ -299,13 +300,8 @@ def _eval_character_mod(x: GroupRingElement, chi: DirichletCharacter, pk: int) -
     o = chi.order()
     total = CycMod.zero(o, pk)
     for a, v in x.coeffs.items():
-        if isinstance(v, ModInt):
-            s = v.residue
-        else:
-            s = v.numerator * pow(v.denominator, -1, pk)
-        if s % pk == 0:
-            continue
-        total = total + CycMod.from_cyc(chi(a), pk).scale(s)
+        if not v.is_zero():
+            total = total + CycMod.from_cyc(chi(a), pk).scale(v.residue)
     return total
 
 

@@ -46,10 +46,10 @@ class ThetaElement:
     minus: GroupRingElement
     scaling_mode: str
 
-    def coefficient(self, a: int) -> Fraction:
+    def coefficient(self, a: int) -> int | Fraction:
         return self.element.coeffs[a % self.modulus]
 
-    def augmentation(self) -> Fraction:
+    def augmentation(self) -> int | Fraction:
         return self.element.augmentation()
 
     def is_zero(self) -> bool:
@@ -61,24 +61,29 @@ def eigen_pair(curve: CurveData) -> tuple[EigenSymbol, EigenSymbol]:
     return eigen_symbol(space, curve, +1), eigen_symbol(space, curve, -1)
 
 
-_theta_cache: dict[tuple[str, int, str], ThetaElement] = {}
+_theta_cache: dict[tuple, ThetaElement] = {}
 
 
 def theta_element(curve: CurveData, M: int, pair=None) -> ThetaElement:
-    """The group-ring element sum_a [a/M] sigma_a over (Z/M)^x."""
+    """The group-ring element sum_a [a/M] sigma_a over (Z/M)^x.
+
+    Cached by the curve model, M and the symbol pair, which carries its
+    own normalization; a pair in two normalizations reports both.
+    """
     if M < 1:
         raise ValueError("modulus must be >= 1")
     if pair is None:
         pair = eigen_pair(curve)
     plus_sym, minus_sym = pair
-    mode = plus_sym.scaling_mode
-    key = (curve.label, M, mode)
+    key = (curve.a_invariants, curve.conductor, M, plus_sym, minus_sym)
     if key in _theta_cache:
         return _theta_cache[key]
-    pv = plus_sym.values_mod(M)
-    mv = minus_sym.values_mod(M)
-    plus = GroupRingElement(M, dict(pv))
-    minus = GroupRingElement(M, dict(mv))
+    plus = GroupRingElement(M, dict(plus_sym.values_mod(M)))
+    minus = GroupRingElement(M, dict(minus_sym.values_mod(M)))
+    if plus_sym.scaling_mode == minus_sym.scaling_mode:
+        mode = plus_sym.scaling_mode
+    else:
+        mode = f"plus {plus_sym.scaling_mode}, minus {minus_sym.scaling_mode}"
     theta = ThetaElement(
         curve_label=curve.label,
         modulus=M,
@@ -190,19 +195,20 @@ def adjudicate_norm_relations(curves, max_product: int = 150) -> AdjudicationSum
     )
 
 
-_adjudicated_variant: dict[str, str] = {}
+_adjudicated_variant: dict[tuple[tuple[int, ...], int], str] = {}
 
 
 def adjudicated_variant(curve: CurveData) -> str:
-    """The relation variant certified for this curve (cached small sweep)."""
-    if curve.label not in _adjudicated_variant:
+    """The relation variant certified for this curve model (cached small sweep)."""
+    key = (curve.a_invariants, curve.conductor)
+    if key not in _adjudicated_variant:
         summary = adjudicate_norm_relations([curve], max_product=30)
         if not summary.consistent:
             raise AssertionError(
                 f"no single relation variant certified for {curve.label}"
             )
-        _adjudicated_variant[curve.label] = summary.variant
-    return _adjudicated_variant[curve.label]
+        _adjudicated_variant[key] = summary.variant
+    return _adjudicated_variant[key]
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +253,7 @@ class IntegralityReport:
         )
 
 
-def _p_valuation(x: Fraction, p: int) -> int:
+def _p_valuation(x: int | Fraction, p: int) -> int:
     if x == 0:
         return 10**9
     v = 0

@@ -56,23 +56,19 @@ def test_criterion_2_period_calibration(curves):
 
     t0 = time.time()
     plus = eigen_pair(curves["11a1"])[0]
-    try:
-        oracle = lvalue_and_period(curves["11a1"])
-        lam = calibrate_periods(plus, curves["11a1"], oracle)
-        value = lam * plus.raw_value(0)
-        rel_err = abs(float(value) - oracle.normalized) / abs(oracle.normalized)
-        elapsed = time.time() - t0
-        ok = value == Fraction(1, 5) and rel_err < 1e-6 and elapsed < 10
-        verdict(
-            2,
-            ok,
-            f"lambda * [0]+ = {value} matches L/Omega = {oracle.normalized:.8f} "
-            f"(rel err {rel_err:.2e}, {elapsed:.2f}s)",
-        )
-    finally:
-        plus.scaling_mode = "integral-normalized"
-        plus.calibration_scalar = None
-        plus._value_cache.clear()
+    oracle = lvalue_and_period(curves["11a1"])
+    lam = calibrate_periods(plus, curves["11a1"], oracle)
+    value = plus.calibrated(lam).value(0)
+    rel_err = abs(float(value) - oracle.normalized) / abs(oracle.normalized)
+    elapsed = time.time() - t0
+    exact = value == lam * plus.raw_value(0) == Fraction(1, 5)
+    ok = exact and rel_err < 1e-6 and elapsed < 10
+    verdict(
+        2,
+        ok,
+        f"lambda * [0]+ = {value} matches L/Omega = {oracle.normalized:.8f} "
+        f"(rel err {rel_err:.2e}, {elapsed:.2f}s)",
+    )
 
 
 def test_criterion_3_norm_relation_adjudication(curves):

@@ -84,11 +84,22 @@ def test_verify_unknown_suite(capsys):
     assert code == 2 and "unknown suite" in err
 
 
-def test_verify_threads_flag(capsys):
+def test_theta_calibrated_states_normalization(capsys):
+    # only the plus part is period-calibrated: sigma_2 = -13/10 - 1
     code, out, _ = run(
-        capsys, "verify", "kolyvagin-identity", "--max-l", "30", "--threads", "2", "--no-timing"
+        capsys, "theta", "11a1", "5", "--mode", "calibrated", "--json", "--no-timing"
     )
     assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["coefficients"]["sigma_2"] == "-23/10"
+    assert outputs["normalization"] == {
+        "plus": "period-calibrated",
+        "minus": "integral-normalized",
+    }
+    code, out, _ = run(capsys, "theta", "11a1", "5", "--json", "--no-timing")
+    outputs = json.loads(out)["outputs"]
+    assert outputs["coefficients"]["sigma_2"] == "-14"
+    assert "normalization" not in outputs
 
 
 def test_qexp_gated_weight_two(capsys):

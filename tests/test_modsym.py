@@ -1,6 +1,9 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mazurtate.curves import curve_by_label
 from mazurtate.modsym import (
@@ -12,12 +15,12 @@ from mazurtate.modsym import (
     eigen_symbol,
     genus_x0,
     merel_matrices,
-    symbol_value,
     unimodular_path,
     unimodular_path_hj,
     vec_mat,
 )
 from mazurtate.nt import primes_up_to
+from mazurtate.theta import eigen_pair, theta_element
 
 
 @pytest.mark.parametrize("N,dim", [(11, 3), (37, 5), (15, 5)])
@@ -128,12 +131,12 @@ def test_an_multiplicativity_against_hecke_eigenvalues(label):
 
 def test_symbol_values(pair11, pair37):
     plus37, _ = pair37
-    assert symbol_value(plus37, 0) == 0  # rank > 0 forces L(E,1) = 0
+    assert plus37.value(0) == 0  # rank > 0 forces L(E,1) = 0
     plus11, minus11 = pair11
     r = Fraction(3, 13)
-    assert symbol_value(plus11, r) == symbol_value(plus11, -r)
-    assert symbol_value(minus11, r) == -symbol_value(minus11, -r)
-    assert symbol_value(plus11, None) == 0  # {i oo -> i oo}
+    assert plus11.value(r) == plus11.value(-r)
+    assert minus11.value(r) == -minus11.value(-r)
+    assert plus11.value(None) == 0  # {i oo -> i oo}
 
 
 @pytest.mark.parametrize(
@@ -145,6 +148,25 @@ def test_path_independence(r, pair11):
     v1 = space.path_vector(r, unimodular_path)
     v2 = space.path_vector(r, unimodular_path_hj)
     assert v1 == v2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["11a1", "37a1"]),
+    st.sampled_from([0, 1]),
+    st.integers(-400, 400),
+    st.integers(1, 400),
+)
+def test_table_values_match_homology_classes(label, part, a, b):
+    # the integer table summed along either path equals the eigen vector
+    # paired with the dense class of {i.infinity -> a/b}
+    sym = eigen_pair(curve_by_label(label))[part]
+    space = sym.space
+    r = Fraction(a, b)
+    for decomp in (unimodular_path, unimodular_path_hj):
+        dense = sum(v * w for v, w in zip(sym.vector, space.path_vector(r, decomp)))
+        assert sum(sym.table[space.p1_index(c, d)] for c, d in decomp(r)) == dense
+        assert sym.raw_value(r) == dense
 
 
 def test_unimodular_paths_are_unimodular():
@@ -169,19 +191,41 @@ def test_calibration_11a1(pair11, c11):
     plus, _ = pair11
     lam = calibrate_periods(plus, c11)
     assert lam * plus.raw_value(0) == Fraction(1, 5)
-    assert plus.scaling_mode == "period-calibrated"
-    assert symbol_value(plus, 0) == Fraction(1, 5)
+    calibrated = plus.calibrated(lam)
+    assert calibrated.scaling_mode == "period-calibrated"
+    assert calibrated.value(0) == Fraction(1, 5)
+    assert plus.scaling_mode == "integral-normalized" and plus.value(0) == 2
     # covariance: scaling the integral vector by 2 halves lambda
-    from mazurtate.modsym import EigenSymbol
+    from dataclasses import replace
 
-    doubled = EigenSymbol(
-        plus.space, c11.label, 1, tuple(2 * v for v in plus.vector)
+    doubled = replace(
+        plus,
+        vector=tuple(2 * v for v in plus.vector),
+        table=tuple(2 * v for v in plus.table),
     )
     lam2 = calibrate_periods(doubled, c11)
     assert lam2 == lam / 2
-    plus.scaling_mode = "integral-normalized"
-    plus.calibration_scalar = None
-    plus._value_cache.clear()
+
+
+def test_eigen_symbols_are_frozen(pair11):
+    plus, _ = pair11
+    for name in ("table", "scale", "scaling_mode"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(plus, name, None)
+
+
+def test_calibration_leaves_shared_symbols_alone(c11):
+    # calibration makes a new symbol; the cached one that every later
+    # caller shares stays integral-normalized
+    from mazurtate.kurihara import kurihara_number, sieve_admissible
+
+    plus = eigen_pair(c11)[0]
+    plus.calibrated(calibrate_periods(plus, c11))
+    fresh = curve_by_label("11a1")
+    assert eigen_pair(fresh)[0].scaling_mode == "integral-normalized"
+    assert theta_element(fresh, 1).element.coeffs[0] == 2
+    aset = sieve_admissible(fresh, 3, 1, 200)
+    assert kurihara_number(fresh, 1, 3, 1, aset).value.residue == 2
 
 
 def test_calibration_37a1_undetermined(pair37, c37):

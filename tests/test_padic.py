@@ -42,6 +42,17 @@ def test_stabilize_rejects_bad_and_nonordinary(c11):
         stabilize(curve_by_label("37a1"), 3, 2, 2)
 
 
+def test_stabilize_refuses_calibrated_symbols(c11, pair11):
+    # lambda = 1/10 is 3-integral, so only the normalization check stops a
+    # tower that would reduce Fractions as if they were integers
+    from mazurtate.modsym import calibrate_periods
+
+    plus, minus = pair11
+    calibrated = (plus.calibrated(calibrate_periods(plus, c11)), minus)
+    with pytest.raises(ValueError, match="integral-normalized"):
+        stabilize(c11, 3, 4, 2, variant="A", pair=calibrated)
+
+
 def test_wrong_variant_is_not_projective(c11):
     tower_b = stabilize(c11, 3, 4, 3, variant="B")
     assert not tower_b.is_projective()
