@@ -138,18 +138,6 @@ def poly_trim(p: list) -> list:
     return p
 
 
-def poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
-
-
 def poly_divmod_exact(num, den):
     """Quotient and remainder over Q; den need not be monic."""
     num = [Fraction(x) for x in num]

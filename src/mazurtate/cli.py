@@ -34,6 +34,7 @@ from .qexp import (
     f_series,
     rationalized_g_qexp,
     siegel_theta_qexp,
+    theta_lead_exponent,
     zeta_modular_form,
 )
 from .theta import adjudicate_norm_relations, eigen_pair, theta_element
@@ -265,6 +266,7 @@ def cmd_plfunc(args) -> RunReport:
                 "layer": inv.layer,
                 "stable": inv.stable,
             }
+            report.outputs["normalization"] = {"iwasawa": inv.normalization}
         except Exception as exc:  # noqa: BLE001
             report.outputs["iwasawa"] = f"unavailable: {exc}"
     return report
@@ -332,10 +334,16 @@ def cmd_qexp(args) -> RunReport:
             "prec": args.prec,
         },
     )
+    # only siegel's --prec is an absolute order, which may lie below 0
+    if args.prec < 0 and args.target != "siegel":
+        raise UsageError(f"--prec must not be negative, got {args.prec}")
     try:
         if args.target == "siegel":
             pt = _parse_point(args.point)
             s = siegel_theta_qexp(pt, args.c, args.prec)
+            lead = theta_lead_exponent(pt, args.c)
+            if args.prec < 0 and args.prec <= lead:
+                raise UsageError(f"--prec {args.prec} is negative and not above the lead {lead}")
             report.outputs["grid"] = s.grid
             report.outputs["lead_exponent"] = s.lead_exponent
             report.outputs["truncation"] = s.trunc_exponent

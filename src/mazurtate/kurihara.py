@@ -30,6 +30,12 @@ class AdmissibilityError(ValueError):
     pass
 
 
+def _precision_modulus(p: int, k: int) -> int:
+    if k < 1:
+        raise AdmissibilityError(f"precision exponent k must be >= 1, got {k}")
+    return p**k
+
+
 @dataclass
 class AdmissiblePrimeSet:
     curve_label: str
@@ -63,7 +69,7 @@ def sieve_admissible(
         raise AdmissibilityError(
             f"bound {bound} exceeds the point-counting limit {count_bound}"
         )
-    pk = p**k
+    pk = _precision_modulus(p, k)
     primes = []
     eta = {}
     for ell in primes_up_to(bound):
@@ -145,7 +151,7 @@ def kurihara_number(
 
     n = 1 gives [0]^+ mod p^k (the empty product of logs is 1).
     """
-    pk = p**k
+    pk = _precision_modulus(p, k)
     if n == 1:
         factors: list[int] = []
     else:
@@ -233,7 +239,6 @@ def nonvanishing_search(
     if prime_set is None:
         prime_set = sieve_admissible(curve, p, k, bound)
     plus = eigen_pair(curve)[0]
-    pk = p**k
     rows: list[SearchRow] = []
 
     def emit(n: int, factors: tuple[int, ...]):

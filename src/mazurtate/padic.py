@@ -20,7 +20,6 @@ requiring agreement across two consecutive layers before reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 from .arith import CycElt, ModInt, NonOrdinaryPrime, cyclotomic_polynomial, hensel_unit_root
 from .curves import CurveData
@@ -167,21 +166,6 @@ class PadicThetaTower:
 
     def is_projective(self) -> bool:
         return all(ok for _, ok, _ in self.check_projectivity())
-
-    def scaled(self, s: int) -> "PadicThetaTower":
-        """Synthetic tower with every layer (and theta_Q) multiplied by s."""
-        return PadicThetaTower(
-            curve_label=f"{self.curve_label}*{s}",
-            p=self.p,
-            k=self.k,
-            alpha=self.alpha,
-            layers={
-                n: x.map_coeffs(lambda v: v * s) for n, x in self.layers.items()
-            },
-            theta_q=self.theta_q * s,
-            n_max=self.n_max,
-            variant="synthetic",
-        )
 
 
 def _reduce_theta(curve, M, k_modulus, pair) -> GroupRingElement:
@@ -354,9 +338,49 @@ def _teichmuller(a: int, p: int, pk: int) -> int:
         x = y
 
 
-def layer_polynomial(
-    tower: PadicThetaTower, n: int, component: int = 0
-) -> list[ModInt]:
+def _taylor_shift(c: list[int], pk: int) -> list[int]:
+    """sum_j c_j (1+T)^j mod pk, for residues 0 <= c_j < pk, by Horner in one int.
+
+    T^i sits in the bytes [i b, (i+1) b), so acc -> acc (2^(8 b) + 1) + c_j
+    is the step P -> P (1+T) + c_j.  No slot carries into the next: with
+    d = len(c), every coefficient of a partial sum is at most
+    sum_j c_j C(j, i) <= (pk - 1) C(d, i+1) < pk 2^d, which fits in
+    pk.bit_length() + d + 1 <= 8 b bits.
+    """
+    d = len(c)
+    b = (pk.bit_length() + d + 8) // 8
+    acc = 0
+    for cj in reversed(c):
+        acc += (acc << 8 * b) + cj
+    raw = acc.to_bytes(b * d, "little")
+    return [int.from_bytes(raw[i * b : (i + 1) * b], "little") % pk for i in range(d)]
+
+
+def _component_polynomials(tower: PadicThetaTower, n: int, components) -> dict[int, list[int]]:
+    """Layer n in T = gamma - 1 mod p^k, one polynomial per Teichmuller component.
+
+    One pass sums the coefficients into buckets (j, t): <a> = gamma^j and
+    t = omega(a) mod p^k.  Component i weights bucket (j, t) by t^i.
+    """
+    p, pk = tower.p, tower.pk
+    pn = p**n
+    gamma_order = p ** (n - 1)
+    gamma_pows = {pow(1 + p, j, pn): j for j in range(gamma_order)}
+    buckets: dict[tuple[int, int], int] = {}
+    for a, v in tower.layers[n].coeffs.items():
+        principal = a * pow(_teichmuller(a, p, pn), -1, pn) % pn
+        key = (gamma_pows[principal], _teichmuller(a, p, pk))
+        buckets[key] = buckets.get(key, 0) + v.residue
+    polys = {}
+    for i in components:
+        c = [0] * gamma_order
+        for (j, t), s in buckets.items():
+            c[j] += pow(t, i, pk) * s
+        polys[i] = _taylor_shift([cj % pk for cj in c], pk)
+    return polys
+
+
+def layer_polynomial(tower: PadicThetaTower, n: int, component: int = 0) -> list[ModInt]:
     """Coefficients of the tame-component polynomial in T = gamma - 1.
 
     The layer at p^n is pushed to the quotient (Z/p^n)^x -> Gal part
@@ -364,49 +388,22 @@ def layer_polynomial(
     the Teichmuller character, then written as a polynomial of degree
     < p^{n-1} in T.
     """
-    p, pk = tower.p, tower.pk
-    pn = p**n
-    x = tower.layers[n]
-    gamma_order = p ** (n - 1)
-    # index of the principal part: <a> = gamma^j
-    gamma = (1 + p) % pn
-    gamma_pows = {}
-    acc = 1
-    for j in range(gamma_order):
-        gamma_pows[acc] = j
-        acc = (acc * gamma) % pn
-    c = [0] * gamma_order
-    for a, v in x.coeffs.items():
-        t = _teichmuller(a, p, pn)
-        principal = (a * pow(t, -1, pn)) % pn
-        j = gamma_pows[principal]
-        w = pow(_teichmuller(a, p, pk), component, pk) if component else 1
-        c[j] = (c[j] + w * v.residue) % pk
-    # expand sum c_j (1+T)^j
-    coeffs = [0] * gamma_order
-    for j, cj in enumerate(c):
-        if cj == 0:
-            continue
-        for i in range(j + 1):
-            coeffs[i] = (coeffs[i] + cj * comb(j, i)) % pk
-    return [ModInt(v, pk) for v in coeffs]
+    poly = _component_polynomials(tower, n, [component])[component]
+    return [ModInt(v, tower.pk) for v in poly]
 
 
 def _val(residue: int, p: int, k: int) -> int:
-    if residue % p**k == 0:
-        return k
     v = 0
-    while residue % p == 0:
+    while v < k and residue % p == 0:
         residue //= p
         v += 1
     return v
 
 
-def _read_invariants(poly: list[ModInt], p: int, k: int) -> tuple[int, int]:
-    vals = [_val(c.residue, p, k) for c in poly]
+def _read_invariants(poly: list[int], p: int, k: int) -> tuple[int, int]:
+    vals = [_val(c, p, k) for c in poly]
     mu = min(vals)
-    lam = vals.index(mu)
-    return lam, mu
+    return vals.index(mu), mu
 
 
 @dataclass
@@ -417,6 +414,7 @@ class IwasawaInvariants:
     precision: int
     stable: bool
     component_invariants: dict[int, tuple[int, int]] = field(default_factory=dict)
+    normalization: str = "integral-normalized"  # _reduce_theta refuses other symbols
 
 
 def iwasawa_invariants(tower: PadicThetaTower) -> IwasawaInvariants:
@@ -428,31 +426,32 @@ def iwasawa_invariants(tower: PadicThetaTower) -> IwasawaInvariants:
     if tower.n_max < 3:
         raise PrecisionError("at least 3 layers are needed")
     p, k = tower.p, tower.k
-    top = _read_invariants(layer_polynomial(tower, tower.n_max), p, k)
-    below = _read_invariants(layer_polynomial(tower, tower.n_max - 1), p, k)
+    top_layer, below_layer = (
+        {
+            i: _read_invariants(poly, p, k)
+            for i, poly in _component_polynomials(tower, n, range(p - 1)).items()
+        }
+        for n in (tower.n_max, tower.n_max - 1)
+    )
+    top, below = top_layer[0], below_layer[0]
     lam, mu = top
     if mu >= k:
         raise PrecisionError(
             f"precision insufficient: mu >= k = {k} at layer {tower.n_max}"
         )
-    stable = top == below
-    if not stable:
+    if top != below:
         raise PrecisionError(
             f"precision insufficient: reading {top} at layer {tower.n_max} "
             f"vs {below} at layer {tower.n_max - 1} has not stabilized"
         )
-    components = {}
-    for i in range(p - 1):
-        ci = _read_invariants(layer_polynomial(tower, tower.n_max, component=i), p, k)
-        ci_below = _read_invariants(
-            layer_polynomial(tower, tower.n_max - 1, component=i), p, k
-        )
-        components[i] = ci if ci == ci_below else (-1, -1)
+    components = {
+        i: ci if ci == below_layer[i] else (-1, -1) for i, ci in top_layer.items()
+    }
     return IwasawaInvariants(
         lambda_=lam,
         mu=mu,
         layer=tower.n_max,
         precision=k,
-        stable=stable,
+        stable=True,
         component_invariants=components,
     )

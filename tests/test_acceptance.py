@@ -249,18 +249,17 @@ def test_criterion_11_hecke_eigen_consistency(curves):
 
 def test_criterion_12_lambda_mu_covariance(towers):
     from mazurtate.padic import iwasawa_invariants, layer_polynomial
+    from test_padic import newton_polygon_lambda_mu, scaled
 
     tower = towers[("11a1", 3)]
     inv = iwasawa_invariants(tower)
-    by_p = iwasawa_invariants(tower.scaled(3))
-    by_unit = iwasawa_invariants(tower.scaled(2))
+    by_p = iwasawa_invariants(scaled(tower, 3))
+    by_unit = iwasawa_invariants(scaled(tower, 2))
     cov_ok = (
         (by_p.lambda_, by_p.mu) == (inv.lambda_, inv.mu + 1)
         and (by_unit.lambda_, by_unit.mu) == (inv.lambda_, inv.mu)
     )
     # Newton-polygon oracle agreement at p = 3, k = 6
-    from test_padic import newton_polygon_lambda_mu
-
     poly = layer_polynomial(tower, tower.n_max)
     lam, mu = newton_polygon_lambda_mu(poly, 3, 6)
     oracle_ok = (lam, mu) == (inv.lambda_, inv.mu)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mazurtate.cli import main
 
 
@@ -50,6 +52,27 @@ def test_plfunc_subcommand(capsys):
     assert code == 0
     assert "lambda = 0" in out and "mu = 0" in out
     assert out.count("projectivity") == 2
+
+
+def test_plfunc_states_iwasawa_normalization(capsys):
+    # 11a1 at 5: the integral-normalized reading is mu = 2
+    code, out, _ = run(
+        capsys, "plfunc", "11a1", "-p", "5", "-k", "4", "-n", "3", "--json", "--no-timing"
+    )
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["iwasawa"] == {"lambda": "0", "mu": "2", "layer": "3", "stable": True}
+    assert outputs["normalization"] == {"iwasawa": "integral-normalized"}
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_kurihara_refuses_precision_below_one(capsys, k):
+    code, out, err = run(
+        capsys, "kurihara", "37a1", "-p", "3", "-k", k, "--bound", "50", "--nu", "2",
+        "--no-timing",
+    )
+    assert code == 2 and out == ""
+    assert f"k must be >= 1, got {k}" in err
 
 
 def test_kurihara_subcommand_json(capsys):
@@ -125,6 +148,37 @@ def test_qexp_c_relation(capsys):
         "--no-timing",
     )
     assert code == 0 and "[  ok]" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["e00", "-k", "3", "--c", "5", "--aux", "3", "--prec", "-1"],
+        ["siegel", "--point", "1/7,2/7", "--c", "5", "--prec", "-3"],
+        ["c-relation", "--prec=-1/2"],
+    ],
+)
+def test_qexp_refuses_negative_precision(capsys, argv):
+    code, out, err = run(capsys, "qexp", *argv, "--no-timing")
+    assert code == 2 and out == ""
+    assert "--prec" in err and "negative" in err
+
+
+def test_qexp_siegel_negative_order_above_lead(capsys):
+    # at 1/2 with c = 11 the lead exponent is -5, so order -4 knows two terms
+    code, out, _ = run(
+        capsys, "qexp", "siegel", "--point", "1/2,0/2", "--c", "11", "--prec", "-4",
+        "--json", "--no-timing",
+    )
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["lead_exponent"] == "-5"
+    assert [row["exponent"] for row in outputs["series"]] == ["-5", "-9/2"]
+    code, _, _ = run(
+        capsys, "qexp", "siegel", "--point", "1/7,2/7", "--c", "5", "--prec", "0",
+        "--no-timing",
+    )
+    assert code == 0
 
 
 def test_oracle_subcommand(capsys):

@@ -52,6 +52,17 @@ def test_sieve_bound_check(c37):
         sieve_admissible(c37, 3, 1, 10**6)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_precision_exponent_below_one_is_refused(c37, aset37, k):
+    # p^0 = 1 and p^-1 = 1/3 would give '0 mod 1' rows that all "vanish"
+    with pytest.raises(AdmissibilityError, match="k must be >= 1"):
+        sieve_admissible(c37, 3, k, 50)
+    with pytest.raises(AdmissibilityError, match="k must be >= 1"):
+        kurihara_number(c37, 7, 3, k, aset37)
+    with pytest.raises(AdmissibilityError, match="k must be >= 1"):
+        nonvanishing_search(c37, 3, k, 2, 50, aset37)
+
+
 def test_discrete_log_examples():
     assert discrete_log(7, 3, 4) == ModInt(4, 6)
     assert pow(3, 4, 7) == 4  # exhaustive witness

@@ -1,7 +1,15 @@
+import dataclasses
+import random
+from math import comb
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mazurtate.arith import ModInt, NonOrdinaryPrime
+from mazurtate.curves import curve_by_label
 from mazurtate.groupring import GroupRingElement, all_characters, trivial_character
+from mazurtate.nt import units_mod
 from mazurtate.padic import (
     CycMod,
     PadicThetaTower,
@@ -17,6 +25,31 @@ from mazurtate.padic import (
 @pytest.fixture(scope="module")
 def tower_11_3(c11):
     return stabilize(c11, 3, 6, 4)
+
+
+def scaled(tower, s):
+    """Synthetic tower with every layer (and theta_Q) multiplied by s."""
+    return dataclasses.replace(
+        tower,
+        curve_label=f"{tower.curve_label}*{s}",
+        layers={n: x.map_coeffs(lambda v: v * s) for n, x in tower.layers.items()},
+        theta_q=tower.theta_q * s,
+        variant="synthetic",
+    )
+
+
+def synthetic_tower(p, k, layers):
+    pk = p**k
+    return PadicThetaTower(
+        curve_label="synthetic",
+        p=p,
+        k=k,
+        alpha=ModInt(1, pk),
+        layers=layers,
+        theta_q=ModInt(0, pk),
+        n_max=max(layers),
+        variant="synthetic",
+    )
 
 
 def test_stabilize_example_alpha(c11):
@@ -51,6 +84,14 @@ def test_stabilize_refuses_calibrated_symbols(c11, pair11):
     calibrated = (plus.calibrated(calibrate_periods(plus, c11)), minus)
     with pytest.raises(ValueError, match="integral-normalized"):
         stabilize(c11, 3, 4, 2, variant="A", pair=calibrated)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(1, 8))
+def test_towers_projective_for_random_k(c11, k):
+    tower = stabilize(c11, 3, k, 4)
+    assert tower.is_projective()
+    assert interpolate_trivial(tower).holds
 
 
 def test_wrong_variant_is_not_projective(c11):
@@ -108,6 +149,106 @@ def test_iwasawa_invariants_11a1_p3(tower_11_3):
     assert inv.stable
 
 
+@pytest.mark.parametrize(
+    "label, p, k, n, lam_mu, components",
+    [
+        ("11a1", 3, 8, 7, (0, 0), {0: (0, 0), 1: (0, 0)}),
+        ("11a1", 5, 4, 3, (0, 2), {0: (0, 2), 1: (0, 0), 2: (0, 2), 3: (0, 0)}),
+        (
+            "11a1", 7, 3, 4, (0, 0),
+            {0: (0, 0), 1: (0, 0), 2: (0, 0), 3: (1, 0), 4: (0, 0), 5: (0, 0)},
+        ),
+        ("37a1", 5, 4, 4, (1, 0), {0: (1, 0), 1: (1, 0), 2: (0, 0), 3: (1, 0)}),
+    ],
+    ids=["11a1-p3", "11a1-p5", "11a1-p7", "37a1-p5"],
+)
+def test_component_invariants_pinned(label, p, k, n, lam_mu, components):
+    # recorded with one schoolbook layer polynomial per component and layer
+    inv = iwasawa_invariants(stabilize(curve_by_label(label), p, k, n))
+    assert (inv.lambda_, inv.mu) == lam_mu
+    assert (inv.layer, inv.precision, inv.stable) == (n, k, True)
+    assert inv.component_invariants == components
+    assert inv.normalization == "integral-normalized"
+
+
+def _teichmuller_oracle(a, p, m):
+    x = a % m
+    while pow(x, p, m) != x:
+        x = pow(x, p, m)
+    return x
+
+
+def schoolbook_layer_polynomial(tower, n, component=0):
+    """Oracle for layer_polynomial: one pass per component, binomials term by term."""
+    p, pk = tower.p, tower.pk
+    pn = p**n
+    gamma_order = p ** (n - 1)
+    gamma = (1 + p) % pn
+    gamma_pows = {}
+    acc = 1
+    for j in range(gamma_order):
+        gamma_pows[acc] = j
+        acc = (acc * gamma) % pn
+    c = [0] * gamma_order
+    for a, v in tower.layers[n].coeffs.items():
+        t = _teichmuller_oracle(a, p, pn)
+        principal = (a * pow(t, -1, pn)) % pn
+        j = gamma_pows[principal]
+        w = pow(_teichmuller_oracle(a, p, pk), component, pk) if component else 1
+        c[j] = (c[j] + w * v.residue) % pk
+    # expand sum c_j (1+T)^j
+    coeffs = [0] * gamma_order
+    for j, cj in enumerate(c):
+        if cj == 0:
+            continue
+        for i in range(j + 1):
+            coeffs[i] = (coeffs[i] + cj * comb(j, i)) % pk
+    return [ModInt(v, pk) for v in coeffs]
+
+
+# the oracle is quadratic in the degree p^(n-1), so layers stop at degree 243
+MAX_LAYER = {3: 6, 5: 4, 7: 3}
+
+
+@st.composite
+def synthetic_layers(draw):
+    p = draw(st.sampled_from(sorted(MAX_LAYER)))
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(1, MAX_LAYER[p]))
+    fill = draw(st.sampled_from(["random", "sparse", "max"]))
+    return p, k, n, fill, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(synthetic_layers())
+@example((3, 8, 6, "max", 0))
+def test_layer_polynomial_matches_schoolbook(case):
+    p, k, n, fill, seed = case
+    pk, rng = p**k, random.Random(seed)
+    if fill == "max":
+        # c_j = p^k - 1 for every j: the largest unreduced shift coefficients
+        coeffs = {a: pk - 1 if a % p == 1 else 0 for a in units_mod(p**n)}
+    else:
+        density = 1.0 if fill == "random" else 0.05
+        coeffs = {
+            a: rng.randrange(pk) if rng.random() < density else 0 for a in units_mod(p**n)
+        }
+    layer = GroupRingElement(p**n, {a: ModInt(v, pk) for a, v in coeffs.items()})
+    tower = synthetic_tower(p, k, {n: layer})
+    for component in range(p - 1):
+        assert layer_polynomial(tower, n, component) == schoolbook_layer_polynomial(
+            tower, n, component
+        )
+
+
+def test_layer_polynomial_matches_schoolbook_on_11a1(tower_11_3):
+    for n in range(1, tower_11_3.n_max + 1):
+        for component in range(2):
+            assert layer_polynomial(tower_11_3, n, component) == (
+                schoolbook_layer_polynomial(tower_11_3, n, component)
+            )
+
+
 def newton_polygon_lambda_mu(poly, p, k):
     """Oracle: lambda/mu from the lower convex hull of (i, v_p(c_i)).
 
@@ -150,9 +291,9 @@ def test_newton_polygon_oracle_agreement(tower_11_3):
 
 def test_scaling_covariance(tower_11_3):
     inv = iwasawa_invariants(tower_11_3)
-    by_p = iwasawa_invariants(tower_11_3.scaled(3))
+    by_p = iwasawa_invariants(scaled(tower_11_3, 3))
     assert (by_p.lambda_, by_p.mu) == (inv.lambda_, inv.mu + 1)
-    by_unit = iwasawa_invariants(tower_11_3.scaled(2))
+    by_unit = iwasawa_invariants(scaled(tower_11_3, 2))
     assert (by_unit.lambda_, by_unit.mu) == (inv.lambda_, inv.mu)
 
 
@@ -163,23 +304,14 @@ def test_unit_constant_tower_has_zero_invariants():
         n: GroupRingElement.delta(p**n, 1, ModInt(2, pk), ModInt(0, pk))
         for n in range(1, 5)
     }
-    tower = PadicThetaTower(
-        curve_label="synthetic",
-        p=p,
-        k=k,
-        alpha=ModInt(1, pk),
-        layers=layers,
-        theta_q=ModInt(2, pk),
-        n_max=4,
-        variant="synthetic",
-    )
+    tower = dataclasses.replace(synthetic_tower(p, k, layers), theta_q=ModInt(2, pk))
     assert tower.is_projective()
     inv = iwasawa_invariants(tower)
     assert (inv.lambda_, inv.mu) == (0, 0)
 
 
 def test_precision_error_when_mu_exceeds_k(tower_11_3):
-    saturated = tower_11_3.scaled(3**6)
+    saturated = scaled(tower_11_3, 3**6)
     with pytest.raises(PrecisionError):
         iwasawa_invariants(saturated)
 
