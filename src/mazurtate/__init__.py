@@ -1,6 +1,6 @@
 """Exact computations around modular symbols of rational elliptic curves."""
 
-from .arith import CycElt, ModInt, Rat, cyc_embed, cyc_mul, hensel_unit_root
+from .arith import CycElt, ModInt, Rat, cyc_embed, hensel_unit_root
 from .curves import (
     CurveData,
     EulerFactor,
@@ -48,7 +48,6 @@ from .qexp import (
     f_series,
     rationalized_g_qexp,
     siegel_theta_qexp,
-    siegel_unit_qexp,
     zeta_modular_form,
 )
 from .theta import (

@@ -7,8 +7,9 @@ Conventions
   moduli is an error; precision drops only through ``reduce_to``.
 * ``CycElt`` represents an element of Q(zeta_L) in the power basis
   1, z, ..., z^{phi(L)-1} modulo the L-th cyclotomic polynomial, with
-  exact rational coordinates.  Products require equal conductors; use
-  ``cyc_embed``/``common_conductor`` to move into a joint field first.
+  integer coordinates over one common denominator; Phi_L is monic, so
+  every reduction stays in the integers.  Products require equal
+  conductors; use ``cyc_embed`` to move into a joint field first.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .nt import divisors, euler_phi, is_prime
 
@@ -171,154 +172,164 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     return tuple(int(c) for c in num)
 
 
-@lru_cache(maxsize=None)
-def _power_reduction_table(L: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Row j: coordinates of z^j in the power basis mod Phi_L, 0 <= j < 2*phi(L)."""
-    phi = euler_phi(L)
+def reduce_mod_cyclotomic(poly: list[int], L: int) -> list[int]:
+    """Remainder of an integer polynomial (lowest degree first) modulo Phi_L.
+
+    Phi_L is monic with integer coefficients, so the remainder is again
+    integral: each top term is cancelled against the nonzero lower terms
+    of Phi_L.  The input list is consumed; the result has phi(L) entries.
+    """
     phi_poly = cyclotomic_polynomial(L)
-    rows = []
-    for j in range(2 * phi):
-        if j < phi:
-            row = [Fraction(0)] * phi
-            row[j] = Fraction(1)
-        else:
-            # z^j = z * z^{j-1}, then eliminate the z^phi term via Phi_L
-            prev = list(rows[j - 1])
-            shifted = [Fraction(0)] + prev
-            top = shifted.pop()
-            if top:
-                for i in range(phi):
-                    shifted[i] -= top * phi_poly[i]
-            row = shifted
-        rows.append(tuple(row))
-    return tuple(rows)
+    phi = len(phi_poly) - 1
+    tail = [(i, c) for i, c in enumerate(phi_poly[:phi]) if c]
+    for j in range(len(poly) - 1, phi - 1, -1):
+        top = poly[j]
+        if top:
+            base = j - phi
+            for i, c in tail:
+                poly[base + i] -= top * c
+    del poly[phi:]
+    poly.extend([0] * (phi - len(poly)))
+    return poly
 
 
 class CycElt:
-    """Element of Q(zeta_L) in the power basis modulo Phi_L."""
+    """Element of Q(zeta_L) in the power basis modulo Phi_L.
 
-    __slots__ = ("conductor", "coords")
+    Stored as integer numerators ``num`` over one denominator ``den`` in
+    canonical form (den > 0, gcd(den, *num) == 1), so equal elements have
+    equal fields; ``coords`` is the Fraction view of the same coordinates.
+    """
+
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coords):
         phi = euler_phi(conductor)
-        coords = tuple(as_rat(c) for c in coords)
+        coords = [as_rat(c) for c in coords]
         if len(coords) != phi:
             raise ValueError(
                 f"conductor {conductor} needs {phi} coordinates, got {len(coords)}"
             )
+        # lcm of reduced denominators: the numerators share no factor with it
+        den = lcm(*(c.denominator for c in coords))
         self.conductor = conductor
-        self.coords = coords
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self.den = den
+
+    @staticmethod
+    def _make(L: int, num, den: int) -> "CycElt":
+        """Canonical element num/den of Q(zeta_L), for integers num and den > 0."""
+        g = gcd(den, *num)
+        x = object.__new__(CycElt)
+        x.conductor = L
+        x.num = tuple(c // g for c in num) if g > 1 else tuple(num)
+        x.den = den // g
+        return x
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(L: int = 1) -> "CycElt":
-        return CycElt(L, (Fraction(0),) * euler_phi(L))
+        return CycElt._make(L, (0,) * euler_phi(L), 1)
 
     @staticmethod
     def one(L: int = 1) -> "CycElt":
-        phi = euler_phi(L)
-        return CycElt(L, (Fraction(1),) + (Fraction(0),) * (phi - 1))
+        return CycElt.rational(1, L)
 
     @staticmethod
     def rational(x, L: int = 1) -> "CycElt":
-        phi = euler_phi(L)
-        return CycElt(L, (as_rat(x),) + (Fraction(0),) * (phi - 1))
+        r = as_rat(x)
+        return CycElt._make(
+            L, (r.numerator,) + (0,) * (euler_phi(L) - 1), r.denominator
+        )
 
     @staticmethod
     def zeta(L: int, power: int = 1) -> "CycElt":
         """zeta_L^power as an element of Q(zeta_L)."""
         j = power % L
-        table = _power_reduction_table(L)
-        if j < len(table):
-            return CycElt(L, table[j])
-        # L can exceed 2 phi(L); finish by binary powering
-        out = CycElt(L, table[len(table) - 1])
-        j -= len(table) - 1
-        z = CycElt(L, table[1])
-        while j:
-            if j & 1:
-                out = out * z
-            z = z * z if j > 1 else z
-            j >>= 1
-        return out
+        return CycElt._make(L, reduce_mod_cyclotomic([0] * j + [1], L), 1)
 
     # -- structure ----------------------------------------------------
 
-    def _check(self, other: "CycElt"):
+    def _coerce(self, other):
+        """other as an element of this field, or NotImplemented."""
+        if not isinstance(other, CycElt):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return CycElt.rational(other, self.conductor)
         if self.conductor != other.conductor:
             raise ConductorMismatch(
                 f"conductors {self.conductor} and {other.conductor} differ; "
                 "cyc_embed into a common conductor first"
             )
+        return other
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycElt.rational(other, self.conductor)
-        if not isinstance(other, CycElt):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        self._check(other)
-        return CycElt(
-            self.conductor, tuple(a + b for a, b in zip(self.coords, other.coords))
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return CycElt._make(
+                self.conductor, [a + b for a, b in zip(self.num, other.num)], d1
+            )
+        return CycElt._make(
+            self.conductor,
+            [a * d2 + b * d1 for a, b in zip(self.num, other.num)],
+            d1 * d2,
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycElt(self.conductor, tuple(-a for a in self.coords))
+        return CycElt._make(self.conductor, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycElt.rational(other, self.conductor)
-        if not isinstance(other, CycElt):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        self._check(other)
-        return CycElt(
-            self.conductor, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        return self + (-other)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            r = as_rat(other)
-            return CycElt(self.conductor, tuple(r * a for a in self.coords))
-        if not isinstance(other, CycElt):
+        if not isinstance(other, CycElt) and isinstance(other, (int, Fraction)):
+            return CycElt._make(
+                self.conductor,
+                [other.numerator * a for a in self.num],
+                self.den * other.denominator,
+            )
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        self._check(other)
-        phi = len(self.coords)
-        prod = [Fraction(0)] * (2 * phi - 1)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                if b == 0:
-                    continue
-                prod[i + j] += a * b
-        table = _power_reduction_table(self.conductor)
-        out = [Fraction(0)] * phi
-        for j, cj in enumerate(prod):
-            if cj == 0:
-                continue
-            row = table[j]
-            for i in range(phi):
-                if row[i]:
-                    out[i] += cj * row[i]
-        return CycElt(self.conductor, out)
+        prod = [0] * (2 * len(self.num) - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other.num, i):
+                    prod[j] += a * b
+        return CycElt._make(
+            self.conductor,
+            reduce_mod_cyclotomic(prod, self.conductor),
+            self.den * other.den,
+        )
 
     __rmul__ = __mul__
 
@@ -335,45 +346,23 @@ class CycElt:
         return out
 
     def inverse(self) -> "CycElt":
-        """Field inverse via the extended Euclidean algorithm mod Phi_L."""
+        """Field inverse: the product of the other Galois conjugates over the norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0 in a cyclotomic field")
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        # extended gcd of self (as polynomial) and Phi_L over Q[x]
-        r0, r1 = list(self.coords), phi_poly
-        s0, s1 = [Fraction(1)], []
-        poly_trim(r0)
-        while r1:
-            q, r = poly_divmod_exact(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_trim(
-                [
-                    (s0[i] if i < len(s0) else Fraction(0))
-                    - sum(
-                        q[j] * s1[i - j]
-                        for j in range(len(q))
-                        if 0 <= i - j < len(s1)
-                    )
-                    for i in range(max(len(s0), len(q) + len(s1) - 1))
-                ]
-            )
-        # r0 = gcd (a nonzero constant, since Phi_L is irreducible)
-        assert len(r0) == 1, "gcd with the cyclotomic polynomial must be a constant"
-        c = r0[0]
-        phi = len(self.coords)
-        coords = [Fraction(0)] * phi
-        for i, v in enumerate(s0):
-            coords[i] = v / c
-        return CycElt(self.conductor, coords)
+        L = self.conductor
+        rest = CycElt.one(L)
+        for j in range(2, L):
+            if gcd(j, L) == 1:
+                rest = rest * self.galois(j)
+        return rest / (self * rest).rational_value()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            r = as_rat(other)
-            return self * (1 / r)
-        if isinstance(other, CycElt):
-            self._check(other)
-            return self * other.inverse()
-        return NotImplemented
+            return self * (1 / as_rat(other))
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
 
     # -- field automorphisms and embeddings ----------------------------
 
@@ -382,11 +371,10 @@ class CycElt:
         L = self.conductor
         if gcd(j, L) != 1:
             raise ValueError(f"{j} does not define an automorphism of Q(zeta_{L})")
-        out = CycElt.zero(L)
-        for i, c in enumerate(self.coords):
-            if c:
-                out = out + CycElt.zeta(L, i * j) * c
-        return out
+        poly = [0] * L
+        for i, c in enumerate(self.num):
+            poly[i * j % L] += c
+        return CycElt._make(L, reduce_mod_cyclotomic(poly, L), self.den)
 
     def conj(self) -> "CycElt":
         """Complex conjugation zeta |-> zeta^{-1}."""
@@ -397,26 +385,20 @@ class CycElt:
             other = CycElt.rational(other, self.conductor)
         if not isinstance(other, CycElt):
             return NotImplemented
-        if self.conductor == other.conductor:
-            return self.coords == other.coords
-        from math import lcm
-
-        L = lcm(self.conductor, other.conductor)
-        return cyc_embed(self, L).coords == cyc_embed(other, L).coords
+        x, y = self, other
+        if x.conductor != y.conductor:
+            L = lcm(x.conductor, y.conductor)
+            x, y = cyc_embed(x, L), cyc_embed(y, L)
+        return x.num == y.num and x.den == y.den
 
     def __hash__(self):
-        return hash((self.conductor, self.coords))
+        return hash((self.conductor, self.num, self.den))
 
     def __repr__(self):
         if self.is_rational():
-            return f"CycElt({self.conductor}; {self.coords[0]})"
+            return f"CycElt({self.conductor}; {self.rational_value()})"
         terms = ", ".join(str(c) for c in self.coords)
         return f"CycElt({self.conductor}; [{terms}])"
-
-
-def cyc_mul(x: CycElt, y: CycElt) -> CycElt:
-    """Product in Q(zeta_L); conductors must already agree."""
-    return x * y
 
 
 def cyc_embed(x: CycElt, target: int) -> CycElt:
@@ -431,18 +413,10 @@ def cyc_embed(x: CycElt, target: int) -> CycElt:
     if target == L:
         return x
     step = target // L
-    out = CycElt.zero(target)
-    for i, c in enumerate(x.coords):
-        if c:
-            out = out + CycElt.zeta(target, i * step) * c
-    return out
-
-
-def common_conductor(x: CycElt, y: CycElt) -> tuple[CycElt, CycElt]:
-    from math import lcm
-
-    L = lcm(x.conductor, y.conductor)
-    return cyc_embed(x, L), cyc_embed(y, L)
+    poly = [0] * target
+    for i, c in enumerate(x.num):
+        poly[i * step] = c
+    return CycElt._make(target, reduce_mod_cyclotomic(poly, target), x.den)
 
 
 # ---------------------------------------------------------------------------

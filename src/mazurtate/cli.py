@@ -345,7 +345,7 @@ def cmd_qexp(args) -> RunReport:
             if args.prec < 0 and args.prec <= lead:
                 raise UsageError(f"--prec {args.prec} is negative and not above the lead {lead}")
             report.outputs["grid"] = s.grid
-            report.outputs["lead_exponent"] = s.lead_exponent
+            report.outputs["lead_exponent"] = lead
             report.outputs["truncation"] = s.trunc_exponent
             report.outputs["series"] = _series_rows(s)
         elif args.target == "g-unit":
@@ -398,12 +398,18 @@ def _suite_norm_relations(args):
     summary = adjudicate_norm_relations(curves, args.max_product)
     checks = []
     non_vac = summary.non_vacuous()
+    if not non_vac:
+        status = "vacuous"
+    elif summary.consistent:
+        status = "pass"
+    else:
+        status = "fail"
     checks.append(
         Check(
             f"single variant across {len(non_vac)} non-vacuous cases "
             f"(of {len(summary.reports)})",
-            "pass" if summary.consistent else "fail",
-            None if summary.consistent else str({r.status for r in non_vac}),
+            status,
+            str({r.status for r in non_vac}) if status == "fail" else None,
         )
     )
     outputs = {"variant": summary.variant}
@@ -686,13 +692,13 @@ def main(argv=None) -> int:
     ):
         if not hasattr(args, name):
             setattr(args, name, default)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         report = args.func(args)
     except (UsageError, CatalogError, OracleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report.timing = time.time() - t0
+    report.timing = time.perf_counter() - t0
     return emit(report, args)
 
 

@@ -345,7 +345,7 @@ def eval_character(x: GroupRingElement, chi: DirichletCharacter) -> CycElt:
 
     The character is evaluated through its primitive core, which must
     have conductor dividing the modulus of x; coefficients must be
-    Fraction or CycElt.
+    int, Fraction or CycElt.
     """
     f = chi.conductor()
     if x.modulus % f != 0:

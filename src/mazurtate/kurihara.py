@@ -236,6 +236,8 @@ def nonvanishing_search(
     prime_set: AdmissiblePrimeSet | None = None,
 ) -> NonvanishingTable:
     """Exhaustive delta_n table over squarefree n with at most max_factors factors."""
+    if max_factors < 0:
+        raise AdmissibilityError(f"max_factors must be >= 0, got {max_factors}")
     if prime_set is None:
         prime_set = sieve_admissible(curve, p, k, bound)
     plus = eigen_pair(curve)[0]

@@ -21,116 +21,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arith import CycElt, ModInt, NonOrdinaryPrime, cyclotomic_polynomial, hensel_unit_root
+from .arith import CycElt, ModInt, NonOrdinaryPrime, hensel_unit_root
 from .curves import CurveData
-from .groupring import DirichletCharacter, GroupRingElement, first_mismatch, norm_map, project
-from .nt import euler_phi, is_prime
+from .groupring import (
+    DirichletCharacter,
+    GroupRingElement,
+    eval_character,
+    first_mismatch,
+    norm_map,
+    project,
+)
+from .nt import is_prime
 from .theta import adjudicated_variant, eigen_pair, integrality_report, theta_element
 
 
 class PrecisionError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Cyclotomic coefficients mod p^k (for character-twisted identities)
-
-
-class CycMod:
-    """Element of (Z/p^k)[x]/Phi_L(x): cyclotomic integers at finite precision."""
-
-    __slots__ = ("conductor", "pk", "coords")
-
-    def __init__(self, conductor: int, pk: int, coords):
-        phi = euler_phi(conductor)
-        coords = tuple(int(c) % pk for c in coords)
-        if len(coords) != phi:
-            raise ValueError("coordinate length mismatch")
-        self.conductor = conductor
-        self.pk = pk
-        self.coords = coords
-
-    @staticmethod
-    def zero(conductor: int, pk: int) -> "CycMod":
-        return CycMod(conductor, pk, (0,) * euler_phi(conductor))
-
-    @staticmethod
-    def from_cyc(x: CycElt, pk: int) -> "CycMod":
-        coords = []
-        for c in x.coords:
-            coords.append(c.numerator * pow(c.denominator, -1, pk) % pk)
-        return CycMod(x.conductor, pk, coords)
-
-    def _check(self, other):
-        if self.conductor != other.conductor or self.pk != other.pk:
-            raise ValueError("CycMod structure mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return CycMod(
-            self.conductor,
-            self.pk,
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return CycMod(
-            self.conductor,
-            self.pk,
-            tuple(a - b for a, b in zip(self.coords, other.coords)),
-        )
-
-    def scale(self, s: int) -> "CycMod":
-        return CycMod(self.conductor, self.pk, tuple(s * a for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        if isinstance(other, ModInt):
-            if other.modulus != self.pk:
-                raise ValueError("modulus mismatch")
-            return self.scale(other.residue)
-        self._check(other)
-        phi = len(self.coords)
-        prod = [0] * (2 * phi - 1)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                prod[i + j] = (prod[i + j] + a * b) % self.pk
-        phi_poly = cyclotomic_polynomial(self.conductor)
-        for j in range(len(prod) - 1, phi - 1, -1):
-            top = prod[j]
-            if top:
-                prod[j] = 0
-                for i in range(phi):
-                    prod[j - phi + i] = (prod[j - phi + i] - top * phi_poly[i]) % self.pk
-        return CycMod(self.conductor, self.pk, prod[:phi])
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def conj(self) -> "CycMod":
-        L = self.conductor
-        out = CycMod.zero(L, self.pk)
-        for i, c in enumerate(self.coords):
-            if c:
-                out = out + CycMod.from_cyc(CycElt.zeta(L, -i % L), self.pk).scale(c)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CycMod)
-            and self.conductor == other.conductor
-            and self.pk == other.pk
-            and self.coords == other.coords
-        )
-
-    def __repr__(self):
-        return f"CycMod({self.conductor}; mod {self.pk}; {self.coords})"
 
 
 # ---------------------------------------------------------------------------
@@ -275,18 +181,10 @@ class CharacterInterpolationReport:
     p: int
     k: int
     conductor_exponent: int
-    lhs: CycMod  # chi(theta^alpha_n)
-    rhs: CycMod  # alpha^{-n} chi(theta_{p^n})
+    # integral lifts: the identity is the congruence lhs = rhs mod p^k
+    lhs: CycElt  # chi(theta^alpha_n)
+    rhs: CycElt  # alpha^{-n} chi(theta_{p^n})
     holds: bool
-
-
-def _eval_character_mod(x: GroupRingElement, chi: DirichletCharacter, pk: int) -> CycMod:
-    o = chi.order()
-    total = CycMod.zero(o, pk)
-    for a, v in x.coeffs.items():
-        if not v.is_zero():
-            total = total + CycMod.from_cyc(chi(a), pk).scale(v.residue)
-    return total
 
 
 def interpolate_character(
@@ -311,18 +209,17 @@ def interpolate_character(
         raise ValueError(f"conductor {chi.modulus} is not a power of {p}")
     if not 1 <= n <= tower.n_max:
         raise ValueError(f"conductor exponent {n} outside tower range")
-    lhs = _eval_character_mod(tower.layers[n], chi, pk)
     if curve is None:
         from .curves import curve_by_label
 
         curve = curve_by_label(tower.curve_label)
     raw = _reduce_theta(curve, p**n, pk, eigen_pair(curve))
-    rhs = _eval_character_mod(raw, chi, pk).scale(
-        (tower.alpha.inverse() ** n).residue
-    )
-    return CharacterInterpolationReport(
-        tower.curve_label, p, tower.k, n, lhs, rhs, lhs == rhs
-    )
+    lhs = eval_character(tower.layers[n].map_coeffs(lambda v: v.residue), chi)
+    rhs = eval_character(raw.map_coeffs(lambda v: v.residue), chi) * (
+        tower.alpha.inverse() ** n
+    ).residue
+    holds = ((lhs - rhs) / pk).den == 1
+    return CharacterInterpolationReport(tower.curve_label, p, tower.k, n, lhs, rhs, holds)
 
 
 # ---------------------------------------------------------------------------

@@ -517,11 +517,6 @@ def siegel_theta_relative(pt: TorsionPoint, c: int, rel_prec) -> QSeries:
     return siegel_theta_qexp(pt, c, theta_lead_exponent(pt, c) + Fraction(rel_prec))
 
 
-def siegel_unit_qexp(pt: TorsionPoint, c: int, prec) -> QSeries:
-    """The Siegel unit: the theta pullback at the torsion section itself."""
-    return siegel_theta_qexp(pt, c, prec)
-
-
 # ---------------------------------------------------------------------------
 # Rationalized Siegel units (c eliminated)
 

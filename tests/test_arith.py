@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from mazurtate.arith import (
     NonOrdinaryPrime,
     Rat,
     cyc_embed,
-    cyc_mul,
     cyclotomic_polynomial,
     hensel_unit_root,
 )
@@ -61,13 +61,13 @@ def test_modint_arithmetic():
 
 def test_cyc_mul_zeta4_squared_is_minus_one():
     z4 = CycElt.zeta(4)
-    assert cyc_mul(z4, z4) == CycElt.rational(-1, 4)
+    assert z4 * z4 == CycElt.rational(-1, 4)
 
 
 def test_cyc_mul_zeta3_squared():
     z3 = CycElt.zeta(3)
     # Phi_3 = x^2 + x + 1, so z^2 = -1 - z
-    assert cyc_mul(z3, z3) == CycElt(3, [Fraction(-1), Fraction(-1)])
+    assert z3 * z3 == CycElt(3, [Fraction(-1), Fraction(-1)])
 
 
 def test_zeta12_cubed_equals_embedded_zeta4():
@@ -94,7 +94,7 @@ def test_cyc_embed_identity_and_conductor_checks():
     with pytest.raises(ConductorMismatch):
         cyc_embed(z3, 4)
     with pytest.raises(ConductorMismatch):
-        cyc_mul(z3, CycElt.zeta(4))
+        z3 * CycElt.zeta(4)
 
 
 small_cyc = st.builds(
@@ -107,8 +107,6 @@ small_cyc = st.builds(
 @given(x=small_cyc, y=small_cyc, z=small_cyc)
 @settings(max_examples=60, deadline=None)
 def test_cyc_mul_commutative_associative(x, y, z):
-    from math import lcm
-
     L = lcm(x.conductor, lcm(y.conductor, z.conductor))
     x, y, z = cyc_embed(x, L), cyc_embed(y, L), cyc_embed(z, L)
     assert x * y == y * x
@@ -118,8 +116,6 @@ def test_cyc_mul_commutative_associative(x, y, z):
 @given(x=small_cyc, y=small_cyc)
 @settings(max_examples=40, deadline=None)
 def test_cyc_embed_is_ring_hom(x, y):
-    from math import lcm
-
     L = lcm(x.conductor, y.conductor)
     target = L * 2
     xe, ye = cyc_embed(x, L), cyc_embed(y, L)
@@ -131,6 +127,8 @@ def test_cyc_embed_is_ring_hom(x, y):
 def test_zeta_power_and_minimal_polynomial(L):
     z = CycElt.zeta(L)
     assert z**L == CycElt.one(L)
+    for j in range(-L, 2 * L):
+        assert CycElt.zeta(L, j).coords == tuple(oracle_table(L)[j % L])
     phi = cyclotomic_polynomial(L)
     value = CycElt.zero(L)
     for i, c in enumerate(phi):
@@ -142,8 +140,105 @@ def test_zeta_power_and_minimal_polynomial(L):
 def test_cyc_inverse_roundtrip():
     x = CycElt.zeta(7, 3) + CycElt.rational(Fraction(2, 5), 7)
     assert x * x.inverse() == CycElt.one(7)
+    assert CycElt.zeta(9, 1) * CycElt.zeta(9, 8) == CycElt.one(9)
+    assert CycElt.zeta(9, 1).inverse() == CycElt.zeta(9, 8)
+    z = CycElt.zeta(9, 1) + CycElt.rational(5, 9)
+    assert z.conj() != z and z.conj().conj() == z
     with pytest.raises(ZeroDivisionError):
         CycElt.zero(5).inverse()
+
+
+# --- the integer kernel against the Fraction power-reduction table ----------
+
+
+@lru_cache(maxsize=None)
+def oracle_table(L: int) -> list[list[Fraction]]:
+    """Row j: Fraction coordinates of z^j mod Phi_L, for 0 <= j < max(2 phi(L), L).
+
+    Built by z^j = z * z^{j-1}, eliminating the z^phi term through Phi_L.
+    """
+    phi = euler_phi(L)
+    phi_poly = cyclotomic_polynomial(L)
+    rows = []
+    for j in range(max(2 * phi, L)):
+        if j < phi:
+            row = [Fraction(0)] * phi
+            row[j] = Fraction(1)
+        else:
+            row = [Fraction(0)] + rows[j - 1]
+            top = row.pop()
+            for i in range(phi):
+                row[i] -= top * phi_poly[i]
+        rows.append(row)
+    return rows
+
+
+def oracle_combine(L: int, terms) -> tuple[Fraction, ...]:
+    """sum c z^j over (c, j) pairs, read from the table."""
+    table = oracle_table(L)
+    out = [Fraction(0)] * euler_phi(L)
+    for c, j in terms:
+        for i, r in enumerate(table[j % L]):
+            out[i] += c * r
+    return tuple(out)
+
+
+def oracle_mul(x: CycElt, y: CycElt) -> tuple[Fraction, ...]:
+    return oracle_combine(
+        x.conductor,
+        [(a * b, i + j) for i, a in enumerate(x.coords) for j, b in enumerate(y.coords)],
+    )
+
+
+@st.composite
+def same_field(draw, conductors=(1, 2, 6, 9, 10, 12, 18, 25)):
+    """Three elements of one Q(zeta_L), including L > 2 phi(L) and non-squarefree L."""
+    L = draw(st.sampled_from(conductors))
+    coords = st.lists(
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        min_size=euler_phi(L),
+        max_size=euler_phi(L),
+    )
+    return tuple(CycElt(L, draw(coords)) for _ in range(3))
+
+
+@given(xs=same_field(), j=st.integers(1, 10**6), m=st.sampled_from([2, 3]))
+@settings(max_examples=80, deadline=None)
+def test_kernel_matches_fraction_oracle(xs, j, m):
+    x, y, z = xs
+    L = x.conductor
+    assert (x * y).coords == oracle_mul(x, y)
+    assert (x * y + z).coords == tuple(a + b for a, b in zip(oracle_mul(x, y), z.coords))
+    while gcd(j, L) != 1:
+        j += 1
+    assert x.galois(j).coords == oracle_combine(L, [(c, i * j) for i, c in enumerate(x.coords)])
+    assert x.conj().conj() == x
+    assert cyc_embed(x, m * L).coords == oracle_combine(
+        m * L, [(c, i * m) for i, c in enumerate(x.coords)]
+    )
+    if not x.is_zero():
+        assert oracle_mul(x, x.inverse()) == CycElt.one(L).coords
+    for e in (x, x * y, x.galois(j), cyc_embed(x, m * L)):
+        assert e.den > 0 and gcd(e.den, *e.num) == 1
+        assert e.coords == tuple(Fraction(c, e.den) for c in e.num)
+
+
+def test_equal_elements_share_canonical_form():
+    half = CycElt.rational(Fraction(1, 2), 5)
+    same = [
+        CycElt(5, [Fraction(2, 4), 0, 0, 0]),
+        CycElt(5, [Fraction(3, 6), Fraction(0, 7), 0, 0]),
+        CycElt.rational(Fraction(1, 6), 5) * 3,
+        CycElt.one(5) - half,
+        (half + CycElt.zeta(5)) - CycElt.zeta(5),
+    ]
+    for x in same:
+        assert (x.num, x.den) == ((1, 0, 0, 0), 2)
+        assert x == half and hash(x) == hash(half)
+    thirds = CycElt(5, [Fraction(1, 3)] * 4)
+    zero = thirds - CycElt(5, [Fraction(2, 6)] * 4)
+    assert (zero.num, zero.den) == ((0, 0, 0, 0), 1)
+    assert zero == CycElt.zero(5) and hash(zero) == hash(CycElt.zero(5))
 
 
 # --- hensel lifting -----------------------------------------------------------

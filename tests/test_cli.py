@@ -181,6 +181,36 @@ def test_qexp_siegel_negative_order_above_lead(capsys):
     assert code == 0
 
 
+def test_qexp_siegel_reports_exact_lead_when_truncated(capsys):
+    # order 0 is below the lead 4/7: the series is empty, the lead stays exact
+    code, out, _ = run(
+        capsys, "qexp", "siegel", "--point", "1/7,2/7", "--c", "5", "--prec", "0",
+        "--json", "--no-timing",
+    )
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["lead_exponent"] == "4/7"
+    assert outputs["truncation"] == "0" and outputs["series"] == []
+
+
+def test_verify_empty_norm_relation_sweep_is_vacuous(capsys):
+    code, out, _ = run(
+        capsys, "verify", "norm-relations", "--max-product", "0", "--json", "--no-timing"
+    )
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "vacuous"
+    assert "0 non-vacuous cases (of 0)" in check["name"]
+
+
+def test_kurihara_refuses_negative_factor_count(capsys):
+    code, out, err = run(
+        capsys, "kurihara", "37a1", "-p", "3", "--bound", "50", "--nu", "-1", "--no-timing"
+    )
+    assert code == 2 and out == ""
+    assert "max_factors" in err
+
+
 def test_oracle_subcommand(capsys):
     code, out, _ = run(capsys, "oracle", "11a1", "--no-timing")
     assert code == 0 and "ratio: 0.2" in out

@@ -63,6 +63,12 @@ def test_precision_exponent_below_one_is_refused(c37, aset37, k):
         nonvanishing_search(c37, 3, k, 2, 50, aset37)
 
 
+def test_negative_max_factors_is_refused(c37):
+    # a negative depth never reached 0: the search walked every subset
+    with pytest.raises(AdmissibilityError, match="max_factors"):
+        nonvanishing_search(c37, 3, 1, -1, 20)
+
+
 def test_discrete_log_examples():
     assert discrete_log(7, 3, 4) == ModInt(4, 6)
     assert pow(3, 4, 7) == 4  # exhaustive witness

@@ -145,14 +145,11 @@ def test_theta_gcd_violations():
 
 
 def test_siegel_unit_ramification():
-    from mazurtate.qexp import siegel_unit_qexp
-
     # alpha = 0: no fractional powers
-    s = siegel_unit_qexp(TorsionPoint(0, 1, 5), 7, 8)
+    s = siegel_theta_qexp(TorsionPoint(0, 1, 5), 7, 8)
     assert s.grid == 1
-    assert s == siegel_theta_qexp(TorsionPoint(0, 1, 5), 7, 8)
     # alpha = 1/3: exponents in (1/3) Z, both point components honored
-    s3 = siegel_unit_qexp(TorsionPoint(1, 0, 3), 5, 4)
+    s3 = siegel_theta_qexp(TorsionPoint(1, 0, 3), 5, 4)
     assert s3.grid == 3
     assert any((e * 3).denominator == 1 and (e * 1).denominator != 1 for e, _ in s3.terms())
 
