@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .nt import divisors, euler_phi, is_prime
+from .nt import divisors, euler_phi, factorize, is_prime
 
 Rat = Fraction
 
@@ -392,13 +392,28 @@ class CycElt:
         return x.num == y.num and x.den == y.den
 
     def __hash__(self):
-        return hash((self.conductor, self.num, self.den))
+        # Tr(x)/phi(L) is the same in every Q(zeta_L') containing x, and is
+        # x itself for a rational x, so equal elements hash alike
+        weights = _trace_weights(self.conductor)
+        return hash(sum(n * w for n, w in zip(self.num, weights) if n) / self.den)
 
     def __repr__(self):
         if self.is_rational():
             return f"CycElt({self.conductor}; {self.rational_value()})"
         terms = ", ".join(str(c) for c in self.coords)
         return f"CycElt({self.conductor}; [{terms}])"
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(L: int) -> tuple[Fraction, ...]:
+    """Tr(zeta_L^i)/phi(L) = mu(m)/phi(m) with m = L/gcd(i, L), for i < phi(L)."""
+    def mu(m):
+        primes = factorize(m)
+        return (-1) ** len(primes) if all(e == 1 for e in primes.values()) else 0
+
+    return tuple(
+        Fraction(mu(L // gcd(i, L)), euler_phi(L // gcd(i, L))) for i in range(euler_phi(L))
+    )
 
 
 def cyc_embed(x: CycElt, target: int) -> CycElt:

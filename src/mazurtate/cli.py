@@ -20,7 +20,7 @@ from fractions import Fraction
 from .arith import ModInt
 from .curves import CatalogError, curve_by_label, euler_factor
 from .groupring import all_characters
-from .modsym import build_space, calibrate_periods, cusp_count, genus_x0
+from .modsym import GOOD_HECKE_BOUND, build_space, calibrate_periods, cusp_count, genus_x0
 from .nt import primes_up_to
 from .oracle import OracleError, lvalue_and_period
 from .qexp import (
@@ -186,6 +186,7 @@ def cmd_msym(args) -> RunReport:
         plus, minus = eigen_pair(curve)
         report.outputs["eigen_plus"] = list(plus.vector)
         report.outputs["eigen_minus"] = list(minus.vector)
+        report.outputs["hecke_bound"] = GOOD_HECKE_BOUND  # good ell <= this cut the kernels
         report.outputs["value_plus_at_0"] = plus.value(0)
         if args.calibrate:
             try:
@@ -323,6 +324,8 @@ def _series_rows(series):
 
 
 def cmd_qexp(args) -> RunReport:
+    if args.weight is None:  # zeta needs 1 <= r <= k-1, so k = 2 with r = 1
+        args.weight = 2 if args.target == "zeta" else 1
     report = RunReport(
         "qexp",
         {
@@ -654,7 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", default="0/5,1/5")
     p.add_argument("--c", type=int, default=7)
     p.add_argument("--d", type=int, default=11)
-    p.add_argument("--weight", "-k", type=int, default=1)
+    p.add_argument(
+        "--weight", "-k", type=int, default=None, help="default 2 for zeta, 1 otherwise"
+    )
     p.add_argument("--aux", type=int, default=2)
     p.add_argument("--prec", type=Fraction, default=Fraction(8))
     p.add_argument("--big-m", type=int, default=5)

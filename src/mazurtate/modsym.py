@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .curves import CurveData
-from .nt import euler_phi, factorize, units_mod
+from .nt import divisors, euler_phi, factorize, units_mod
 
 
 class NotNewformError(ValueError):
@@ -61,8 +61,6 @@ def index_gamma0(N: int) -> int:
 
 
 def cusp_count(N: int) -> int:
-    from .nt import divisors
-
     return sum(euler_phi(gcd(d, N // d)) for d in divisors(N))
 
 
@@ -89,6 +87,11 @@ def genus_x0(N: int) -> int:
 # Sparse elimination over Q
 
 
+def _exact(v):
+    """An int when v is integral, else the Fraction itself."""
+    return v.numerator if v.denominator == 1 else v
+
+
 def _reduce_row(row: dict, pivots: dict) -> dict:
     while True:
         hit = [c for c in row if c in pivots]
@@ -99,13 +102,18 @@ def _reduce_row(row: dict, pivots: dict) -> dict:
             for j, v in pivots[c].items():
                 if j == c:
                     continue
-                row[j] = row.get(j, Fraction(0)) - coeff * v
+                row[j] = row.get(j, 0) - coeff * v
                 if row[j] == 0:
                     del row[j]
 
 
 def sparse_rref(rows: list[dict]) -> dict[int, dict]:
-    """Reduced row echelon form; returns {pivot column: normalized row}."""
+    """Reduced row echelon form; returns {pivot column: normalized row}.
+
+    Entries stay ints while every pivot is +-1 and become Fractions only
+    where a division needs one.  A pivot row's columns are never below
+    its pivot, so the result is the unique RREF of the row space.
+    """
     pivots: dict[int, dict] = {}
     for row in rows:
         row = _reduce_row(dict(row), pivots)
@@ -113,50 +121,64 @@ def sparse_rref(rows: list[dict]) -> dict[int, dict]:
             continue
         c = min(row)
         lead = row[c]
-        row = {j: v / lead for j, v in row.items()}
+        if lead == -1:
+            row = {j: -v for j, v in row.items()}
+        elif lead != 1:
+            row = {j: _exact(Fraction(v) / lead) for j, v in row.items()}
         for prow in pivots.values():
             if c in prow:
                 coeff = prow.pop(c)
                 for j, v in row.items():
                     if j == c:
                         continue
-                    prow[j] = prow.get(j, Fraction(0)) - coeff * v
+                    prow[j] = prow.get(j, 0) - coeff * v
                     if prow[j] == 0:
                         del prow[j]
         pivots[c] = row
     return pivots
 
 
-def left_kernel(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of {v : v M = 0} for an n x m matrix given as a list of rows."""
-    n = len(mat)
-    m = len(mat[0]) if n else 0
-    rows = [
-        {i: mat[i][j] for i in range(n) if mat[i][j] != 0} for j in range(m)
-    ]  # columns of M = rows of M^T
-    pivots = sparse_rref(rows)
-    free = [j for j in range(n) if j not in pivots]
+def left_kernel(mat: list[list]) -> list[list[int]]:
+    """Integer basis of {v : v M = 0} for an n x m rational matrix given by rows.
+
+    M is first scaled to integers by its common denominator.  Then
+    fraction-free forward elimination of [M | I]: each row is reduced
+    against the pivot rows by integer combinations and divided by its
+    content; a row whose M part vanishes carries a kernel vector in its
+    I part.
+    """
+    den = lcm(*(x.denominator for entries in mat for x in entries))
+    if den > 1:
+        mat = [[int(x * den) for x in entries] for entries in mat]
+    m = len(mat[0]) if mat else 0
+    pivots: dict[int, dict[int, int]] = {}
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for pc, prow in pivots.items():
-            if f in prow:
-                vec[pc] = -prow[f]
-        basis.append(vec)
+    for i, entries in enumerate(mat):
+        row = {j: x for j, x in enumerate(entries) if x}
+        row[m + i] = 1
+        while (c := min(row)) < m and c in pivots:
+            prow = pivots[c]
+            g = gcd(row[c], prow[c])
+            a, b = prow[c] // g, row[c] // g
+            for j in row.keys() - prow.keys():
+                row[j] *= a
+            for j, x in prow.items():
+                v = a * row.get(j, 0) - b * x
+                if v:
+                    row[j] = v
+                else:
+                    row.pop(j, None)
+            content = gcd(*row.values())
+            if content > 1:
+                row = {j: x // content for j, x in row.items()}
+        if c < m:
+            pivots[c] = row
+        else:
+            vec = [0] * len(mat)
+            for j, x in row.items():
+                vec[j - m] = x
+            basis.append(vec)
     return basis
-
-
-def mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
-
-
-def vec_mat(v, m):
-    n = len(v)
-    return [sum(v[i] * m[i][j] for i in range(n)) for j in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -188,36 +210,20 @@ def unimodular_path(r) -> list[tuple[int, int]]:
     return symbols
 
 
-def unimodular_path_hj(r) -> list[tuple[int, int]]:
-    """Alternative decomposition via the all-ceilings continued fraction.
-
-    Same endpoint, generally a different chain of unimodular segments;
-    used to test that symbol values are path independent.
-    """
-    if r is None:
-        return []
-    r = Fraction(r)
-    x, y = r.numerator, r.denominator
-    p_m2, q_m2 = 0, -1
-    p_m1, q_m1 = 1, 0
-    symbols = []
-    while y != 0:
-        a = -((-x) // y)  # ceil(x/y)
-        p, q = a * p_m1 - p_m2, a * q_m1 - q_m2
-        D = p * q_m1 - p_m1 * q
-        assert D in (1, -1)
-        symbols.append((q, D * q_m1))
-        p_m2, q_m2, p_m1, q_m1 = p_m1, q_m1, p, q
-        x, y = y, a * y - x
-    return symbols
-
-
 # ---------------------------------------------------------------------------
 # The symbol space
 
 
 class ModularSymbolSpace:
-    """Manin-symbol presentation of H_1(X_0(N), cusps; Q)."""
+    """Manin-symbol presentation of H_1(X_0(N), cusps; Q).
+
+    ``p1_reps`` lists P^1(Z/N) in lexicographic order, each point by the
+    least element (g : x) of its unit orbit; then g = gcd(c, N).
+    ``reduction[i]`` is the class of the i-th Manin symbol in the basis
+    of free generators ``free_indices``, as a sparse row of (coordinate,
+    coefficient) pairs; coefficients are ints unless a level needs a
+    denominator.
+    """
 
     def __init__(self, N: int):
         if N < 1:
@@ -225,116 +231,135 @@ class ModularSymbolSpace:
         self.N = N
         self._build_p1()
         self._build_quotient()
-        self._hecke: dict[int, list[list[Fraction]]] = {}
-        self._star: list[list[Fraction]] | None = None
+        self._hecke: dict[int, list[list]] = {}
+        self._star: list[list] | None = None
 
     def _build_p1(self):
+        """Orbit representatives and O(#P^1) index tables (Cremona, ch. 2).
+
+        (0 : d) is (0 : 1).  For a unit c, (c : d) is (1 : d/c), found in
+        an N-entry inverse table.  Otherwise, with g = gcd(c, N) and
+        m = N/g, the units fixing g are those = 1 mod m, so the orbit of
+        (g : x) is every lift of x mod m prime to g; the point is keyed by
+        d (c/g)^-1 mod m in an m-entry table for g.
+        """
         N = self.N
-        units = units_mod(N) if N > 1 else (1,)
-        rep_of: dict[tuple[int, int], tuple[int, int]] = {}
-        reps: list[tuple[int, int]] = []
-        for c in range(N):
-            for d in range(N):
-                if gcd(gcd(c, d), N) != 1:
-                    continue
-                if (c, d) in rep_of:
-                    continue
-                orbit = {((u * c) % N, (u * d) % N) for u in units}
-                rep = min(orbit)
-                for x in orbit:
-                    rep_of[x] = rep
-                reps.append(rep)
-        reps.sort()
+        self._inv = [pow(c, -1, N) if gcd(c, N) == 1 else 0 for c in range(N)]
+        reps = [(0, 1 % N)] + [(1, d) for d in range(N) if N > 1]
+        self._blocks: dict[int, list[int | None]] = {}
+        for g in divisors(N)[1:-1]:
+            m = N // g
+            block = self._blocks[g] = [None] * m
+            # the least lift of r prime to g; one exists iff gcd(r, g, m) = 1
+            for x in sorted(
+                next(x for x in range(r, N, m) if gcd(x, g) == 1)
+                for r in range(m)
+                if gcd(r, g, m) == 1
+            ):
+                block[x % m] = len(reps)
+                reps.append((g, x))
         self.p1_reps = reps
-        index = {rep: i for i, rep in enumerate(reps)}
-        self._p1_index = {pair: index[rep] for pair, rep in rep_of.items()}
 
     def p1_index(self, c: int, d: int) -> int:
-        key = (c % self.N, d % self.N)
-        try:
-            return self._p1_index[key]
-        except KeyError:
-            raise ValueError(f"({c}:{d}) is not a point of P^1(Z/{self.N})")
+        N = self.N
+        u = self._inv[c % N]
+        if u:
+            return 1 + d * u % N
+        g = gcd(c, N)
+        if gcd(g, d) != 1:
+            raise ValueError(f"({c}:{d}) is not a point of P^1(Z/{N})")
+        if g == N:
+            return 0
+        m = N // g
+        return self._blocks[g][d * pow(c // g % m, -1, m) % m]
 
     def p1_valid(self, c: int, d: int) -> bool:
-        return (c % self.N, d % self.N) in self._p1_index
+        return gcd(c, d, self.N) == 1
 
     def _build_quotient(self):
+        """Quotient by the Manin relations, as the RREF of the relation rows.
+
+        The 2-term relations pair each symbol i with S i: x_i = -x_{S i},
+        and x_i = 0 when S fixes i.  Writing the smaller index of a pair
+        through the larger one leaves only the 3-term rows to eliminate;
+        the pivots of the relation space are the smaller indices plus the
+        pivots of those rows, so this is the RREF of all the relations.
+        """
+        index = self.p1_index
         n = len(self.p1_reps)
-        rows = []
-        seen = set()
+        kept: list[tuple[int, int] | None] = [None] * n  # i -> (pair's larger index, sign)
         for i, (c, d) in enumerate(self.p1_reps):
-            j = self.p1_index(d, -c)  # (c:d) S
-            key = (i, j) if i <= j else (j, i)
-            if key not in seen:
+            j = index(d, -c)  # (c:d) S
+            if i < j:
+                kept[i], kept[j] = (j, -1), (j, 1)
+        rows, seen = [], set()
+        for i, (c, d) in enumerate(self.p1_reps):
+            orbit = (i, index(d, -c - d), index(-c - d, c))  # (c:d) T^k
+            if i != min(orbit):
+                continue
+            row: dict[int, int] = {}
+            for t in orbit:
+                if kept[t]:
+                    j, e = kept[t]
+                    row[j] = row.get(j, 0) + e
+            key = tuple(sorted((j, e) for j, e in row.items() if e))
+            if key and key[0][1] < 0:
+                key = tuple((j, -e) for j, e in key)
+            if key and key not in seen:
                 seen.add(key)
-                row: dict[int, Fraction] = {}
-                for t in (i, j):
-                    row[t] = row.get(t, Fraction(0)) + 1
-                rows.append(row)
-            j1 = self.p1_index(d, -c - d)  # (c:d) T
-            j2 = self.p1_index(-c - d, c)  # (c:d) T^2
-            key3 = tuple(sorted((i, j1, j2)))
-            if key3 not in seen:
-                seen.add(key3)
-                row = {}
-                for t in (i, j1, j2):
-                    row[t] = row.get(t, Fraction(0)) + 1
-                rows.append(row)
+                rows.append(dict(key))
         pivots = sparse_rref(rows)
-        free = [j for j in range(n) if j not in pivots]
+        free = [j for j in range(n) if kept[j] and kept[j][0] == j and j not in pivots]
         self.free_indices = free
         self.dimension = len(free)
         pos_of = {j: k for k, j in enumerate(free)}
-        reduction = []
+        reduction: list[tuple] = []
         for i in range(n):
-            vec = [Fraction(0)] * self.dimension
-            if i in pivots:
-                for j, v in pivots[i].items():
-                    if j != i:
-                        vec[pos_of[j]] -= v
+            j, e = kept[i] or (None, 0)
+            if j in pos_of:
+                reduction.append(((pos_of[j], e),))
+            elif j is None:
+                reduction.append(())
             else:
-                vec[pos_of[i]] = Fraction(1)
-            reduction.append(tuple(vec))
-        self.reduction = reduction  # generator index -> quotient coordinates
+                row = pivots[j]
+                reduction.append(tuple(sorted(
+                    (pos_of[f], _exact(-e * v)) for f, v in row.items() if f != j
+                )))
+        self.reduction = reduction  # generator index -> sparse quotient coordinates
 
     # -- paths ----------------------------------------------------------
 
-    def path_vector(self, r, decomposition=unimodular_path) -> tuple[Fraction, ...]:
+    def path_vector(self, r, decomposition=unimodular_path) -> tuple:
         """Class of {i.infinity -> r} in the quotient basis.
 
         Symbol values never go through this dense vector (``EigenSymbol``
         sums its integer table along the path); it is the homology-class
         reference those values are checked against.
         """
-        vec = [Fraction(0)] * self.dimension
+        vec = [0] * self.dimension
         for c, d in decomposition(r):
-            red = self.reduction[self.p1_index(c, d)]
-            for t in range(self.dimension):
-                if red[t]:
-                    vec[t] += red[t]
+            for t, v in self.reduction[self.p1_index(c, d)]:
+                vec[t] += v
         return tuple(vec)
 
     # -- operators --------------------------------------------------------
 
-    def _right_action_matrix(self, mats) -> list[list[Fraction]]:
-        dim = self.dimension
-        cols = []
-        for gen_idx in self.free_indices:
-            c, d = self.p1_reps[gen_idx]
-            col = [Fraction(0)] * dim
-            for p, q, r, s in mats:
-                c1, d1 = c * p + d * r, c * q + d * s
-                if not self.p1_valid(c1, d1):
-                    continue
-                red = self.reduction[self.p1_index(c1, d1)]
-                for t in range(dim):
-                    if red[t]:
-                        col[t] += red[t]
-            cols.append(col)
-        return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+    def _right_action_matrix(self, mats) -> list[list]:
+        """Dense matrix whose k-th column is the image of free generator k.
 
-    def hecke_matrix(self, n: int) -> list[list[Fraction]]:
+        Every matrix here has determinant prime to N, so it maps P^1(Z/N)
+        to itself.
+        """
+        rows = [[0] * self.dimension for _ in range(self.dimension)]
+        index, reduction = self.p1_index, self.reduction
+        for k, gen_idx in enumerate(self.free_indices):
+            c, d = self.p1_reps[gen_idx]
+            for p, q, r, s in mats:
+                for t, v in reduction[index(c * p + d * r, c * q + d * s)]:
+                    rows[t][k] += v
+        return rows
+
+    def hecke_matrix(self, n: int) -> list[list]:
         """T_n in the quotient basis (acting on column vectors).
 
         Primes dividing the level are unsupported (U_ell is out of
@@ -348,15 +373,10 @@ class ModularSymbolSpace:
             self._hecke[n] = self._right_action_matrix(list(merel_matrices(n)))
         return self._hecke[n]
 
-    def star_matrix(self) -> list[list[Fraction]]:
+    def star_matrix(self) -> list[list]:
         """Involution induced by z |-> -z_bar: (c:d) |-> (-c:d)."""
         if self._star is None:
-            dim = self.dimension
-            cols = []
-            for gen_idx in self.free_indices:
-                c, d = self.p1_reps[gen_idx]
-                cols.append(list(self.reduction[self.p1_index(-c, d)]))
-            self._star = [[cols[j][i] for j in range(dim)] for i in range(dim)]
+            self._star = self._right_action_matrix([(-1, 0, 0, 1)])
         return self._star
 
     def __repr__(self):
@@ -409,7 +429,7 @@ class EigenSymbol:
     space: ModularSymbolSpace
     curve_label: str
     sign: int
-    vector: tuple[Fraction, ...]
+    vector: tuple[int, ...]
     table: tuple[int, ...]
     scale: Fraction = Fraction(1)
     scaling_mode: str = "integral-normalized"
@@ -417,8 +437,13 @@ class EigenSymbol:
 
     def raw_value(self, r) -> int:
         """[r] in the integral normalization, whatever the symbol's scale."""
-        N, index, table = self.space.N, self.space._p1_index, self.table
-        return sum(table[index[c % N, d % N]] for c, d in unimodular_path(r))
+        space, table = self.space, self.table
+        N, inv = space.N, space._inv
+        total = 0
+        for c, d in unimodular_path(r):
+            u = inv[c % N]  # a unit c: (c : d) = (1 : d/c) at index 1 + d/c
+            total += table[1 + d * u % N] if u else table[space.p1_index(c, d)]
+        return total
 
     def value(self, r) -> int | Fraction:
         v = self.raw_value(r)
@@ -437,29 +462,34 @@ class EigenSymbol:
         return replace(self, scale=Fraction(lam), scaling_mode="period-calibrated")
 
 
-def _eigen_kernel(space, curve, sign):
+def _eigen_kernel(space, curve, sign) -> list[list[int]]:
     """Simultaneous left eigenspace of the star involution and all good T_ell.
 
-    All conditions are stacked column-wise into one rectangular system,
-    so a single kernel computation cuts out the eigenspace.
+    Successive restriction: each condition v (A - lambda) = 0 is solved
+    on the span of the vectors meeting the earlier ones.  Every good
+    ell <= GOOD_HECKE_BOUND cuts the space, whatever its dimension.
     """
     from .nt import primes_up_to
 
-    star = space.star_matrix()
     dim = space.dimension
-    stacked = [list(star[i]) for i in range(dim)]
-    for i in range(dim):
-        stacked[i][i] -= sign
-    for ell in primes_up_to(GOOD_HECKE_BOUND):
-        if curve.conductor % ell == 0:
-            continue
-        a_ell = curve.ap(ell)
-        t = space.hecke_matrix(ell)
-        for i in range(dim):
-            row = list(t[i])
-            row[i] -= a_ell
-            stacked[i].extend(row)
-    return left_kernel(stacked)
+    conditions = [(space.star_matrix(), sign)] + [
+        (space.hecke_matrix(ell), curve.ap(ell))
+        for ell in primes_up_to(GOOD_HECKE_BOUND)
+        if curve.conductor % ell != 0
+    ]
+    basis = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for mat, lam in conditions:
+        image = [_combine(v, mat, [-lam * x for x in v]) for v in basis]
+        basis = [_combine(ys, basis, [0] * dim) for ys in left_kernel(image)]
+    return basis
+
+
+def _combine(coeffs, rows, acc):
+    """acc + sum_i coeffs[i] * rows[i], on dense integer rows."""
+    for x, row in zip(coeffs, rows):
+        if x:
+            acc = [a + x * b for a, b in zip(acc, row)]
+    return acc
 
 
 _eigen_cache: dict[tuple[tuple[int, ...], int, int], EigenSymbol] = {}
@@ -490,12 +520,12 @@ def eigen_symbol(space: ModularSymbolSpace, curve: CurveData, sign: int) -> Eige
         )
     vec = basis[0]
     # scale so that the value set on Manin generators is Z with content 1
-    values = [sum(a * b for a, b in zip(vec, red)) for red in space.reduction]
+    values = [sum(vec[t] * v for t, v in red) for red in space.reduction]
     den = lcm(*(v.denominator for v in values))
     ints = [int(v * den) for v in values]
     content = gcd(*ints)
     assert content > 0, "eigen functional vanishes on all generators"
-    vec = [v * Fraction(den, content) for v in vec]
+    vec = [_exact(v * Fraction(den, content)) for v in vec]
     table = [v // content for v in ints]
     sym = EigenSymbol(space, curve.label, sign, tuple(vec), tuple(table))
     # sign normalization

@@ -228,7 +228,9 @@ def test_criterion_10_eisenstein_a_independence():
 
 
 def test_criterion_11_hecke_eigen_consistency(curves):
-    from mazurtate.modsym import build_space, vec_mat
+    from modsym_oracle import vec_mat
+
+    from mazurtate.modsym import build_space
     from mazurtate.nt import primes_up_to
 
     ok = True

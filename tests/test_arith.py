@@ -241,6 +241,29 @@ def test_equal_elements_share_canonical_form():
     assert zero == CycElt.zero(5) and hash(zero) == hash(CycElt.zero(5))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10, 12]),
+    k=st.sampled_from([1, 2, 3, 4, 5, 6]),
+    nums=st.lists(st.integers(-9, 9), min_size=12, max_size=12),
+    den=st.integers(1, 6),
+)
+def test_equal_across_conductors_means_equal_hash(L, k, nums, den):
+    # == embeds both sides into the lcm conductor, so the hash must not
+    # depend on the conductor an element is written in
+    a = CycElt(L, [Fraction(n, den) for n in nums[: euler_phi(L)]])
+    b = cyc_embed(a, L * k)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    if a.is_rational():
+        assert a == a.rational_value() and hash(a) == hash(a.rational_value())
+
+
+def test_units_of_different_conductors_are_one_set_element():
+    assert CycElt.one(3) == CycElt.one(6)
+    assert len({CycElt.one(3), CycElt.one(6), CycElt.rational(1, 12), 1}) == 1
+
+
 # --- hensel lifting -----------------------------------------------------------
 
 

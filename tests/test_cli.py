@@ -214,3 +214,24 @@ def test_kurihara_refuses_negative_factor_count(capsys):
 def test_oracle_subcommand(capsys):
     code, out, _ = run(capsys, "oracle", "11a1", "--no-timing")
     assert code == 0 and "ratio: 0.2" in out
+
+
+def test_qexp_zeta_default_call_exits_0(capsys):
+    # the weight defaults to 2 for zeta, the least k with 1 <= r = 1 <= k-1
+    code, out, _ = run(capsys, "qexp", "zeta", "--json", "--no-timing")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["inputs"]["k"] == "2"
+    assert set(payload["outputs"]) == {"branch r'=k-1", "branch r=k-1"}
+    code, out, _ = run(capsys, "qexp", "f", "--json", "--no-timing")
+    assert code == 0 and json.loads(out)["inputs"]["k"] == "1"
+
+
+def test_msym_states_hecke_bound(capsys):
+    code, out, _ = run(capsys, "msym", "11a1", "--json", "--no-timing")
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["hecke_bound"] == "20"
+    assert outputs["eigen_plus"] and outputs["eigen_minus"]
+    code, out, _ = run(capsys, "msym", "--level", "11", "--json", "--no-timing")
+    assert code == 0 and "hecke_bound" not in json.loads(out)["outputs"]

@@ -5,19 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazurtate.curves import curve_by_label
+from modsym_oracle import (
+    OracleSpace,
+    dense,
+    mat_mul,
+    orbit_min,
+    orbit_p1,
+    unimodular_path_hj,
+    vec_mat,
+)
+
+from mazurtate.curves import CurveData, curve_by_label
 from mazurtate.modsym import (
     CalibrationError,
+    ModularSymbolSpace,
     NotNewformError,
     build_space,
     calibrate_periods,
     cusp_count,
     eigen_symbol,
     genus_x0,
+    index_gamma0,
+    left_kernel,
     merel_matrices,
+    sparse_rref,
     unimodular_path,
-    unimodular_path_hj,
-    vec_mat,
 )
 from mazurtate.nt import primes_up_to
 from mazurtate.theta import eigen_pair, theta_element
@@ -38,12 +50,16 @@ def test_dimension_formula_all_levels(N):
 def test_manin_relations_annihilate_generators(N):
     space = build_space(N)
     zero = (Fraction(0),) * space.dimension
+
+    def red(i):
+        return dense(space.reduction[i], space.dimension)
+
     for i, (c, d) in enumerate(space.p1_reps):
-        r_i = space.reduction[i]
-        r_s = space.reduction[space.p1_index(d, -c)]
+        r_i = red(i)
+        r_s = red(space.p1_index(d, -c))
         assert tuple(a + b for a, b in zip(r_i, r_s)) == zero
-        r_t = space.reduction[space.p1_index(d, -c - d)]
-        r_t2 = space.reduction[space.p1_index(-c - d, c)]
+        r_t = red(space.p1_index(d, -c - d))
+        r_t2 = red(space.p1_index(-c - d, c))
         assert tuple(a + b + e for a, b, e in zip(r_i, r_t, r_t2)) == zero
 
 
@@ -52,8 +68,6 @@ def test_hecke_commutativity(N):
     space = build_space(N)
     good = [ell for ell in (2, 3, 5, 7) if N % ell != 0]
     mats = {ell: space.hecke_matrix(ell) for ell in good}
-    from mazurtate.modsym import mat_mul
-
     for i, l1 in enumerate(good):
         for l2 in good[i + 1 :]:
             assert mat_mul(mats[l1], mats[l2]) == mat_mul(mats[l2], mats[l1])
@@ -97,7 +111,7 @@ def test_eigen_symbol_integrality_and_content(pair11, pair37):
 
     for eig in (*pair11, *pair37):
         values = [
-            sum(a * b for a, b in zip(eig.vector, red))
+            sum(a * b for a, b in zip(eig.vector, dense(red, eig.space.dimension)))
             for red in eig.space.reduction
         ]
         assert all(v.denominator == 1 for v in values)
@@ -179,12 +193,20 @@ def test_unimodular_paths_are_unimodular():
 def test_oldform_collision_raises():
     # 11a1 viewed at level 22 would be an oldform; build a fake curve with
     # conductor 22 carrying 11a1's eigenvalues to trigger the check
-    from mazurtate.curves import CurveData
-
     fake = CurveData("fake22", (0, -1, 1, -10, -20), 22)
     space = build_space(22)
-    with pytest.raises((NotNewformError, ValueError)):
+    with pytest.raises(NotNewformError, match="dimension 2"):
         eigen_symbol(space, fake, +1)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_last_hecke_prime_still_constrains(sign):
+    # 11a3 is isogenous to 11a1 (same a_ell); a_19 alone off by one must
+    # empty the eigenspace, so the kernel never stops at dimension 1
+    a19 = curve_by_label("11a1").ap(19)
+    fake = CurveData("fake11", (0, -1, 1, 0, 0), 11, ap_cache={19: a19 + 1})
+    with pytest.raises(NotNewformError, match="dimension 0"):
+        eigen_symbol(build_space(11), fake, sign)
 
 
 def test_calibration_11a1(pair11, c11):
@@ -232,3 +254,85 @@ def test_calibration_37a1_undetermined(pair37, c37):
     plus, _ = pair37
     with pytest.raises(CalibrationError, match="undetermined"):
         calibrate_periods(plus, c37)
+
+
+# --- the integer kernel against the orbit and Fraction oracles ------------
+
+
+@pytest.mark.parametrize("N", range(1, 201))
+def test_p1_matches_orbit_oracle(N):
+    reps, index = orbit_p1(N)
+    space = ModularSymbolSpace(N)
+    assert space.p1_reps == reps
+    pairs = [(c, d) for c in range(N) for d in range(N)]
+    assert {cd for cd in pairs if space.p1_valid(*cd)} == index.keys()
+    assert {cd: space.p1_index(*cd) for cd in index} == index
+    for (c, d), i in list(index.items())[:: max(1, len(index) // 50)]:
+        assert space.p1_index(c - 3 * N, d + 2 * N) == i
+    for c, d in [cd for cd in pairs if cd not in index][:20]:
+        with pytest.raises(ValueError, match="not a point"):
+            space.p1_index(c, d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.one_of(
+        st.integers(201, 1200),
+        st.sampled_from([243, 256, 343, 360, 625, 720, 729, 1000, 1024, 1089]),
+    ),
+    st.data(),
+)
+def test_p1_index_is_orbit_minimum_at_larger_levels(N, data):
+    space = ModularSymbolSpace(N)
+    reps = space.p1_reps
+    assert reps == sorted(set(reps))
+    assert len(reps) == index_gamma0(N)  # N prod (1 + 1/p)
+    for _ in range(12):
+        c = data.draw(st.integers(-2 * N, 2 * N))
+        d = data.draw(st.integers(-2 * N, 2 * N))
+        if not space.p1_valid(c, d):
+            continue
+        assert reps[space.p1_index(c, d)] == orbit_min(N, c, d)
+    i = data.draw(st.integers(0, len(reps) - 1))
+    assert orbit_min(N, *reps[i]) == reps[i]
+
+
+@pytest.mark.parametrize("N", [*range(1, 121), 389])
+def test_quotient_and_hecke_match_fraction_oracle(N):
+    space, oracle = ModularSymbolSpace(N), OracleSpace(N)
+    assert space.free_indices == oracle.free_indices
+    assert [dense(r, space.dimension) for r in space.reduction] == oracle.reduction
+    assert all(type(v) is int for row in space.reduction for _, v in row)
+    assert space.star_matrix() == oracle.right_action_matrix([(-1, 0, 0, 1)])
+    good = [ell for ell in primes_up_to(19) if N % ell != 0]
+    for ell in good if N == 389 else good[:1]:
+        assert space.hecke_matrix(ell) == oracle.right_action_matrix(
+            list(merel_matrices(ell))
+        )
+
+
+def test_exact_path_keeps_denominators():
+    # no level checked needs one, but a pivot other than +-1 must still
+    # give the exact RREF and an integer kernel
+    assert sparse_rref([{0: 2, 1: 1}, {1: 3, 2: -1}]) == {
+        0: {0: 1, 2: Fraction(1, 6)},
+        1: {1: 1, 2: Fraction(-1, 3)},
+    }
+    mat = [[Fraction(1, 2), 1], [1, 2], [0, Fraction(2, 3)]]
+    basis = left_kernel(mat)
+    assert len(basis) == 1 and basis[0] in ([2, -1, 0], [-2, 1, 0])
+    assert left_kernel([[1, 0], [0, 1]]) == []
+
+
+def test_level_4999_passes_dimension_check(capsys):
+    # the orbit enumeration would need a ~25M-entry dict here
+    import json
+
+    from mazurtate.cli import main
+
+    assert main(["--json", "--no-timing", "msym", "--level", "4999"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["outputs"]["dimension"] == str(2 * genus_x0(4999) + cusp_count(4999) - 1)
+    assert out["checks"] == [
+        {"name": "dimension = 2g + cusps - 1", "status": "pass", "witness": None}
+    ]

@@ -5,25 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tate_oracle import TateExpansion, gamma_tate, theta_numerator_tate
+
 from mazurtate.arith import CycElt
 from mazurtate.qexp import (
     GatedFeatureError,
     QExpError,
     QSeries,
-    TateExpansion,
     TorsionPoint,
     ZetaParameterError,
     check_c_relation,
     dlog_d_eisenstein,
     eisenstein_00,
     f_series,
-    gamma_tate,
     rationalized_eisenstein,
     rationalized_g_qexp,
     siegel_theta_qexp,
     siegel_theta_relative,
     theta_lead_exponent,
-    theta_numerator_tate,
     validate_zeta_parameters,
     zeta_modular_form,
 )
