@@ -38,7 +38,7 @@ class GroupRingElement:
         normalized = {}
         for a, v in coeffs.items():
             key = a % modulus
-            if key not in units and not (modulus == 1 and key == 0):
+            if gcd(key, modulus) != 1:
                 raise ValueError(f"{a} is not a unit mod {modulus}")
             normalized[key] = v
         missing = set(units) - set(normalized)

@@ -22,7 +22,7 @@ from math import isqrt
 from .arith import ModInt
 from .curves import CurveData, DEFAULT_COUNT_BOUND
 from .modsym import EigenSymbol
-from .nt import factorize, is_prime, is_primitive_root, primes_up_to, smallest_primitive_root, units_mod
+from .nt import factorize, is_prime, is_primitive_root, primes_up_to, smallest_primitive_root
 from .theta import eigen_pair
 
 
@@ -180,10 +180,9 @@ def kurihara_number(
             cur = (cur * eta) % ell
             cur_exp += 1
         log_tables[ell] = table
-    values = plus_symbol.values_mod(n)
     total = 0
-    for a in units_mod(n):
-        term = values[a] % pk
+    for a, v in plus_symbol.values_mod(n).items():
+        term = v % pk
         for ell in factors:
             term = term * log_tables[ell][a % ell] % pk
         total = (total + term) % pk

@@ -19,12 +19,12 @@ the sign of the - functional by its first nonzero coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 
 from .curves import CurveData
-from .nt import divisors, euler_phi, factorize, units_mod
+from .nt import divisors, euler_phi, factorize, primes_up_to
 
 
 class NotNewformError(ValueError):
@@ -433,49 +433,66 @@ class EigenSymbol:
     table: tuple[int, ...]
     scale: Fraction = Fraction(1)
     scaling_mode: str = "integral-normalized"
-    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _walk(self, x: int, y: int) -> int:
+        """[x/y] for y > 0: the table summed along ``unimodular_path(x/y)``.
+
+        Only the convergent denominators q_k = t_k q_{k-1} + q_{k-2} are
+        run, on ints; step k adds (q_k : D q_{k-1}) with D = -1, +1, -1, ...,
+        which for a unit q_k is the P^1 point at index 1 + D q_{k-1}/q_k.
+        """
+        space, table = self.space, self.table
+        N, inv = space.N, space._inv
+        total, q1, q2, D = 0, 0, 1, -1
+        while y:
+            t, r = divmod(x, y)
+            x, y, q1, q2 = y, r, t * q1 + q2, q1
+            u = inv[q1 % N]
+            total += table[1 + D * q2 * u % N] if u else table[space.p1_index(q1, D * q2)]
+            D = -D
+        return total
 
     def raw_value(self, r) -> int:
         """[r] in the integral normalization, whatever the symbol's scale."""
-        space, table = self.space, self.table
-        N, inv = space.N, space._inv
-        total = 0
-        for c, d in unimodular_path(r):
-            u = inv[c % N]  # a unit c: (c : d) = (1 : d/c) at index 1 + d/c
-            total += table[1 + d * u % N] if u else table[space.p1_index(c, d)]
-        return total
+        if r is None:
+            return 0
+        r = Fraction(r)
+        return self._walk(r.numerator, r.denominator)
 
     def value(self, r) -> int | Fraction:
         v = self.raw_value(r)
         return v if self.scale == 1 else self.scale * v
 
     def values_mod(self, M: int) -> dict[int, int | Fraction]:
-        """[a/M] for all units a mod M, memoized per denominator."""
-        if M not in self._values:
-            self._values[M] = {
-                a: self.value(Fraction(a, M) if M > 1 else 0) for a in units_mod(M)
-            }
-        return self._values[M]
+        """[a/M] for all units a mod M, in increasing order, in a new dict.
+
+        Only a < M/2 is walked: [(M - a)/M] = [-a/M] = sign [a/M].
+        """
+        if M <= 2:  # the one unit M - 1 is its own mirror
+            return {M - 1: self.value(Fraction(M - 1, M))}
+        low = [a for a in range(1, (M + 1) // 2) if gcd(a, M) == 1]
+        half = [self._walk(a, M) for a in low]
+        vals = half + [self.sign * v for v in reversed(half)]
+        if self.scale != 1:
+            vals = [self.scale * v for v in vals]
+        return dict(zip(low + [M - a for a in reversed(low)], vals))
 
     def calibrated(self, lam: Fraction) -> "EigenSymbol":
         """The period-calibrated symbol lam * [r], as a new value."""
         return replace(self, scale=Fraction(lam), scaling_mode="period-calibrated")
 
 
-def _eigen_kernel(space, curve, sign) -> list[list[int]]:
+def _eigen_kernel(space, sign, eigenvalues) -> list[list[int]]:
     """Simultaneous left eigenspace of the star involution and all good T_ell.
 
     Successive restriction: each condition v (A - lambda) = 0 is solved
     on the span of the vectors meeting the earlier ones.  Every good
-    ell <= GOOD_HECKE_BOUND cuts the space, whatever its dimension.
+    ell <= GOOD_HECKE_BOUND, given as (ell, a_ell) in ``eigenvalues``,
+    cuts the space, whatever its dimension.
     """
-    from .nt import primes_up_to
-
     dim = space.dimension
     conditions = [(space.star_matrix(), sign)] + [
-        (space.hecke_matrix(ell), curve.ap(ell))
-        for ell in primes_up_to(GOOD_HECKE_BOUND)
-        if curve.conductor % ell != 0
+        (space.hecke_matrix(ell), a) for ell, a in eigenvalues
     ]
     basis = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for mat, lam in conditions:
@@ -492,7 +509,7 @@ def _combine(coeffs, rows, acc):
     return acc
 
 
-_eigen_cache: dict[tuple[tuple[int, ...], int, int], EigenSymbol] = {}
+_eigen_cache: dict[tuple, EigenSymbol] = {}
 
 
 def eigen_symbol(space: ModularSymbolSpace, curve: CurveData, sign: int) -> EigenSymbol:
@@ -501,7 +518,8 @@ def eigen_symbol(space: ModularSymbolSpace, curve: CurveData, sign: int) -> Eige
     The simultaneous (T_ell, a_ell) eigenspace in the given sign part
     must be one-dimensional; an oldform collision raises
     ``NotNewformError``.  Symbols are cached by the curve model
-    (a-invariants and conductor), never by its label.
+    (a-invariants and conductor) and the a_ell the kernel reads, never by
+    its label.
     """
     if curve.conductor != space.N:
         raise ValueError(
@@ -509,10 +527,12 @@ def eigen_symbol(space: ModularSymbolSpace, curve: CurveData, sign: int) -> Eige
         )
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    key = (curve.a_invariants, curve.conductor, sign)
+    good = [ell for ell in primes_up_to(GOOD_HECKE_BOUND) if curve.conductor % ell]
+    eigenvalues = tuple((ell, curve.ap(ell)) for ell in good)
+    key = (curve.a_invariants, curve.conductor, sign, eigenvalues)
     if key in _eigen_cache:
         return _eigen_cache[key]
-    basis = _eigen_kernel(space, curve, sign)
+    basis = _eigen_kernel(space, sign, eigenvalues)
     if len(basis) != 1:
         raise NotNewformError(
             f"eigenspace for {curve.label} (sign {sign:+d}) has dimension "

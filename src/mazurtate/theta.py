@@ -78,8 +78,8 @@ def theta_element(curve: CurveData, M: int, pair=None) -> ThetaElement:
     key = (curve.a_invariants, curve.conductor, M, plus_sym, minus_sym)
     if key in _theta_cache:
         return _theta_cache[key]
-    plus = GroupRingElement(M, dict(plus_sym.values_mod(M)))
-    minus = GroupRingElement(M, dict(minus_sym.values_mod(M)))
+    plus = GroupRingElement(M, plus_sym.values_mod(M))
+    minus = GroupRingElement(M, minus_sym.values_mod(M))
     if plus_sym.scaling_mode == minus_sym.scaling_mode:
         mode = plus_sym.scaling_mode
     else:

@@ -2,7 +2,7 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modsym_oracle import (
@@ -31,7 +31,7 @@ from mazurtate.modsym import (
     sparse_rref,
     unimodular_path,
 )
-from mazurtate.nt import primes_up_to
+from mazurtate.nt import primes_up_to, units_mod
 from mazurtate.theta import eigen_pair, theta_element
 
 
@@ -209,6 +209,18 @@ def test_last_hecke_prime_still_constrains(sign):
         eigen_symbol(build_space(11), fake, sign)
 
 
+def test_eigen_cache_keyed_by_the_eigenvalues_it_reads():
+    # 11a1's model with a_19 off by one: once 11a1's symbol is cached, the
+    # override must still reach the kernel and empty the eigenspace
+    c11 = curve_by_label("11a1")
+    space = build_space(11)
+    plus = eigen_symbol(space, c11, +1)
+    off = CurveData("off19", c11.a_invariants, 11, ap_cache={19: c11.ap(19) + 1})
+    with pytest.raises(NotNewformError, match="dimension 0"):
+        eigen_symbol(space, off, +1)
+    assert eigen_symbol(space, CurveData("copy", c11.a_invariants, 11), +1) is plus
+
+
 def test_calibration_11a1(pair11, c11):
     plus, _ = pair11
     lam = calibrate_periods(plus, c11)
@@ -336,3 +348,81 @@ def test_level_4999_passes_dimension_check(capsys):
     assert out["checks"] == [
         {"name": "dimension = 2g + cusps - 1", "status": "pass", "witness": None}
     ]
+
+
+# ---------------------------------------------------------------------------
+# The integer walk behind raw_value and values_mod
+
+CURVE_389A1 = CurveData("389a1", (0, 1, 1, -2, 0), 389)
+
+
+def _symbol(label, part):
+    curve = CURVE_389A1 if label == "389a1" else curve_by_label(label)
+    return eigen_pair(curve)[part]
+
+
+def _path_sum(sym, r):
+    """[r] as the table summed over the symbol list of ``unimodular_path``."""
+    space = sym.space
+    return sum(sym.table[space.p1_index(c, d)] for c, d in unimodular_path(r))
+
+
+_points = st.integers(1, 10**6).flatmap(
+    lambda M: st.builds(
+        Fraction,
+        st.integers(-3 * M, 3 * M) | st.sampled_from([0, -1, -M + 1, M + 1, 2 * M - 1]),
+        st.just(M),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["11a1", "37a1", "389a1"]),
+    st.sampled_from([0, 1]),
+    st.none() | _points,
+)
+@example("11a1", 0, None)
+@example("37a1", 1, Fraction(0))
+@example("389a1", 0, Fraction(-7, 3))
+@example("389a1", 1, Fraction(999_999, 1_000_000))
+def test_walk_matches_unimodular_path(label, part, r):
+    sym = _symbol(label, part)
+    assert sym.raw_value(r) == _path_sum(sym, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["11a1", "37a1", "389a1"]),
+    st.sampled_from([0, 1]),
+    st.integers(1, 5000),
+)
+@example("11a1", 0, 1)
+@example("11a1", 1, 2)
+def test_values_mod_star_symmetry(label, part, M):
+    # [-r] = sign [r] and [r + 1] = [r], so [(M - a)/M] = sign [a/M]
+    sym = _symbol(label, part)
+    values = sym.values_mod(M)
+    assert list(values) == list(units_mod(M))
+    for a, v in values.items():
+        assert values[(M - a) % M] == sym.sign * v
+        assert v == _path_sum(sym, Fraction(a, M))
+
+
+@pytest.mark.parametrize("M", [1, 2, 1393, 1963, 12307, 32107])
+@pytest.mark.parametrize("label", ["11a1", "37a1"])
+def test_values_mod_examples(label, M):
+    for sym in _symbol(label, 0), _symbol(label, 1):
+        values = sym.values_mod(M)
+        assert list(values) == list(units_mod(M))
+        assert values == {a: _path_sum(sym, Fraction(a, M)) for a in units_mod(M)}
+
+
+@pytest.mark.parametrize("M", [1, 2, 35, 1393])
+def test_calibrated_values_mod_scales_every_value(pair11, M):
+    plus = pair11[0]
+    lam = Fraction(3, 7)
+    scaled = plus.calibrated(lam).values_mod(M)
+    assert scaled == {a: lam * v for a, v in plus.values_mod(M).items()}
+    assert list(scaled) == list(units_mod(M))
+    assert all(isinstance(v, Fraction) for v in scaled.values())

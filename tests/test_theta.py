@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mazurtate.curves import curve_by_label
 from mazurtate.groupring import quadratic_character
-from mazurtate.nt import units_mod
+from mazurtate.nt import primes_up_to, units_mod
 from mazurtate.theta import (
     adjudicate_norm_relations,
     check_norm_relation,
@@ -77,6 +80,19 @@ def test_adjudication_small_sweep(c11, c37):
     assert summary.consistent and summary.variant == "A"
     assert all(r.status in ("A", "indeterminate") for r in summary.reports)
     assert any(r.status == "A" for r in summary.reports)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["11a1", "37a1"]), st.data())
+def test_norm_relation_holds_on_random_good_pairs(label, data):
+    # variant A: pi(theta_{M ell}) = (a_ell - sigma_ell - sigma_ell^-1) theta_M
+    # for ell not dividing M, a_ell theta_M - nu(theta_{M/ell}) otherwise
+    curve = curve_by_label(label)
+    ell = data.draw(st.sampled_from([l for l in primes_up_to(400) if curve.conductor % l]))
+    M = data.draw(st.integers(1, 400 // ell))
+    rep = check_norm_relation(curve, M, ell)
+    assert rep.variant_a_holds and rep.witness_a is None
+    assert rep.branch == ("ell | M" if M % ell == 0 else "ell good")
 
 
 def test_twisted_avatar_matches_direct_sum(c11, pair11):
