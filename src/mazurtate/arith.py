@@ -336,13 +336,16 @@ class CycElt:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = CycElt.one(self.conductor)
+        if n == 0:
+            return CycElt.one(self.conductor)
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def inverse(self) -> "CycElt":

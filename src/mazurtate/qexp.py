@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import CycElt, cyc_embed
+from .arith import CycElt, cyc_embed, reduce_mod_cyclotomic
 
 
 class QExpError(ValueError):
@@ -244,17 +244,22 @@ class QSeries:
         s = x.start + y.start
         if x.is_zero() or y.is_zero():
             return QSeries(x.grid, t, [], t, x.conductor)
-        n = t - s
-        coeffs = [CycElt.zero(x.conductor) for _ in range(max(0, n))]
-        for i, a in enumerate(x.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(y.coeffs):
-                if i + j >= n:
-                    break
-                if b.is_zero():
-                    continue
-                coeffs[i + j] = coeffs[i + j] + a * b
+        n = t - s  # >= 1: each factor knows at least its lead term
+        a, b = x.coeffs[:n], y.coeffs[:n]
+        da, db = lcm(*(c.den for c in a)), lcm(*(c.den for c in b))
+        ra = [[v * (da // c.den) for v in c.num] for c in a]
+        rb = [[v * (db // c.den) for v in c.num] for c in b]
+        ma = max(abs(v) for row in ra for v in row)
+        mb = max(abs(v) for row in rb for v in row)
+        m = min(len(a), len(b))
+        if ma.bit_length() + mb.bit_length() > _KRONECKER_BITS_PER_TERM * m:
+            coeffs = _coefficient_loop(a, b, n)
+        else:
+            L, den = x.conductor, da * db
+            coeffs = [
+                CycElt._make(L, reduce_mod_cyclotomic(p, L), den)
+                for p in _kronecker(ra, rb, n, ma * mb * m)
+            ]
         return QSeries(x.grid, s, coeffs, t, x.conductor)
 
     __rmul__ = __mul__
@@ -290,22 +295,23 @@ class QSeries:
         return out
 
     def inverse(self) -> "QSeries":
-        """Reciprocal series; the leading coefficient must be invertible."""
+        """Reciprocal series; the leading coefficient must be invertible.
+
+        Newton's y <- y (2 - u y) = y + y (1 - u y) doubles the known terms
+        per step; y is exact as a polynomial, so it is read at the new order.
+        """
         if self.is_zero():
             raise QExpError("cannot invert a series that is zero to its precision")
+        g, L = self.grid, self.conductor
         n = self.trunc - self.start
-        a0_inv = self.coeffs[0].inverse()
-        rel = [CycElt.zero(self.conductor) for _ in range(n)]
-        rel[0] = a0_inv
-        for i in range(1, n):
-            acc = CycElt.zero(self.conductor)
-            for j in range(1, i + 1):
-                aj = self.coeffs[j] if j < len(self.coeffs) else None
-                if aj is None or aj.is_zero():
-                    continue
-                acc = acc + aj * rel[i - j]
-            rel[i] = -(a0_inv * acc)
-        return QSeries(self.grid, -self.start, rel, n - self.start, self.conductor)
+        y = QSeries(g, 0, [self.coeffs[0].inverse()], 1, L)
+        k = 1
+        while k < n:
+            k = min(2 * k, n)
+            u = QSeries(g, 0, self.coeffs[:k], k, L)
+            yk = QSeries(g, 0, y.coeffs, k, L)
+            y = yk + yk * (QSeries.one(g, Fraction(k, g), L) - u * yk)
+        return QSeries(g, -self.start, y.coeffs, n - self.start, L)
 
     # -- unit-series transcendentals -----------------------------------------
 
@@ -408,6 +414,54 @@ def _to_idx(exponent, grid: int) -> int:
     if e.denominator != 1:
         raise QExpError(f"exponent {exponent} is not on the 1/{grid} grid")
     return int(e)
+
+
+# CPython multiplies big ints by Karatsuba only, so one packed multiply
+# beats the coefficient loop only while the numerators stay narrow
+_KRONECKER_BITS_PER_TERM = 32
+
+
+def _pack(rows, span: int, nbytes: int) -> int:
+    """sum_i sum_k rows[i][k] 2^(8 nbytes (i span + k)) for signed entries."""
+    half = 1 << (8 * nbytes - 1)
+    zero = half.to_bytes(nbytes, "little")
+    pad = [zero] * (span - len(rows[0]))
+    chunks = []
+    for row in rows:
+        chunks += [(v + half).to_bytes(nbytes, "little") for v in row]
+        chunks += pad
+    offset = int.from_bytes(zero * len(chunks), "little")
+    return int.from_bytes(b"".join(chunks), "little") - offset
+
+
+def _kronecker(ra, rb, n: int, bound: int) -> list[list[int]]:
+    """First n coefficients of (sum ra[i] q^i)(sum rb[j] q^j) by one multiply.
+
+    Rows hold phi power-basis numerators; no product entry exceeds bound * phi.
+    """
+    phi = len(ra[0])
+    span = 2 * phi - 1  # a product of two phi-term polynomials
+    nbytes = (bound * phi).bit_length() // 8 + 1  # with a sign bit
+    half, size = 1 << (8 * nbytes - 1), n * span * nbytes
+    # half in every slot keeps each one a nonnegative byte field, so the
+    # low n q-terms read off with no carry from one slot into the next
+    offset = int.from_bytes(half.to_bytes(nbytes, "little") * (n * span), "little")
+    z = _pack(ra, span, nbytes) * _pack(rb, span, nbytes)
+    data = ((z + offset) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    slots = [int.from_bytes(data[i : i + nbytes], "little") - half for i in range(0, size, nbytes)]
+    return [slots[i : i + span] for i in range(0, n * span, span)]
+
+
+def _coefficient_loop(a, b, n: int) -> list[CycElt]:
+    """The first n coefficients of (sum a_i q^i)(sum b_j q^j), term by term."""
+    coeffs = [CycElt.zero(a[0].conductor) for _ in range(n)]
+    for i, ai in enumerate(a):
+        if ai.is_zero():
+            continue
+        for j, bj in enumerate(b[: n - i], i):
+            if not bj.is_zero():
+                coeffs[j] = coeffs[j] + ai * bj
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +713,13 @@ def _dlog_gamma_pullback(k: int, pt: TorsionPoint, prec: Fraction, grid: int) ->
         acc[idx] = acc[idx] + coeff if idx in acc else coeff
 
     step = grid // N
+    zpow = [_zeta(N, j) for j in range(N)]  # zeta_N^j, read at j mod N below
     if a == 0:
-        add(0, _rational_part_derivative(k, _zeta(N, b)))
+        add(0, _rational_part_derivative(k, zpow[b]))
     else:
         m = 1
         while m * a * step < t_idx:
-            add(m * a * step, _zeta(N, b * m) * Fraction(-(m ** (k - 1))))
+            add(m * a * step, zpow[b * m % N] * -(m ** (k - 1)))
             m += 1
     n = 1
     while n * grid - a * step < t_idx:  # smallest exponent contributed at this n
@@ -678,10 +733,10 @@ def _dlog_gamma_pullback(k: int, pt: TorsionPoint, prec: Fraction, grid: int) ->
                 break
             mk = m ** (k - 1)
             if e_plus < t_idx:
-                add(e_plus, _zeta(N, b * m) * Fraction(-mk))
+                add(e_plus, zpow[b * m % N] * -mk)
             if e_minus < t_idx:
                 sign = mk if (k - 1) % 2 == 0 else -mk
-                add(e_minus, _zeta(N, -b * m) * Fraction(sign))
+                add(e_minus, zpow[-b * m % N] * sign)
             m += 1
         n += 1
     if not acc:

@@ -123,12 +123,12 @@ def check_norm_relation(curve: CurveData, M: int, ell: int, pair=None) -> NormRe
         pair = eigen_pair(curve)
     lhs = project(theta_element(curve, M * ell, pair).element, M)
     theta_m = theta_element(curve, M, pair).element
-    a_ell = Fraction(curve.ap(ell))
+    a_ell = curve.ap(ell)
     if M % ell == 0:
         branch = "ell | M"
         nu_term = norm_map(theta_element(curve, M // ell, pair).element, M)
         rhs_a = theta_m.scale(a_ell) - nu_term
-        rhs_b = theta_m.scale(a_ell) - nu_term.scale(Fraction(ell))
+        rhs_b = theta_m.scale(a_ell) - nu_term.scale(ell)
     else:
         branch = "ell good"
         euler_a = (
@@ -139,9 +139,7 @@ def check_norm_relation(curve: CurveData, M: int, ell: int, pair=None) -> NormRe
         euler_b = (
             theta_m.scale(a_ell)
             - theta_m.sigma_shift(ell % M if M > 1 else 1)
-            - theta_m.sigma_shift(pow(ell, -1, M) if M > 1 else 1).scale(
-                Fraction(ell)
-            )
+            - theta_m.sigma_shift(pow(ell, -1, M) if M > 1 else 1).scale(ell)
         )
         rhs_a, rhs_b = euler_a, euler_b
     wit_a = first_mismatch(lhs, rhs_a)

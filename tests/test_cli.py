@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -235,3 +236,21 @@ def test_msym_states_hecke_bound(capsys):
     assert outputs["eigen_plus"] and outputs["eigen_minus"]
     code, out, _ = run(capsys, "msym", "--level", "11", "--json", "--no-timing")
     assert code == 0 and "hecke_bound" not in json.loads(out)["outputs"]
+
+
+# SHA-256 of the --json --no-timing output of the schoolbook series
+# product and inverse; the packed product and Newton inverse must print
+# the same bytes
+PINNED_QEXP = {
+    ("siegel", "--point", "1/7,2/7", "--c", "5", "--prec", "40"):
+        "f6eb0348ee15fdc067f5e6b1212a21b25dbc1f7441cff320b41cf90652ebf1c6",
+    ("g-unit", "--point", "1/5,2/5", "--c", "11", "--prec", "10"):
+        "a303b3cb94ad71d4a8ba5c843836e91627b956c1bd163b72b0596fd45a0f5692",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_QEXP), ids=lambda argv: argv[0])
+def test_qexp_output_pinned(capsys, argv):
+    code, out, _ = run(capsys, "qexp", *argv, "--json", "--no-timing")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_QEXP[argv]

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qseries_oracle import canonical, schoolbook_inverse, schoolbook_mul
 from tate_oracle import TateExpansion, gamma_tate, theta_numerator_tate
 
+from mazurtate import qexp
 from mazurtate.arith import CycElt
+from mazurtate.nt import euler_phi
 from mazurtate.qexp import (
     GatedFeatureError,
     QExpError,
@@ -91,6 +94,116 @@ def test_inverse_is_two_sided(x):
     prod = x * x.inverse()
     one = QSeries.one(prod.grid, prod.trunc_exponent, prod.conductor)
     assert prod == one
+
+
+# numerator bounds on both sides of the Kronecker selection rule: 2^400
+# against at most 12 terms always takes the coefficient loop
+WIDTHS = [5, 2**24, 2**400]
+DENOMINATORS = [1, 1, 2, 9, 35, 2**61 - 1]
+
+
+def _draw_series(data, L, grid, max_terms=10, monomial_lead=False):
+    phi = euler_phi(L)
+    width = data.draw(st.sampled_from(WIDTHS))
+    sparse = data.draw(st.booleans())
+    coeffs = []
+    for i in range(data.draw(st.integers(1, max_terms))):
+        if i and sparse and data.draw(st.integers(0, 2)):
+            coeffs.append(CycElt.zero(L))
+            continue
+        nums = data.draw(st.lists(st.integers(-width, width), min_size=phi, max_size=phi))
+        if i == 0 and not any(nums):
+            nums[0] = -width
+        den = data.draw(st.sampled_from(DENOMINATORS))
+        if i == 0 and monomial_lead:
+            lead = CycElt.zeta(L, data.draw(st.integers(0, L - 1)))
+            coeffs.append(lead * F(nums[0] or width, den))
+            continue
+        coeffs.append(CycElt(L, [F(v, den) for v in nums]))
+    start = data.draw(st.integers(-3, 3))
+    trunc = start + len(coeffs) + data.draw(st.integers(0, 3))
+    return QSeries(grid, start, coeffs, trunc, L)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_product_matches_schoolbook_oracle(data):
+    L = data.draw(st.sampled_from([1, 5, 7, 12, 35]))
+    x = _draw_series(data, L, data.draw(st.sampled_from([1, 2])))
+    y = _draw_series(data, L, data.draw(st.sampled_from([1, 3])))
+    assert canonical(x * y) == canonical(schoolbook_mul(x, y))
+    assert canonical(y * x) == canonical(schoolbook_mul(y, x))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_newton_inverse_matches_schoolbook_oracle(data):
+    L = data.draw(st.sampled_from([1, 5, 7, 12, 35]))
+    # a dense lead in Q(zeta_35) has an inverse of 24 times its height,
+    # which both inverses read the same way; keep it a monomial there
+    x = _draw_series(
+        data, L, data.draw(st.sampled_from([1, 2])), max_terms=12, monomial_lead=L == 35
+    )
+    assert canonical(x.inverse()) == canonical(schoolbook_inverse(x))
+
+
+@pytest.mark.parametrize(
+    "bits, terms, loop", [(8, 12, False), (16, 1, False), (17, 1, True), (1024, 12, True)]
+)
+def test_product_selection_rule(monkeypatch, bits, terms, loop):
+    # Kronecker iff bits(max|x|) + bits(max|y|) <= 32 min(n, len x, len y)
+    calls = []
+    inner = qexp._coefficient_loop
+    monkeypatch.setattr(
+        qexp, "_coefficient_loop", lambda *args: calls.append(args) or inner(*args)
+    )
+    coeffs = [
+        CycElt(7, [(-1) ** (i + k) * (2**bits - 1 - k) for k in range(6)])
+        for i in range(terms)
+    ]
+    x = QSeries(1, 0, coeffs, terms, 7)
+    assert canonical(x * x) == canonical(schoolbook_mul(x, x))
+    assert bool(calls) == loop
+
+
+def test_product_wide_and_narrow_inside_siegel_workload(monkeypatch):
+    # c-relation's ** 121 powers outgrow the packed product, the Siegel
+    # pullback does not, so one job runs both sides of the rule
+    calls = []
+    inner = qexp._coefficient_loop
+    monkeypatch.setattr(
+        qexp, "_coefficient_loop", lambda *args: calls.append(args) or inner(*args)
+    )
+    siegel_theta_qexp(TorsionPoint(1, 2, 7), 5, 16)
+    assert not calls
+    assert check_c_relation(TorsionPoint(0, 1, 5), 7, 11, 12).holds
+    assert calls
+
+
+def test_cyc_power_multiplications(monkeypatch):
+    x = CycElt(7, [F(1, 2), -1, 0, 3, 0, 1])
+    expected = [CycElt.one(7)]
+    for _ in range(9):
+        expected.append(expected[-1] * x)
+    calls = []
+    inner = CycElt.__mul__
+    monkeypatch.setattr(CycElt, "__mul__", lambda a, b: calls.append(1) or inner(a, b))
+    for n, want in enumerate(expected):
+        calls.clear()
+        assert x**n == want
+        # one squaring per bit below the top, one product per extra set bit
+        assert len(calls) == max(0, n.bit_length() - 1) + max(0, bin(n).count("1") - 1)
+    assert x**-3 * expected[3] == CycElt.one(7)
+
+
+def test_dlog_pullback_tabulates_the_roots_of_unity(monkeypatch):
+    calls = []
+    inner = CycElt.zeta
+    monkeypatch.setattr(
+        CycElt, "zeta", staticmethod(lambda L, j=1: calls.append(j) or inner(L, j))
+    )
+    s = dlog_d_eisenstein(TorsionPoint(1, 2, 7), 5, 3, 12)
+    assert len(calls) <= 2 * 7 and not s.is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -158,3 +158,11 @@ def test_caches_keyed_by_curve_model_not_label(tmp_path, c11, c37, pair11):
     assert eigen_pair(impostor) == eigen_pair(c37)
     assert theta_element(impostor, 7).element == theta_element(c37, 7).element
     assert adjudicated_variant(impostor) == "A"
+
+
+@pytest.mark.parametrize("M, ell, witness_b", [(2, 2, (1, 14, 12)), (3, 2, (1, 12, 14))])
+def test_norm_relation_sides_stay_integral(c11, pair11, M, ell, witness_b):
+    # a_ell and ell scale the integer theta elements as ints, not Fractions
+    rep = check_norm_relation(c11, M, ell, pair11)
+    assert rep.status == "A" and rep.witness_b == witness_b
+    assert all(type(v) is int for v in rep.witness_b)
