@@ -17,12 +17,15 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+# Every traced layer is imported here, not per command: perfbench's tracer
+# wraps functions of these modules right after ``import mazurtate.cli``.
 from .arith import ModInt
 from .curves import CatalogError, curve_by_label, euler_factor
 from .groupring import all_characters
+from .kurihara import nonvanishing_search, sieve_admissible
 from .modsym import GOOD_HECKE_BOUND, build_space, calibrate_periods, cusp_count, genus_x0
 from .nt import primes_up_to
-from .oracle import OracleError, lvalue_and_period
+from .padic import interpolate_trivial, iwasawa_invariants, stabilize
 from .qexp import (
     GatedFeatureError,
     QExpError,
@@ -227,8 +230,6 @@ def cmd_theta(args) -> RunReport:
 
 
 def cmd_plfunc(args) -> RunReport:
-    from .padic import interpolate_trivial, iwasawa_invariants, stabilize
-
     curve = _get_curve(args.label, args)
     report = RunReport(
         "plfunc",
@@ -274,8 +275,6 @@ def cmd_plfunc(args) -> RunReport:
 
 
 def cmd_kurihara(args) -> RunReport:
-    from .kurihara import nonvanishing_search, sieve_admissible
-
     curve = _get_curve(args.label, args)
     report = RunReport(
         "kurihara",
@@ -577,6 +576,8 @@ def cmd_verify(args) -> RunReport:
 
 
 def cmd_oracle(args) -> RunReport:
+    from .oracle import lvalue_and_period
+
     curve = _get_curve(args.label, args)
     oracle = lvalue_and_period(curve)
     report = RunReport("oracle", {"label": args.label})
@@ -700,7 +701,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         report = args.func(args)
-    except (UsageError, CatalogError, OracleError, ValueError) as exc:
+    except ValueError as exc:  # UsageError, CatalogError and OracleError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.timing = time.perf_counter() - t0

@@ -180,12 +180,20 @@ def kurihara_number(
             cur = (cur * eta) % ell
             cur_exp += 1
         log_tables[ell] = table
-    total = 0
-    for a, v in plus_symbol.values_mod(n).items():
-        term = v % pk
-        for ell in factors:
-            term = term * log_tables[ell][a % ell] % pk
-        total = (total + term) % pk
+    # [n - a] = sign [a] pairs a < n/2 with n - a under the weight
+    # w(a) = prod log(a) + sign prod log(n - a); a non-unit has a zero log,
+    # so only units with w(a) != 0 mod p^k are walked
+    sign = plus_symbol.sign
+    total = plus_symbol.half_value(0, 1) if n == 1 else 0
+    for a in range(1, (n + 1) // 2):
+        w_a = w_b = 1
+        for ell, logs in log_tables.items():
+            w_a *= logs[a % ell]
+            w_b *= logs[(n - a) % ell]
+        w = (w_a + sign * w_b) % pk
+        if w:
+            total += w * plus_symbol.half_value(a, n)
+    total %= pk
     return KuriharaNumber(
         n=n,
         p=p,

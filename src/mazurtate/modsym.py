@@ -434,30 +434,39 @@ class EigenSymbol:
     scale: Fraction = Fraction(1)
     scaling_mode: str = "integral-normalized"
 
-    def _walk(self, x: int, y: int) -> int:
-        """[x/y] for y > 0: the table summed along ``unimodular_path(x/y)``.
+    def half_value(self, a: int, M: int) -> int:
+        """[a/M] for 0 <= a <= M/2 prime to M, in the integral normalization.
 
-        Only the convergent denominators q_k = t_k q_{k-1} + q_{k-2} are
-        run, on ints; step k adds (q_k : D q_{k-1}) with D = -1, +1, -1, ...,
-        which for a unit q_k is the P^1 point at index 1 + D q_{k-1}/q_k.
+        ``unimodular_path(a/M)`` adds (q_k : (-1)^(k+1) q_{k-1}) over the
+        convergent denominators 1 = q_0 < q_1 < ... < q_n = M, and
+        q_{n-1} = b, the one of +-a^-1 mod M that is <= M/2; read from
+        the top, they are the Euclid remainders of (M, b).  So one walk
+        adds table[(x : y)] and steps x, y = y, x % y, down to (1 : 0);
+        the pairs at even distance from (1 : 0) take the factor ``sign``,
+        as table[(c : -d)] = sign table[(c : d)] (Cremona 1997, ch. 2).
         """
         space, table = self.space, self.table
         N, inv = space.N, space._inv
-        total, q1, q2, D = 0, 0, 1, -1
+        b = pow(a, -1, M)
+        x, y = M, min(b, M - b)
+        odd = even = 0  # entries at odd / even distance from the latest pair
         while y:
-            t, r = divmod(x, y)
-            x, y, q1, q2 = y, r, t * q1 + q2, q1
-            u = inv[q1 % N]
-            total += table[1 + D * q2 * u % N] if u else table[space.p1_index(q1, D * q2)]
-            D = -D
-        return total
+            u = inv[x % N]
+            odd, even = even, odd + (table[1 + y * u % N] if u else table[space.p1_index(x, y)])
+            x, y = y, x % y
+        return self.sign * (odd + table[space.p1_index(1, 0)]) + even
 
     def raw_value(self, r) -> int:
-        """[r] in the integral normalization, whatever the symbol's scale."""
+        """[r] in the integral normalization, whatever the symbol's scale.
+
+        [r + 1] = [r] and [-r] = sign [r] bring r to a/M with a <= M/2.
+        """
         if r is None:
             return 0
         r = Fraction(r)
-        return self._walk(r.numerator, r.denominator)
+        M = r.denominator
+        a = r.numerator % M
+        return self.half_value(a, M) if 2 * a <= M else self.sign * self.half_value(M - a, M)
 
     def value(self, r) -> int | Fraction:
         v = self.raw_value(r)
@@ -471,7 +480,7 @@ class EigenSymbol:
         if M <= 2:  # the one unit M - 1 is its own mirror
             return {M - 1: self.value(Fraction(M - 1, M))}
         low = [a for a in range(1, (M + 1) // 2) if gcd(a, M) == 1]
-        half = [self._walk(a, M) for a in low]
+        half = [self.half_value(a, M) for a in low]
         vals = half + [self.sign * v for v in reversed(half)]
         if self.scale != 1:
             vals = [self.scale * v for v in vals]

@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -254,3 +259,70 @@ def test_qexp_output_pinned(capsys, argv):
     code, out, _ = run(capsys, "qexp", *argv, "--json", "--no-timing")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_QEXP[argv]
+
+
+# ---------------------------------------------------------------------------
+# Cold start: which modules a fresh interpreter loads
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_REPORT_LOADED = (
+    "\nimport sys\n"
+    "print(' '.join(sorted(m[10:] for m in sys.modules if m.startswith('mazurtate.'))))"
+)
+
+
+def _loaded_after(code: str) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + _REPORT_LOADED],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _cli_run(*argv: str) -> str:
+    return (
+        "import contextlib, io\nfrom mazurtate.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({list(argv)!r}) == 0"
+    )
+
+
+def test_import_mazurtate_loads_no_submodule():
+    assert _loaded_after("import mazurtate") == set()
+
+
+@pytest.mark.parametrize(
+    "code, present, absent",
+    [
+        ("from mazurtate import QSeries", {"qexp"}, {"modsym", "theta", "kurihara", "padic"}),
+        ("from mazurtate import kurihara_number", {"kurihara"}, {"qexp", "padic", "oracle"}),
+        (
+            _cli_run("--no-timing", "qexp", "e00", "-k", "3", "--c", "5", "--prec", "4"),
+            {"cli", "qexp"},
+            {"oracle"},
+        ),
+        (
+            _cli_run("--no-timing", "kurihara", "11a1", "-p", "3", "--bound", "70"),
+            {"cli", "kurihara"},
+            {"oracle"},
+        ),
+    ],
+    ids=["qseries", "kurihara_number", "cli-qexp", "cli-kurihara"],
+)
+def test_cold_start_loads_only_what_is_used(code, present, absent):
+    loaded = _loaded_after(code)
+    assert present <= loaded
+    assert not loaded & absent
+
+
+def test_package_names_resolve_lazily():
+    import mazurtate
+
+    for name in mazurtate.__all__:
+        module = import_module(f"mazurtate.{mazurtate._MODULE_OF[name]}")
+        assert getattr(mazurtate, name) is getattr(module, name)
+    assert set(mazurtate.__all__) <= set(dir(mazurtate))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mazurtate.no_such_name

@@ -1,8 +1,12 @@
+import functools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mazurtate.arith import ModInt
+from mazurtate.curves import curve_by_label
 from mazurtate.kurihara import (
     AdmissibilityError,
     discrete_log,
@@ -12,6 +16,7 @@ from mazurtate.kurihara import (
     sieve_admissible,
 )
 from mazurtate.nt import is_primitive_root
+from mazurtate.theta import eigen_pair
 
 # regression fixture: first computed by the full sieve + search run,
 # statuses invariant under primitive-root re-choice
@@ -186,9 +191,10 @@ class _ShiftedValues:
     def __init__(self, base, shift):
         self.base = base
         self.shift = shift
+        self.sign = base.sign
 
-    def values_mod(self, n):
-        return {a: v + self.shift for a, v in self.base.values_mod(n).items()}
+    def half_value(self, a, n):
+        return self.base.half_value(a, n) + self.shift
 
 
 def test_well_definedness_under_constant_shift(c11, aset11):
@@ -223,3 +229,46 @@ def test_search_keeps_no_per_modulus_state(c37):
     plus = eigen_pair(c37)[0]
     assert plus.values_mod(7) == plus.values_mod(7)
     assert plus.values_mod(7) is not plus.values_mod(7)
+
+
+def _delta_by_definition(plus, n, pk, prime_set):
+    """delta_n straight from its definition: every unit, every log."""
+    factors = [ell for ell in prime_set.primes if n % ell == 0]
+    logs = {
+        ell: {pow(prime_set.eta[ell], x, ell): x for x in range(ell - 1)} for ell in factors
+    }
+    total = 0
+    for a, v in plus.values_mod(n).items():
+        for ell in factors:
+            v *= logs[ell][a % ell]
+        total += v
+    return total % pk
+
+
+@functools.cache
+def _prime_set(label, k):
+    return sieve_admissible(curve_by_label(label), 3, k, 300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["11a1", "37a1"]),
+    st.sampled_from([1, 2]),
+    st.lists(st.integers(0, 99), max_size=2, unique=True),
+)
+@example("11a1", 1, [])
+@example("37a1", 2, [])
+@example("37a1", 2, [0, 1])
+@example("11a1", 1, [6, 7])
+def test_kurihara_number_matches_the_definition(label, k, picks):
+    # the weight filter and the a <-> n - a pairing must not move delta_n;
+    # n is a product of at most two distinct admissible primes, or 1
+    curve = curve_by_label(label)
+    prime_set = _prime_set(label, k)
+    primes = prime_set.primes
+    n = 1
+    for ell in {primes[i % len(primes)] for i in picks} if primes else ():
+        n *= ell
+    plus = eigen_pair(curve)[0]
+    delta = kurihara_number(curve, n, 3, k, prime_set, plus)
+    assert delta.value == ModInt(_delta_by_definition(plus, n, 3**k, prime_set), 3**k)

@@ -351,7 +351,7 @@ def test_level_4999_passes_dimension_check(capsys):
 
 
 # ---------------------------------------------------------------------------
-# The integer walk behind raw_value and values_mod
+# The Euclid-chain walk behind raw_value and values_mod
 
 CURVE_389A1 = CurveData("389a1", (0, 1, 1, -2, 0), 389)
 
@@ -374,6 +374,16 @@ _points = st.integers(1, 10**6).flatmap(
         st.just(M),
     )
 )
+
+
+@pytest.mark.parametrize("part", [0, 1])
+@pytest.mark.parametrize("label", ["11a1", "37a1", "389a1"])
+def test_table_star_identity(label, part):
+    # the chain walk reads (c : d) for the path's (c : -d) at every other step
+    sym = _symbol(label, part)
+    index, table = sym.space.p1_index, sym.table
+    for c, d in sym.space.p1_reps:
+        assert table[index(c, -d)] == sym.sign * table[index(c, d)]
 
 
 @settings(max_examples=200, deadline=None)
