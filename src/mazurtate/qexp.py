@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .arith import CycElt, cyc_embed, reduce_mod_cyclotomic
 
@@ -264,20 +264,49 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def mul_binomial(self, exp_idx: int, coeff: CycElt) -> "QSeries":
-        """Multiply by (1 + coeff q^{exp_idx/grid}), preserving truncation."""
-        f = lcm(self.conductor, coeff.conductor)
-        me = self.embed(f)
-        c = cyc_embed(coeff, f)
-        n = me.trunc - me.start
-        coeffs = list(me.coeffs) + [CycElt.zero(f)] * (n - len(me.coeffs))
-        for i in range(n - 1, -1, -1):
-            j = i - exp_idx
-            if 0 <= j < len(me.coeffs):
-                coeffs[i] = coeffs[i] + c * me.coeffs[j]
-        return QSeries(me.grid, me.start, coeffs, me.trunc, f)
+    def _wide(self, m: int) -> bool:
+        """Whether u^m outgrows the packed product: |m| width(u) > 32 n.
+
+        width(u) is the bit length of the largest numerator over the common
+        denominator plus that of the denominator.
+        """
+        d = lcm(*(c.den for c in self.coeffs))
+        top = max(abs(v) * (d // c.den) for c in self.coeffs for v in c.num)
+        width = top.bit_length() + d.bit_length()
+        return abs(m) * width > _KRONECKER_BITS_PER_TERM * (self.trunc - self.start)
+
+    def _miller_power(self, m: int) -> "QSeries":
+        """u^m by J. C. P. Miller's recurrence (Knuth, TAOCP 2, 4.7).
+
+        For u = u0 q^s (1 + v), g = u^m / q^{ms} has g_0 = u0^m and
+        j g_j = sum_{k=1..j} ((m + 1) k - j) v_k g_{j-k}.  With v_k = V_k / D^k
+        and u0^m = P/Q over integers, G_j = D^j Q g_j is integral (g_j / u0^m
+        is an integer polynomial in v of weight j) and j G_j = sum_k ((m + 1) k
+        - j) V_k G_{j-k}: each narrow V_k meets a wide G_{j-k} on integer rows.
+        """
+        L, n, u0 = self.conductor, self.trunc - self.start, self.coeffs[0]
+        inv = u0.inverse()
+        v = [c * inv for c in self.coeffs[1:]]
+        D = lcm(1, *(c.den for c in v))
+        V = [[x * (D**k // c.den) for x in c.num] for k, c in enumerate(v, 1)]
+        lead = (u0 if m > 0 else inv) ** abs(m)
+        G = [list(lead.num)]
+        for j in range(1, n):
+            acc = [0] * (2 * len(G[0]) - 1)
+            for k in range(1, min(j, len(V)) + 1):
+                f = (m + 1) * k - j
+                for i, x in enumerate(V[k - 1]):
+                    if x and f:
+                        fx = f * x
+                        for r, y in enumerate(G[j - k], i):
+                            acc[r] += fx * y
+            G.append([x // j for x in reduce_mod_cyclotomic(acc, L)])
+        coeffs = [CycElt._make(L, row, D**j * lead.den) for j, row in enumerate(G)]
+        return QSeries(self.grid, m * self.start, coeffs, m * self.start + n, L)
 
     def __pow__(self, n: int):
+        if n and not self.is_zero() and self._wide(n):
+            return self._miller_power(n)
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
@@ -299,9 +328,13 @@ class QSeries:
 
         Newton's y <- y (2 - u y) = y + y (1 - u y) doubles the known terms
         per step; y is exact as a polynomial, so it is read at the new order.
+        A wide series, whose Newton products would run the coefficient loop,
+        takes Miller's recurrence with m = -1, the schoolbook recursion.
         """
         if self.is_zero():
             raise QExpError("cannot invert a series that is zero to its precision")
+        if self._wide(-1):
+            return self._miller_power(-1)
         g, L = self.grid, self.conductor
         n = self.trunc - self.start
         y = QSeries(g, 0, [self.coeffs[0].inverse()], 1, L)
@@ -472,27 +505,40 @@ def _zeta(N: int, j: int) -> CycElt:
     return CycElt.zeta(N, j) if N > 1 else CycElt.one(1)
 
 
+def _cyclotomic_rows(rows, L: int) -> list[CycElt]:
+    """Integer rows of Z[x]/(x^L - 1), column j holding zeta_L^j, as CycElts."""
+    return [CycElt._make(L, reduce_mod_cyclotomic(row, L), 1) for row in rows]
+
+
+def _partitions(n: int) -> list[int]:
+    """p(0), ..., p(n) by Euler's pentagonal recurrence."""
+    p = [1]
+    for i in range(1, n + 1):
+        total, j = 0, 1
+        while (g := j * (3 * j - 1) // 2) <= i:
+            sign = 1 if j % 2 else -1
+            total += sign * (p[i - g] + (p[i - g - j] if g + j <= i else 0))
+            j += 1
+        p.append(total)
+    return p
+
+
 def _gamma_core(s: Fraction, b: int, N: int, grid: int, rel_steps: int) -> QSeries:
-    """gamma(zeta_N^b q^s) for 0 <= s < 1, truncated rel_steps grid steps."""
-    conductor = N if N > 1 else 1
-    out = QSeries.one(grid, Fraction(rel_steps, grid), conductor)
-    zb = _zeta(N, b)
-    zbi = _zeta(N, -b)
-    n = 0
-    while True:
-        e = _to_idx(s, grid) + n * grid
-        if e >= rel_steps:
-            break
-        out = out.mul_binomial(e, -zb)
-        n += 1
-    n = 1
-    while True:
-        e = n * grid - _to_idx(s, grid)
-        if e >= rel_steps:
-            break
-        out = out.mul_binomial(e, -zbi)
-        n += 1
-    return out
+    """gamma(zeta_N^b q^s) for 0 <= s < 1, truncated rel_steps grid steps.
+
+    Jacobi's triple product (Hardy-Wright, Thm 352) gives gamma(t) =
+    sum_k (-1)^k q^{k(k-1)/2} t^k * sum_n p(n) q^n, and t^k = zeta^{bk}
+    q^{sk}: each k adds +-p(n) at column bk of the rows.
+    """
+    L, e = (N if N > 1 else 1), _to_idx(s, grid)
+    p = _partitions((rel_steps - 1) // grid)
+    rows = [[0] * L for _ in range(rel_steps)]
+    k_max = isqrt(2 * rel_steps // grid) + 2  # beyond it k(k-1)/2 > rel_steps / grid
+    for k in range(-k_max, k_max + 1):
+        sign, col = (-1 if k % 2 else 1), b * k % L
+        for n, i in enumerate(range(grid * k * (k - 1) // 2 + e * k, rel_steps, grid)):
+            rows[i][col] += sign * p[n]
+    return QSeries(grid, 0, _cyclotomic_rows(rows, L), rel_steps, L)
 
 
 def _gamma_pullback(exp: Fraction, b: int, N: int, grid: int, trunc_exp: Fraction) -> QSeries:
@@ -697,29 +743,23 @@ def _dlog_gamma_pullback(k: int, pt: TorsionPoint, prec: Fraction, grid: int) ->
     """(t d/dt)^{k-1} of t d/dt log gamma, pulled back at t = zeta^b q^{a/N}.
 
     The expansion -t/(1-t) - sum_{n,m>=1} q^{nm}(t^m - t^{-m}) picks up a
-    factor (+-m)^{k-1} per term under D^{k-1}; the rational part is
-    evaluated in the field when a = 0 and as a geometric q-series
-    otherwise.
+    factor (+-m)^{k-1} per term under D^{k-1}, added as an integer at
+    column j = +-bm of its row; the rational part is a geometric q-series
+    when a != 0, and is evaluated in the field and added after the
+    reduction when a = 0.
     """
     N = pt.level
     a, b = pt.a, pt.b
-    conductor = N if N > 1 else 1
+    L = N if N > 1 else 1
     t_idx = _to_idx(prec, grid)
     if t_idx <= 0:
-        return QSeries.zero(grid, prec, conductor)
-    acc: dict[int, CycElt] = {}
-
-    def add(idx: int, coeff: CycElt):
-        acc[idx] = acc[idx] + coeff if idx in acc else coeff
-
+        return QSeries.zero(grid, prec, L)
+    rows = [[0] * L for _ in range(t_idx)]  # column j holds zeta_N^j
     step = grid // N
-    zpow = [_zeta(N, j) for j in range(N)]  # zeta_N^j, read at j mod N below
-    if a == 0:
-        add(0, _rational_part_derivative(k, zpow[b]))
-    else:
+    if a != 0:
         m = 1
         while m * a * step < t_idx:
-            add(m * a * step, zpow[b * m % N] * -(m ** (k - 1)))
+            rows[m * a * step][b * m % L] -= m ** (k - 1)
             m += 1
     n = 1
     while n * grid - a * step < t_idx:  # smallest exponent contributed at this n
@@ -733,19 +773,15 @@ def _dlog_gamma_pullback(k: int, pt: TorsionPoint, prec: Fraction, grid: int) ->
                 break
             mk = m ** (k - 1)
             if e_plus < t_idx:
-                add(e_plus, zpow[b * m % N] * -mk)
+                rows[e_plus][b * m % L] -= mk
             if e_minus < t_idx:
-                sign = mk if (k - 1) % 2 == 0 else -mk
-                add(e_minus, zpow[-b * m % N] * sign)
+                rows[e_minus][-b * m % L] += mk if (k - 1) % 2 == 0 else -mk
             m += 1
         n += 1
-    if not acc:
-        return QSeries.zero(grid, prec, conductor)
-    lo = min(acc)
-    coeffs = [CycElt.zero(conductor) for _ in range(t_idx - lo)]
-    for idx, cf in acc.items():
-        coeffs[idx - lo] = cyc_embed(cf, conductor) if cf.conductor != conductor else cf
-    return QSeries(grid, lo, coeffs, t_idx, conductor)
+    coeffs = _cyclotomic_rows(rows, L)
+    if a == 0:
+        coeffs[0] = coeffs[0] + _rational_part_derivative(k, _zeta(N, b))
+    return QSeries(grid, 0, coeffs, t_idx, L)
 
 
 def dlog_d_eisenstein(pt: TorsionPoint, c: int, k: int, prec) -> QSeries:
@@ -851,7 +887,8 @@ def rationalized_eisenstein(pt: TorsionPoint, k: int, prec, c: int | None = None
     if c % pt.level != 1 % pt.level:
         raise QExpError("c must be 1 mod the level to eliminate the c-twist")
     denom = c * c - c**k
-    assert denom != 0
+    if denom == 0:  # c = 1, or c = -1 with k even
+        raise QExpError(f"c = {c} gives c^2 = c^k at weight {k}, which eliminates nothing")
     return dlog_d_eisenstein(pt, c, k, prec).scale(Fraction(1, denom))
 
 

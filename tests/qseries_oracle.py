@@ -1,16 +1,21 @@
-"""Schoolbook series product and inverse, used only by tests.
+"""Term-by-term series arithmetic, used only by tests.
 
-Both work term by term on ``CycElt`` coefficients, with the truncation
-rules of ``QSeries``: a product is known to min(t1 + lead2, t2 + lead1),
-an inverse to as many terms past its lead as the input.  The fast
-product (Kronecker substitution) and the Newton inverse are checked
-against them.
+Everything here works on ``CycElt`` coefficients one at a time, with the
+truncation rules of ``QSeries``: a product is known to min(t1 + lead2,
+t2 + lead1), an inverse or power to as many terms past its lead as the
+input.  The fast paths of ``mazurtate.qexp`` are checked against them:
+the Kronecker product and the Newton inverse against the schoolbook
+ones, Miller's power recurrence against repeated schoolbook products,
+the triple-product gamma against the product of binomials, and the
+integer-row dlog sums against a dict of ``CycElt`` terms.
 """
 
 from __future__ import annotations
 
-from mazurtate.arith import CycElt
-from mazurtate.qexp import QSeries
+from fractions import Fraction
+
+from mazurtate.arith import CycElt, cyc_embed
+from mazurtate.qexp import QSeries, TorsionPoint, _rational_part_derivative, _to_idx, _zeta
 
 
 def schoolbook_mul(x: QSeries, y: QSeries) -> QSeries:
@@ -39,6 +44,70 @@ def schoolbook_inverse(x: QSeries) -> QSeries:
             acc = acc + x.coeffs[j] * rel[i - j]
         rel.append(-(a0_inv * acc))
     return QSeries(x.grid, -x.start, rel, n - x.start, x.conductor)
+
+
+def schoolbook_power(x: QSeries, m: int) -> QSeries:
+    """x^m as |m| - 1 schoolbook products of x, or of its schoolbook inverse."""
+    if m == 0:
+        return QSeries.one(x.grid, Fraction(x.trunc - x.start, x.grid), x.conductor)
+    base = x if m > 0 else schoolbook_inverse(x)
+    out = base
+    for _ in range(abs(m) - 1):
+        out = schoolbook_mul(out, base)
+    return out
+
+
+def mul_binomial(x: QSeries, exp_idx: int, coeff: CycElt) -> QSeries:
+    """x (1 + coeff q^{exp_idx/grid}), preserving truncation."""
+    n = x.trunc - x.start
+    coeffs = list(x.coeffs) + [CycElt.zero(x.conductor)] * (n - len(x.coeffs))
+    for i in range(n - 1, -1, -1):
+        j = i - exp_idx
+        if 0 <= j < len(x.coeffs):
+            coeffs[i] = coeffs[i] + coeff * x.coeffs[j]
+    return QSeries(x.grid, x.start, coeffs, x.trunc, x.conductor)
+
+
+def gamma_core_product(s: Fraction, b: int, N: int, grid: int, rel_steps: int) -> QSeries:
+    """gamma(zeta_N^b q^s) as prod_{n>=0} (1 - q^n t) prod_{n>=1} (1 - q^n / t)."""
+    out = QSeries.one(grid, Fraction(rel_steps, grid), N if N > 1 else 1)
+    e = _to_idx(s, grid)
+    for n in range(0, rel_steps):
+        if e + n * grid < rel_steps:
+            out = mul_binomial(out, e + n * grid, -_zeta(N, b))
+        if n and n * grid - e < rel_steps:
+            out = mul_binomial(out, n * grid - e, -_zeta(N, -b))
+    return out
+
+
+def dlog_gamma_terms(k: int, pt: TorsionPoint, prec: Fraction, grid: int) -> QSeries:
+    """D^{k-1} dlog gamma at t = zeta^b q^{a/N}, summed term by term in a dict."""
+    N, a, b = pt.level, pt.a, pt.b
+    conductor = N if N > 1 else 1
+    t_idx = _to_idx(prec, grid)
+    acc: dict[int, CycElt] = {}
+
+    def add(idx: int, coeff: CycElt):
+        acc[idx] = acc[idx] + coeff if idx in acc else coeff
+
+    step = grid // N
+    if a == 0:
+        add(0, _rational_part_derivative(k, _zeta(N, b)))
+    else:
+        for m in range(1, t_idx):
+            if m * a * step < t_idx:
+                add(m * a * step, _zeta(N, b * m) * -(m ** (k - 1)))
+    for n in range(1, t_idx + 1):
+        for m in range(1, t_idx + 1):
+            e_plus, e_minus = m * (n * grid + a * step), m * (n * grid - a * step)
+            if e_plus < t_idx:
+                add(e_plus, _zeta(N, b * m) * -(m ** (k - 1)))
+            if e_minus < t_idx:
+                add(e_minus, _zeta(N, -b * m) * (-m) ** (k - 1))
+    coeffs = [CycElt.zero(conductor) for _ in range(max(t_idx, 0))]
+    for idx, cf in acc.items():
+        coeffs[idx] = cyc_embed(cf, conductor)
+    return QSeries(grid, 0, coeffs, t_idx, conductor)
 
 
 def canonical(x: QSeries):

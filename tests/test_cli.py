@@ -243,22 +243,41 @@ def test_msym_states_hecke_bound(capsys):
     assert code == 0 and "hecke_bound" not in json.loads(out)["outputs"]
 
 
-# SHA-256 of the --json --no-timing output of the schoolbook series
-# product and inverse; the packed product and Newton inverse must print
-# the same bytes
+# SHA-256 of the --json --no-timing output, recorded with the schoolbook
+# series product and inverse, the product of binomials for gamma and a
+# dict of CycElt terms for the dlog sums; the packed product, the Newton
+# inverse, Miller's power recurrence, the triple-product gamma and the
+# integer-row dlog sums must print the same bytes
 PINNED_QEXP = {
-    ("siegel", "--point", "1/7,2/7", "--c", "5", "--prec", "40"):
+    "siegel": (
+        ("siegel", "--point", "1/7,2/7", "--c", "5", "--prec", "40"),
         "f6eb0348ee15fdc067f5e6b1212a21b25dbc1f7441cff320b41cf90652ebf1c6",
-    ("g-unit", "--point", "1/5,2/5", "--c", "11", "--prec", "10"):
+    ),
+    "g-unit": (
+        ("g-unit", "--point", "1/5,2/5", "--c", "11", "--prec", "10"),
         "a303b3cb94ad71d4a8ba5c843836e91627b956c1bd163b72b0596fd45a0f5692",
+    ),
+    "siegel-prec16": (
+        ("siegel", "--point", "1/7,2/7", "--c", "5", "--prec", "16"),
+        "becc9125a9e77feaf004415017869246b55833ce8e0d868b728bace732f59c62",
+    ),
+    "c-relation": (
+        ("c-relation", "--point", "0/5,1/5", "--c", "7", "--d", "11", "--prec", "12"),
+        "1d97fa53a704887428fafeb23375fbd71853886dd60bb98cc3035a423d5736a2",
+    ),
+    "e00": (
+        ("e00", "-k", "3", "--c", "5", "--aux", "3", "--prec", "40"),
+        "d57382935fbdbc1d1995287a84673bbd2eeafaae927ec6788b1cb09cba089478",
+    ),
 }
 
 
-@pytest.mark.parametrize("argv", list(PINNED_QEXP), ids=lambda argv: argv[0])
-def test_qexp_output_pinned(capsys, argv):
+@pytest.mark.parametrize("name", list(PINNED_QEXP))
+def test_qexp_output_pinned(capsys, name):
+    argv, digest = PINNED_QEXP[name]
     code, out, _ = run(capsys, "qexp", *argv, "--json", "--no-timing")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_QEXP[argv]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qseries_oracle import canonical, schoolbook_inverse, schoolbook_mul
+from qseries_oracle import (
+    canonical,
+    dlog_gamma_terms,
+    gamma_core_product,
+    schoolbook_inverse,
+    schoolbook_mul,
+    schoolbook_power,
+)
 from tate_oracle import TateExpansion, gamma_tate, theta_numerator_tate
 
 from mazurtate import qexp
@@ -178,6 +185,89 @@ def test_product_wide_and_narrow_inside_siegel_workload(monkeypatch):
     assert not calls
     assert check_c_relation(TorsionPoint(0, 1, 5), 7, 11, 12).holds
     assert calls
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_power_matches_repeated_schoolbook_products(data):
+    wide = data.draw(st.booleans())
+    L = data.draw(st.sampled_from([1, 5, 7, 12]))
+    x = _draw_series(data, L, data.draw(st.sampled_from([1, 2])), max_terms=8)
+    # Miller's recurrence iff |m| width(x) > 32 n; m = 0 is always narrow
+    ms = [m for m in range(-3, 131) if (m != 0 and x._wide(m)) == wide]
+    assume(ms)
+    m = data.draw(st.sampled_from(ms))
+    assert canonical(x**m) == canonical(schoolbook_power(x, m))
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    inner = getattr(QSeries, name)
+    monkeypatch.setattr(QSeries, name, lambda *args: calls.append(args) or inner(*args))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "bits, terms, m, wide",
+    [
+        (15, 1, 2, False),  # width 15 + 1: 2 * 16 = 32 <= 32 * 1
+        (16, 1, 2, True),  # 2 * 17 = 34 > 32
+        (31, 1, -1, False),  # the inverse: 32 <= 32
+        (32, 1, -1, True),
+        (8, 12, 25, False),  # 25 * 9 = 225 <= 384
+        (8, 12, 49, True),  # 49 * 9 = 441 > 384
+        (8, 12, -49, True),
+    ],
+)
+def test_power_selection_rule(monkeypatch, bits, terms, m, wide):
+    # Miller's recurrence iff |m| (bits(max|num|) + bits(den)) > 32 n
+    calls = _spy(monkeypatch, "_miller_power")
+    coeffs = [
+        CycElt(7, [(-1) ** (i + k) * (2**bits - 1 - k) for k in range(6)])
+        for i in range(terms)
+    ]
+    x = QSeries(1, 0, coeffs, terms, 7)
+    got = x.inverse() if m == -1 else x**m
+    assert canonical(got) == canonical(schoolbook_power(x, m))
+    assert bool(calls) == wide
+
+
+def test_power_paths_inside_siegel_workload(monkeypatch):
+    # siegel's ** 25 stays packed, all six powers of c-relation (** 49,
+    # ** 121) take the recurrence, and no inverse of either is wide
+    calls = _spy(monkeypatch, "_miller_power")
+    siegel_theta_qexp(TorsionPoint(1, 2, 7), 5, 16)
+    assert not calls
+    assert check_c_relation(TorsionPoint(0, 1, 5), 7, 11, 12).holds
+    assert sorted(m for _, m in calls) == [49, 49, 49, 121, 121, 121]
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_triple_product_gamma_matches_binomial_product(data):
+    N = data.draw(st.sampled_from([1, 2, 3, 5, 7, 12, 35]))
+    grid = data.draw(st.sampled_from([1, N]))
+    b = data.draw(st.integers(0, N - 1))
+    rel = data.draw(st.integers(1, 6 * grid))
+    for a in range(grid):
+        if a == 0 and b % N == 0:  # gamma(1) = 0, refused by the pullback
+            continue
+        s = F(a, grid)
+        got = qexp._gamma_core(s, b, N, grid, rel)
+        assert canonical(got) == canonical(gamma_core_product(s, b, N, grid, rel))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_dlog_rows_match_term_by_term_sum(data):
+    N = data.draw(st.sampled_from([2, 3, 5, 7, 12]))
+    grid = N * data.draw(st.sampled_from([1, 2]))
+    a = data.draw(st.sampled_from([0, data.draw(st.integers(1, N - 1))]))
+    pt = TorsionPoint(a, data.draw(st.integers(1 if a == 0 else 0, N - 1)), N)
+    k = data.draw(st.integers(1, 4))
+    prec = F(data.draw(st.integers(1, 6 * grid)), grid)
+    got = qexp._dlog_gamma_pullback(k, pt, prec, grid)
+    assert canonical(got) == canonical(dlog_gamma_terms(k, pt, prec, grid))
 
 
 def test_cyc_power_multiplications(monkeypatch):
@@ -460,6 +550,20 @@ def test_eisenstein00_rationality_and_validation():
         eisenstein_00(3, 5, 5, 4)  # (a, c) != 1
     series = eisenstein_00(4, 7, 2, 6)
     assert series.conductor == 1
+
+
+@pytest.mark.parametrize("c, k", [(1, 3), (1, 4), (-1, 4), (-1, 6)])
+def test_rationalized_eisenstein_refuses_c_squared_equal_to_c_to_the_k(c, k):
+    # c^2 = c^k leaves nothing to divide by; the refusal must not depend
+    # on assertions being enabled
+    with pytest.raises(QExpError, match="c\\^2 = c\\^k"):
+        rationalized_eisenstein(TorsionPoint(1, 1, 2), k, 4, c=c)
+
+
+def test_rationalized_eisenstein_odd_weight_at_c_minus_one():
+    # c = -1 = 1 mod 2 with k odd gives c^2 - c^k = 2
+    e = rationalized_eisenstein(TorsionPoint(1, 1, 2), 3, 4, c=-1)
+    assert e == dlog_d_eisenstein(TorsionPoint(1, 1, 2), -1, 3, 4).scale(F(1, 2))
 
 
 # ---------------------------------------------------------------------------
