@@ -14,7 +14,7 @@ T = gamma - 1 with gamma the image of 1 + p, and reads off
     mu     = min p-valuation of the coefficients,
     lambda = first coefficient index attaining it,
 
-requiring agreement across two consecutive layers before reporting.
+and calls the reading stable when the layer below gives the same.
 """
 
 from __future__ import annotations
@@ -74,12 +74,11 @@ class PadicThetaTower:
         return all(ok for _, ok, _ in self.check_projectivity())
 
 
-def _reduce_theta(curve, M, k_modulus, pair) -> GroupRingElement:
-    """theta_M mod k_modulus, from the integer values of integral-normalized symbols."""
+def _integral_theta(curve, M, pair) -> GroupRingElement:
+    """theta_M with the integer values of integral-normalized symbols."""
     if any(sym.scaling_mode != "integral-normalized" for sym in pair):
         raise ValueError("p-adic towers use integral-normalized symbols")
-    theta = theta_element(curve, M, pair)
-    return theta.element.map_coeffs(lambda v: ModInt(v, k_modulus))
+    return theta_element(curve, M, pair).element
 
 
 def stabilize(
@@ -117,20 +116,18 @@ def stabilize(
         variant = adjudicated_variant(curve)
     pk = p**k
     alpha = hensel_unit_root(a_p, p, k)
-    alpha_inv = alpha.inverse()
-    nu_coeff = alpha_inv if variant == "A" else alpha_inv * p
-    theta_q = _reduce_theta(curve, 1, pk, pair).coeffs[0]
+    nu = pow(alpha.residue, -1, pk) * (1 if variant == "A" else p)
+    prev = _integral_theta(curve, 1, pair)
+    theta_q = ModInt(prev.coeffs[0], pk)
     layers: dict[int, GroupRingElement] = {}
-    prev = GroupRingElement(1, {0: theta_q})
-    alpha_pow = ModInt(1, pk)
     for n in range(1, n_max + 1):
-        alpha_pow = alpha_pow * alpha
-        cur = _reduce_theta(curve, p**n, pk, pair)
-        nu_prev = norm_map(prev, p**n)
-        layer = (cur - nu_prev.map_coeffs(lambda v: v * nu_coeff)).map_coeffs(
-            lambda v: v * alpha_pow.inverse()
+        cur = _integral_theta(curve, p**n, pair)
+        lift = norm_map(prev, p**n).coeffs
+        scale = pow(alpha.residue, -n, pk)
+        layers[n] = GroupRingElement(
+            p**n,
+            {a: ModInt((v - nu * lift[a]) * scale, pk) for a, v in cur.coeffs.items()},
         )
-        layers[n] = layer
         prev = cur
     return PadicThetaTower(
         curve_label=curve.label,
@@ -213,9 +210,9 @@ def interpolate_character(
         from .curves import curve_by_label
 
         curve = curve_by_label(tower.curve_label)
-    raw = _reduce_theta(curve, p**n, pk, eigen_pair(curve))
+    raw = _integral_theta(curve, p**n, eigen_pair(curve))
     lhs = eval_character(tower.layers[n].map_coeffs(lambda v: v.residue), chi)
-    rhs = eval_character(raw.map_coeffs(lambda v: v.residue), chi) * (
+    rhs = eval_character(raw.map_coeffs(lambda v: v % pk), chi) * (
         tower.alpha.inverse() ** n
     ).residue
     holds = ((lhs - rhs) / pk).den == 1
@@ -226,54 +223,78 @@ def interpolate_character(
 # Iwasawa invariants
 
 
-def _teichmuller(a: int, p: int, pk: int) -> int:
-    x = a % pk
-    while True:
-        y = pow(x, p, pk)
-        if y == x:
-            return x
-        x = y
+def _teichmuller(a: int, p: int, m: int) -> int:
+    """omega(a) mod m = p^j, which is a^(p^(j-1)) mod p^j."""
+    return pow(a, m // p, m)
+
+
+_SHIFT_CUTOFF = 64  # below this many terms one Horner int beats the split
 
 
 def _taylor_shift(c: list[int], pk: int) -> list[int]:
-    """sum_j c_j (1+T)^j mod pk, for residues 0 <= c_j < pk, by Horner in one int.
+    """sum_j c_j (1+T)^j mod pk, for residues 0 <= c_j < pk.
 
-    T^i sits in the bytes [i b, (i+1) b), so acc -> acc (2^(8 b) + 1) + c_j
-    is the step P -> P (1+T) + c_j.  No slot carries into the next: with
-    d = len(c), every coefficient of a partial sum is at most
-    sum_j c_j C(j, i) <= (pk - 1) C(d, i+1) < pk 2^d, which fits in
-    pk.bit_length() + d + 1 <= 8 b bits.
+    Divide and conquer (von zur Gathen and Gerhard, ISSAC 1997): with m
+    the largest power of 2 below the length, P = P0 + X^m P1 shifts to
+    P0(1+T) + (1+T)^m P1(1+T), one multiply of ints packed in b-byte
+    slots and reduced mod pk at once; no slot carries, as each holds at
+    most d (pk - 1)^2 + pk < 2^(8 b).  The powers (1+T)^(2^h) come by
+    squaring, once per call.  Below the cutoff, n terms run Horner's
+    acc -> acc (2^(8 w) + 1) + c_j in one int, whose w-byte slots hold
+    sum_j c_j C(j, i) < pk 2^n.
     """
     d = len(c)
-    b = (pk.bit_length() + d + 8) // 8
-    acc = 0
-    for cj in reversed(c):
-        acc += (acc << 8 * b) + cj
-    raw = acc.to_bytes(b * d, "little")
-    return [int.from_bytes(raw[i * b : (i + 1) * b], "little") % pk for i in range(d)]
+    b = (2 * pk.bit_length() + d.bit_length() + 8) // 8
+
+    def pack(xs):
+        return int.from_bytes(b"".join([x.to_bytes(b, "little") for x in xs]), "little")
+
+    def unpack(x, n, w=b):
+        raw = x.to_bytes(w * n, "little")
+        return [int.from_bytes(raw[i : i + w], "little") % pk for i in range(0, w * n, w)]
+
+    def shift(lo, hi):
+        n = hi - lo
+        if n <= _SHIFT_CUTOFF:
+            w, acc = (pk.bit_length() + n + 8) // 8, 0
+            for cj in reversed(c[lo:hi]):
+                acc += (acc << 8 * w) + cj
+            return unpack(acc, n, w)
+        m = 1 << ((n - 1).bit_length() - 1)
+        return unpack(pack(shift(lo + m, hi)) * squares[m] + pack(shift(lo, lo + m)), n)
+
+    squares = {1: 1 + (1 << 8 * b)}  # m -> packed (1+T)^m mod pk, for m = 2^h < d
+    m = 2
+    while m < d:
+        squares[m] = pack(unpack(squares[m // 2] ** 2, m + 1))
+        m *= 2
+    return shift(0, d)
 
 
 def _component_polynomials(tower: PadicThetaTower, n: int, components) -> dict[int, list[int]]:
     """Layer n in T = gamma - 1 mod p^k, one polynomial per Teichmuller component.
 
-    One pass sums the coefficients into buckets (j, t): <a> = gamma^j and
-    t = omega(a) mod p^k.  Component i weights bucket (j, t) by t^i.
+    The units are a = omega(r) gamma^j for 0 < r < p and j < p^(n-1), so
+    one pass reads row r: the coefficients at omega(r) gamma^j by j.
+    Component i adds row r weighted by omega(r)^i mod p^k.
     """
     p, pk = tower.p, tower.pk
     pn = p**n
-    gamma_order = p ** (n - 1)
-    gamma_pows = {pow(1 + p, j, pn): j for j in range(gamma_order)}
-    buckets: dict[tuple[int, int], int] = {}
-    for a, v in tower.layers[n].coeffs.items():
-        principal = a * pow(_teichmuller(a, p, pn), -1, pn) % pn
-        key = (gamma_pows[principal], _teichmuller(a, p, pk))
-        buckets[key] = buckets.get(key, 0) + v.residue
+    coeffs = tower.layers[n].coeffs
+    rows = []
+    for r in range(1, p):
+        a, row = _teichmuller(r, p, pn), []
+        for _ in range(p ** (n - 1)):
+            row.append(coeffs[a].residue)
+            a = a * (1 + p) % pn
+        rows.append((_teichmuller(r, p, pk), row))
     polys = {}
     for i in components:
-        c = [0] * gamma_order
-        for (j, t), s in buckets.items():
-            c[j] += pow(t, i, pk) * s
-        polys[i] = _taylor_shift([cj % pk for cj in c], pk)
+        c = [0] * p ** (n - 1)
+        for t, row in rows:
+            w = pow(t, i, pk)
+            c = [x + w * y for x, y in zip(c, row)]
+        polys[i] = _taylor_shift([x % pk for x in c], pk)
     return polys
 
 
@@ -309,16 +330,18 @@ class IwasawaInvariants:
     mu: int
     layer: int
     precision: int
-    stable: bool
+    stable: bool  # the reading agrees with the layer below
     component_invariants: dict[int, tuple[int, int]] = field(default_factory=dict)
-    normalization: str = "integral-normalized"  # _reduce_theta refuses other symbols
+    unstable_components: tuple[int, ...] = ()  # components that disagree with the layer below
+    normalization: str = "integral-normalized"  # _integral_theta refuses other symbols
 
 
 def iwasawa_invariants(tower: PadicThetaTower) -> IwasawaInvariants:
     """Finite-layer lambda/mu of the trivial-tame component.
 
-    Reports the reading at the top layer, requiring equality with the
-    layer below; other Teichmuller components are computed alongside.
+    Reports the reading at the top layer, stable when it equals the
+    layer below; other Teichmuller components are read alongside, and
+    those that differ from the layer below are listed as unstable.
     """
     if tower.n_max < 3:
         raise PrecisionError("at least 3 layers are needed")
@@ -330,25 +353,18 @@ def iwasawa_invariants(tower: PadicThetaTower) -> IwasawaInvariants:
         }
         for n in (tower.n_max, tower.n_max - 1)
     )
-    top, below = top_layer[0], below_layer[0]
-    lam, mu = top
+    lam, mu = top_layer[0]
     if mu >= k:
         raise PrecisionError(
             f"precision insufficient: mu >= k = {k} at layer {tower.n_max}"
         )
-    if top != below:
-        raise PrecisionError(
-            f"precision insufficient: reading {top} at layer {tower.n_max} "
-            f"vs {below} at layer {tower.n_max - 1} has not stabilized"
-        )
-    components = {
-        i: ci if ci == below_layer[i] else (-1, -1) for i, ci in top_layer.items()
-    }
+    unstable = tuple(i for i, ci in top_layer.items() if ci != below_layer[i])
     return IwasawaInvariants(
         lambda_=lam,
         mu=mu,
         layer=tower.n_max,
         precision=k,
-        stable=True,
-        component_invariants=components,
+        stable=0 not in unstable,
+        component_invariants=top_layer,
+        unstable_components=unstable,
     )

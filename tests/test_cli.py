@@ -7,6 +7,7 @@ from importlib import import_module
 from pathlib import Path
 
 import pytest
+from padic_oracle import unstable_tower
 
 from mazurtate.cli import main
 
@@ -69,6 +70,29 @@ def test_plfunc_states_iwasawa_normalization(capsys):
     outputs = json.loads(out)["outputs"]
     assert outputs["iwasawa"] == {"lambda": "0", "mu": "2", "layer": "3", "stable": True}
     assert outputs["normalization"] == {"iwasawa": "integral-normalized"}
+
+
+def test_plfunc_reports_an_unstable_reading(capsys, monkeypatch):
+    # no bundled tower moves between its top two layers, so a synthetic
+    # one stands in for the tower the command would build
+    import mazurtate.cli as cli
+
+    monkeypatch.setattr(cli, "stabilize", lambda *args: unstable_tower())
+    code, out, _ = run(
+        capsys, "plfunc", "11a1", "-p", "3", "-k", "4", "-n", "3", "--json", "--no-timing"
+    )
+    outputs = json.loads(out)["outputs"]
+    assert outputs["iwasawa"] == {"lambda": "0", "mu": "1", "layer": "3", "stable": False}
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mazurtate", "--json", "--no-timing", "verify", "siegel-c"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "verify"
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

@@ -5,14 +5,22 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from padic_oracle import (
+    modint_chain_layers,
+    sparse_layer,
+    synthetic_tower,
+    taylor_shift_oracle,
+    unstable_tower,
+)
 
 from mazurtate.arith import ModInt, NonOrdinaryPrime
 from mazurtate.curves import curve_by_label
 from mazurtate.groupring import GroupRingElement, all_characters, trivial_character
 from mazurtate.nt import units_mod
 from mazurtate.padic import (
-    PadicThetaTower,
     PrecisionError,
+    _taylor_shift,
+    _teichmuller,
     interpolate_character,
     interpolate_trivial,
     iwasawa_invariants,
@@ -33,20 +41,6 @@ def scaled(tower, s):
         curve_label=f"{tower.curve_label}*{s}",
         layers={n: x.map_coeffs(lambda v: v * s) for n, x in tower.layers.items()},
         theta_q=tower.theta_q * s,
-        variant="synthetic",
-    )
-
-
-def synthetic_tower(p, k, layers):
-    pk = p**k
-    return PadicThetaTower(
-        curve_label="synthetic",
-        p=p,
-        k=k,
-        alpha=ModInt(1, pk),
-        layers=layers,
-        theta_q=ModInt(0, pk),
-        n_max=max(layers),
         variant="synthetic",
     )
 
@@ -83,6 +77,27 @@ def test_stabilize_refuses_calibrated_symbols(c11, pair11):
     calibrated = (plus.calibrated(calibrate_periods(plus, c11)), minus)
     with pytest.raises(ValueError, match="integral-normalized"):
         stabilize(c11, 3, 4, 2, variant="A", pair=calibrated)
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+@pytest.mark.parametrize(
+    "label, p, k, n_max",
+    [
+        ("11a1", 3, 1, 4),
+        ("11a1", 3, 8, 5),
+        ("11a1", 5, 3, 3),
+        ("11a1", 7, 2, 3),
+        ("37a1", 5, 4, 3),
+    ],
+)
+def test_stabilize_matches_modint_chain(label, p, k, n_max, variant):
+    curve = curve_by_label(label)
+    tower = stabilize(curve, p, k, n_max, variant=variant)
+    oracle = modint_chain_layers(curve, p, k, n_max, variant)
+    assert tower.layers.keys() == oracle.keys()
+    for n, layer in tower.layers.items():
+        assert layer.modulus == oracle[n].modulus == p**n
+        assert layer.coeffs == oracle[n].coeffs  # ModInt equality: residue and modulus
 
 
 @settings(max_examples=8, deadline=None)
@@ -175,6 +190,7 @@ def test_component_invariants_pinned(label, p, k, n, lam_mu, components):
     assert (inv.lambda_, inv.mu) == lam_mu
     assert (inv.layer, inv.precision, inv.stable) == (n, k, True)
     assert inv.component_invariants == components
+    assert inv.unstable_components == ()
     assert inv.normalization == "integral-normalized"
 
 
@@ -183,6 +199,42 @@ def _teichmuller_oracle(a, p, m):
     while pow(x, p, m) != x:
         x = pow(x, p, m)
     return x
+
+
+@pytest.mark.parametrize("p, n_max", [(3, 6), (5, 4), (7, 3)])
+def test_teichmuller_matches_oracle_on_every_unit(p, n_max):
+    for n in range(1, n_max + 1):
+        for a in units_mod(p**n):
+            assert _teichmuller(a, p, p**n) == _teichmuller_oracle(a, p, p**n)
+
+
+SHIFT_MODULI = [3**8, 5**6, 7**4, 3**20]
+
+
+@pytest.mark.parametrize("pk", SHIFT_MODULI)
+@pytest.mark.parametrize("d", [1, 2, 63, 64, 65, 128, 129])
+def test_taylor_shift_matches_binomial_sums(d, pk):
+    rng = random.Random(d * pk)
+    for c in ([rng.randrange(pk) for _ in range(d)], [pk - 1] * d):
+        assert _taylor_shift(c, pk) == taylor_shift_oracle(c, pk)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    st.integers(1, 2200),
+    st.sampled_from(SHIFT_MODULI),
+    st.sampled_from(["random", "sparse", "max"]),
+    st.integers(0, 2**32 - 1),
+)
+@example(2187, 3**20, "max", 0)
+def test_taylor_shift_matches_binomial_sums_random_length(d, pk, fill, seed):
+    rng = random.Random(seed)
+    if fill == "max":
+        c = [pk - 1] * d  # the largest slot values the packing must hold
+    else:
+        density = 1.0 if fill == "random" else 0.05
+        c = [rng.randrange(pk) if rng.random() < density else 0 for _ in range(d)]
+    assert _taylor_shift(c, pk) == taylor_shift_oracle(c, pk)
 
 
 def schoolbook_layer_polynomial(tower, n, component=0):
@@ -321,6 +373,26 @@ def test_precision_error_when_mu_exceeds_k(tower_11_3):
     saturated = scaled(tower_11_3, 3**6)
     with pytest.raises(PrecisionError):
         iwasawa_invariants(saturated)
+
+
+def test_unstable_reading_is_returned_not_raised():
+    inv = iwasawa_invariants(unstable_tower())
+    assert (inv.lambda_, inv.mu, inv.layer, inv.precision) == (0, 1, 3, 4)
+    assert not inv.stable
+    assert inv.unstable_components == (0, 1)
+    assert inv.component_invariants == {0: (0, 1), 1: (0, 1)}
+
+
+def test_unstable_nontrivial_component_is_listed():
+    # sigma_1 + sigma_26 weights: component 0 reads 2 - 1 = 1, component 1
+    # reads 2 + 1 = 3 at layer 3, against 2 and 2 at layer 2
+    p, k = 3, 4
+    layers = {n: sparse_layer(p, k, n, {1: 2}) for n in (1, 2)}
+    layers[3] = sparse_layer(p, k, 3, {1: 2, 26: p**k - 1})
+    inv = iwasawa_invariants(synthetic_tower(p, k, layers))
+    assert (inv.lambda_, inv.mu, inv.stable) == (0, 0, True)
+    assert inv.unstable_components == (1,)
+    assert inv.component_invariants == {0: (0, 0), 1: (0, 1)}
 
 
 def test_min_layers_requirement(c11):
