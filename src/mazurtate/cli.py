@@ -23,7 +23,7 @@ from .arith import ModInt
 from .curves import CatalogError, curve_by_label, euler_factor
 from .groupring import all_characters
 from .kurihara import nonvanishing_search, sieve_admissible
-from .modsym import GOOD_HECKE_BOUND, build_space, calibrate_periods, cusp_count, genus_x0
+from .modsym import build_space, calibrate_periods, cusp_count, genus_x0
 from .nt import primes_up_to
 from .padic import interpolate_trivial, iwasawa_invariants, stabilize
 from .qexp import (
@@ -189,7 +189,7 @@ def cmd_msym(args) -> RunReport:
         plus, minus = eigen_pair(curve)
         report.outputs["eigen_plus"] = list(plus.vector)
         report.outputs["eigen_minus"] = list(minus.vector)
-        report.outputs["hecke_bound"] = GOOD_HECKE_BOUND  # good ell <= this cut the kernels
+        report.outputs["hecke_bound"] = max(plus.hecke_bound, minus.hecke_bound)
         report.outputs["value_plus_at_0"] = plus.value(0)
         if args.calibrate:
             try:

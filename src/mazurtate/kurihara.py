@@ -21,9 +21,8 @@ from math import isqrt
 
 from .arith import ModInt
 from .curves import CurveData, DEFAULT_COUNT_BOUND
-from .modsym import EigenSymbol
+from .modsym import EigenSymbol, build_space, eigen_symbol
 from .nt import factorize, is_prime, is_primitive_root, primes_up_to, smallest_primitive_root
-from .theta import eigen_pair
 
 
 class AdmissibilityError(ValueError):
@@ -165,7 +164,7 @@ def kurihara_number(
                     f"{ell} is not in the admissible set for {curve.label}"
                 )
     if plus_symbol is None:
-        plus_symbol = eigen_pair(curve)[0]
+        plus_symbol = eigen_symbol(build_space(curve.conductor), curve, +1)
     if plus_symbol.scaling_mode != "integral-normalized":
         raise AdmissibilityError("Kurihara numbers use integral-normalized symbols")
     # per-prime log tables reduced into Z/p^k
@@ -247,7 +246,7 @@ def nonvanishing_search(
         raise AdmissibilityError(f"max_factors must be >= 0, got {max_factors}")
     if prime_set is None:
         prime_set = sieve_admissible(curve, p, k, bound)
-    plus = eigen_pair(curve)[0]
+    plus = eigen_symbol(build_space(curve.conductor), curve, +1)
     rows: list[SearchRow] = []
 
     def emit(n: int, factors: tuple[int, ...]):

@@ -230,9 +230,9 @@ class ModularSymbolSpace:
             raise ValueError("level must be >= 1")
         self.N = N
         self._build_p1()
-        self._build_quotient()
-        self._hecke: dict[int, list[list]] = {}
-        self._star: list[list] | None = None
+        self.free_indices, self.reduction = self._quotient(None)
+        self.dimension = len(self.free_indices)
+        self._signed: dict[int, tuple[list[int], list[tuple]]] = {}
 
     def _build_p1(self):
         """Orbit representatives and O(#P^1) index tables (Cremona, ch. 2).
@@ -276,22 +276,23 @@ class ModularSymbolSpace:
     def p1_valid(self, c: int, d: int) -> bool:
         return gcd(c, d, self.N) == 1
 
-    def _build_quotient(self):
-        """Quotient by the Manin relations, as the RREF of the relation rows.
-
-        The 2-term relations pair each symbol i with S i: x_i = -x_{S i},
-        and x_i = 0 when S fixes i.  Writing the smaller index of a pair
-        through the larger one leaves only the 3-term rows to eliminate;
-        the pivots of the relation space are the smaller indices plus the
-        pivots of those rows, so this is the RREF of all the relations.
-        """
+    def _quotient(self, sign):
+        """(free generators, reduction rows) of the quotient by the Manin relations
+        and, for sign = +-1, by x_i = sign x_{star i}.  With x_{S i} = -x_i and
+        x_{star i} = sign x_i, each point is written through the largest of its
+        orbit under <S> or <S, star>, or is 0 if the orbit forces x = -x; those
+        and the 3-term rows' pivots are the pivots of the RREF of all relations."""
         index = self.p1_index
         n = len(self.p1_reps)
-        kept: list[tuple[int, int] | None] = [None] * n  # i -> (pair's larger index, sign)
+        kept: list = [None] * n  # i -> (its orbit's largest point, sign), () when zero
         for i, (c, d) in enumerate(self.p1_reps):
-            j = index(d, -c)  # (c:d) S
-            if i < j:
-                kept[i], kept[j] = (j, -1), (j, 1)
+            if kept[i] is None:  # (c:d) S, star and S star
+                star = [(index(-c, d), sign), (index(d, c), -sign)] if sign else []
+                orbit = [(i, 1), (index(d, -c), -1), *star]
+                coeff = dict(orbit)
+                top, zero = max(coeff), len(set(orbit)) > len(coeff)
+                for t, e in coeff.items():
+                    kept[t] = () if zero else (top, e * coeff[top])
         rows, seen = [], set()
         for i, (c, d) in enumerate(self.p1_reps):
             orbit = (i, index(d, -c - d), index(-c - d, c))  # (c:d) T^k
@@ -310,10 +311,8 @@ class ModularSymbolSpace:
                 rows.append(dict(key))
         pivots = sparse_rref(rows)
         free = [j for j in range(n) if kept[j] and kept[j][0] == j and j not in pivots]
-        self.free_indices = free
-        self.dimension = len(free)
         pos_of = {j: k for k, j in enumerate(free)}
-        reduction: list[tuple] = []
+        reduction: list[tuple] = []  # generator index -> sparse quotient coordinates
         for i in range(n):
             j, e = kept[i] or (None, 0)
             if j in pos_of:
@@ -325,7 +324,15 @@ class ModularSymbolSpace:
                 reduction.append(tuple(sorted(
                     (pos_of[f], _exact(-e * v)) for f, v in row.items() if f != j
                 )))
-        self.reduction = reduction  # generator index -> sparse quotient coordinates
+        return free, reduction
+
+    def sign_quotient(self, sign: int) -> tuple[list[int], list[tuple]]:
+        """``_quotient(sign)`` with integer rows: dual to the sign part, a T_ell module."""
+        if sign not in self._signed:
+            free, reduction = self._quotient(sign)
+            den = lcm(*(v.denominator for row in reduction for _, v in row))
+            self._signed[sign] = free, [tuple((t, int(v * den)) for t, v in row) for row in reduction]
+        return self._signed[sign]
 
     # -- paths ----------------------------------------------------------
 
@@ -344,20 +351,23 @@ class ModularSymbolSpace:
 
     # -- operators --------------------------------------------------------
 
-    def _right_action_matrix(self, mats) -> list[list]:
-        """Dense matrix whose k-th column is the image of free generator k.
-
-        Every matrix here has determinant prime to N, so it maps P^1(Z/N)
-        to itself.
-        """
-        rows = [[0] * self.dimension for _ in range(self.dimension)]
-        index, reduction = self.p1_index, self.reduction
-        for k, gen_idx in enumerate(self.free_indices):
+    def _images(self, mats, free, reduction, a: int = 0) -> list[dict]:
+        """{coordinate: coefficient} of each free generator's image under
+        sum(mats) - a; every matrix has determinant prime to N."""
+        index, images = self.p1_index, []
+        for gen_idx in free:
             c, d = self.p1_reps[gen_idx]
+            col = {t: -a * v for t, v in reduction[gen_idx]} if a else {}
             for p, q, r, s in mats:
                 for t, v in reduction[index(c * p + d * r, c * q + d * s)]:
-                    rows[t][k] += v
-        return rows
+                    col[t] = col.get(t, 0) + v
+            images.append(col)
+        return images
+
+    def _right_action_matrix(self, mats) -> list[list]:
+        """Dense matrix whose k-th column is the image of free generator k."""
+        cols = self._images(mats, self.free_indices, self.reduction)
+        return [[col.get(t, 0) for col in cols] for t in range(self.dimension)]
 
     def hecke_matrix(self, n: int) -> list[list]:
         """T_n in the quotient basis (acting on column vectors).
@@ -369,15 +379,11 @@ class ModularSymbolSpace:
             raise ValueError(
                 f"T_{n} unsupported: {n} shares a factor with the level {self.N}"
             )
-        if n not in self._hecke:
-            self._hecke[n] = self._right_action_matrix(list(merel_matrices(n)))
-        return self._hecke[n]
+        return self._right_action_matrix(list(merel_matrices(n)))
 
     def star_matrix(self) -> list[list]:
         """Involution induced by z |-> -z_bar: (c:d) |-> (-c:d)."""
-        if self._star is None:
-            self._star = self._right_action_matrix([(-1, 0, 0, 1)])
-        return self._star
+        return self._right_action_matrix([(-1, 0, 0, 1)])
 
     def __repr__(self):
         return f"ModularSymbolSpace(N={self.N}, dim={self.dimension})"
@@ -424,6 +430,7 @@ class EigenSymbol:
     along a unimodular path to r.  ``scale`` multiplies every value and
     is fixed with ``scaling_mode`` when the symbol is built: 1 for
     "integral-normalized", the period scalar for "period-calibrated".
+    ``hecke_bound`` is the largest ell whose T_ell cut the kernel, if above 20.
     """
 
     space: ModularSymbolSpace
@@ -433,6 +440,7 @@ class EigenSymbol:
     table: tuple[int, ...]
     scale: Fraction = Fraction(1)
     scaling_mode: str = "integral-normalized"
+    hecke_bound: int = GOOD_HECKE_BOUND
 
     def half_value(self, a: int, M: int) -> int:
         """[a/M] for 0 <= a <= M/2 prime to M, in the integral normalization.
@@ -491,23 +499,94 @@ class EigenSymbol:
         return replace(self, scale=Fraction(lam), scaling_mode="period-calibrated")
 
 
-def _eigen_kernel(space, sign, eigenvalues) -> list[list[int]]:
-    """Simultaneous left eigenspace of the star involution and all good T_ell.
+_Q = 2**31 - 1  # the eigen kernel's prime
+_SLOT = 12  # bytes per packed entry: room for 2^34 products of two residues
 
-    Successive restriction: each condition v (A - lambda) = 0 is solved
-    on the span of the vectors meeting the earlier ones.  Every good
-    ell <= GOOD_HECKE_BOUND, given as (ell, a_ell) in ``eigenvalues``,
-    cuts the space, whatever its dimension.
-    """
-    dim = space.dimension
-    conditions = [(space.star_matrix(), sign)] + [
-        (space.hecke_matrix(ell), a) for ell, a in eigenvalues
-    ]
-    basis = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    for mat, lam in conditions:
-        image = [_combine(v, mat, [-lam * x for x in v]) for v in basis]
-        basis = [_combine(ys, basis, [0] * dim) for ys in left_kernel(image)]
+
+def left_kernel_mod_q(rows: list[int], m: int, n: int) -> list[list[int]]:
+    """Left kernel mod _Q of the first m of the n slots of packed rows: each
+    row adds (_Q - x) times the pivot row of each column holding x, so a slot
+    grows by < _Q^2 a pivot and the row is reduced once, to a pivot row (1 at
+    its pivot) or, if its first m slots vanish, a kernel vector (the rest)."""
+    mask, pivots, kernel = (1 << 8 * _SLOT) - 1, {}, []
+    for row in rows:
+        for c in sorted(pivots):
+            if x := (row >> 8 * _SLOT * c & mask) % _Q:
+                row += (_Q - x) * pivots[c]
+        data = row.to_bytes(_SLOT * n, "little")
+        vals = [int.from_bytes(data[i : i + _SLOT], "little") % _Q for i in range(0, len(data), _SLOT)]
+        lead = next((c for c in range(m) if vals[c]), m)
+        if lead == m:
+            kernel.append(vals[m:])
+            continue
+        inv = pow(vals[lead], -1, _Q)
+        data = b"".join((v * inv % _Q).to_bytes(_SLOT, "little") for v in vals)
+        pivots[lead] = int.from_bytes(data, "little")
+    return kernel
+
+
+def _kernel_mod_q(space, free, reduction, eigenvalues) -> list[list[int]] | None:
+    """Kernel mod _Q of the T_ell - a_ell read, on rows [T_ell - a | I] packed
+    into ints; the next ell is read only while the kernel is wider than a line."""
+    d, basis = len(free), None
+    for ell, a in eigenvalues:
+        rows = [1 << 8 * _SLOT * (d + t) for t in range(d)]
+        for k, col in enumerate(space._images(list(merel_matrices(ell)), free, reduction, a)):
+            for t, v in col.items():
+                rows[t] += v % _Q << 8 * _SLOT * k
+        if basis is not None:
+            rows = [sum(x * row for x, row in zip(v, rows) if x) for v in basis]
+        if len(basis := left_kernel_mod_q(rows, d, 2 * d)) <= 1:
+            break
     return basis
+
+
+def _exact_kernel(space, curve, free, reduction, eigenvalues):
+    """Successive restriction over Q with ``left_kernel``, and the largest ell
+    read: every (ell, a_ell) given cuts the space, and while it is wider than
+    a line so do the good ell up to the Sturm bound [SL_2(Z):Gamma_0(N)]/6."""
+    N, d, bound, read = space.N, len(free), GOOD_HECKE_BOUND, dict(eigenvalues)
+    basis = [[int(i == j) for j in range(d)] for i in range(d)]
+    sturm = [ell for ell in primes_up_to(index_gamma0(N) // 6) if ell > bound and N % ell]
+    for ell in [*read, *sturm]:
+        if ell > GOOD_HECKE_BOUND and len(basis) <= 1:
+            break
+        bound, a = max(bound, ell), (read[ell] if ell in read else curve.ap(ell))
+        images = space._images(list(merel_matrices(ell)), free, reduction, a)
+        image = [[sum(v[t] * x for t, x in col.items()) for col in images] for v in basis]
+        basis = [_combine(ys, basis, [0] * d) for ys in left_kernel(image)]
+    return basis, bound
+
+
+def _lift(vec: list[int]) -> list[int] | None:
+    """Integers = a multiple of vec mod _Q: each entry times the denominators
+    before it is read as n/d with |n|, d <= sqrt(_Q/2) (Wang's reconstruction)."""
+    den, out = 1, []
+    for x in vec:
+        r0, r1, s0, s1 = _Q, x * den % _Q, 0, 1
+        while 2 * r1 * r1 > _Q:
+            r0, r1, s0, s1 = r1, r0 % r1, s1, s0 - r0 // r1 * s1
+        if 2 * s1 * s1 > _Q or gcd(r1, s1) != 1:
+            return None
+        out.append(Fraction(r1, s1 * den))
+        den *= abs(s1)
+    return [int(v * den) for v in out]
+
+
+def _certified(space, free, table, eigenvalues) -> bool:
+    """Whether sum_M table[x M] = a_ell table[x] for every free x and (ell, a_ell)."""
+    N, inv, index, reps = space.N, space._inv, space.p1_index, space.p1_reps
+    for ell, a in eigenvalues:
+        mats = list(merel_matrices(ell))
+        for c, d in (reps[gen] for gen in free):
+            total = 0
+            for p, q, r, s in mats:
+                x, y = c * p + d * r, c * q + d * s
+                u = inv[x % N]
+                total += table[1 + y * u % N] if u else table[index(x, y)]
+            if total != a * table[index(c, d)]:
+                return False
+    return True
 
 
 def _combine(coeffs, rows, acc):
@@ -526,9 +605,11 @@ def eigen_symbol(space: ModularSymbolSpace, curve: CurveData, sign: int) -> Eige
 
     The simultaneous (T_ell, a_ell) eigenspace in the given sign part
     must be one-dimensional; an oldform collision raises
-    ``NotNewformError``.  Symbols are cached by the curve model
-    (a-invariants and conductor) and the a_ell the kernel reads, never by
-    its label.
+    ``NotNewformError``.  It is solved on the sign quotient mod _Q, lifted
+    and certified: rank mod _Q <= rank over Q, so a lift that is an exact
+    eigenvector for every good ell <= GOOD_HECKE_BOUND spans the eigenspace,
+    and an empty kernel mod _Q is empty over Q; else it is solved over Q.
+    Symbols are cached by the curve model and the a_ell read, not by label.
     """
     if curve.conductor != space.N:
         raise ValueError(
@@ -541,29 +622,29 @@ def eigen_symbol(space: ModularSymbolSpace, curve: CurveData, sign: int) -> Eige
     key = (curve.a_invariants, curve.conductor, sign, eigenvalues)
     if key in _eigen_cache:
         return _eigen_cache[key]
-    basis = _eigen_kernel(space, sign, eigenvalues)
-    if len(basis) != 1:
-        raise NotNewformError(
-            f"eigenspace for {curve.label} (sign {sign:+d}) has dimension "
-            f"{len(basis)}: not new / ambiguous"
-        )
-    vec = basis[0]
-    # scale so that the value set on Manin generators is Z with content 1
-    values = [sum(vec[t] * v for t, v in red) for red in space.reduction]
-    den = lcm(*(v.denominator for v in values))
-    ints = [int(v * den) for v in values]
-    content = gcd(*ints)
-    assert content > 0, "eigen functional vanishes on all generators"
-    vec = [_exact(v * Fraction(den, content)) for v in vec]
-    table = [v // content for v in ints]
-    sym = EigenSymbol(space, curve.label, sign, tuple(vec), tuple(table))
+    free, reduction = space.sign_quotient(sign)
+    basis, bound = _kernel_mod_q(space, free, reduction, eigenvalues), GOOD_HECKE_BOUND
+    lift = _lift(basis[0]) if basis and len(basis) == 1 else None
+    table = lift and [sum(lift[t] * v for t, v in row) for row in reduction]
+    if not (table and _certified(space, free, table, eigenvalues)):
+        if basis != []:
+            basis, bound = _exact_kernel(space, curve, free, reduction, eigenvalues)
+        if len(basis) != 1:
+            raise NotNewformError(
+                f"eigenspace for {curve.label} (sign {sign:+d}) has dimension "
+                f"{len(basis)}: not new / ambiguous"
+            )
+        table = [sum(basis[0][t] * v for t, v in row) for row in reduction]
+    content = gcd(*table)
+    table = tuple(v // content for v in table)
+    vec = tuple(table[j] for j in space.free_indices)  # generator k's row is ((k, 1),)
+    sym = EigenSymbol(space, curve.label, sign, vec, table, hecke_bound=bound)
     # sign normalization
     anchor = sym.raw_value(0) if sign == 1 else 0
     if anchor < 0 or (anchor == 0 and next((v for v in vec if v != 0), 1) < 0):
-        sym = EigenSymbol(
-            space, curve.label, sign, tuple(-v for v in vec), tuple(-v for v in table)
-        )
-    _eigen_cache[key] = sym
+        sym = replace(sym, vector=tuple(-v for v in vec), table=tuple(-v for v in table))
+    if bound == GOOD_HECKE_BOUND:  # the a_ell read past it are not in the key
+        _eigen_cache[key] = sym
     return sym
 
 

@@ -3,15 +3,18 @@
 The orbit enumeration of P^1(Z/N), the elimination of all 2- and 3-term
 Manin relations at once over ``Fraction``, and dense Hecke matrices built
 from dense reduction vectors.  They are quadratic in N and slow, and they
-are the oracles ``ModularSymbolSpace`` is checked against.
+are the oracles ``ModularSymbolSpace`` is checked against.  The eigen
+kernel by exact successive restriction on the full space, with dense star
+and Hecke matrices, is the oracle for ``eigen_symbol``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from mazurtate.nt import units_mod
+from mazurtate.modsym import GOOD_HECKE_BOUND, EigenSymbol, left_kernel
+from mazurtate.nt import primes_up_to, units_mod
 
 
 def orbit_p1(N: int):
@@ -166,3 +169,50 @@ def unimodular_path_hj(r) -> list[tuple[int, int]]:
         p_m2, q_m2, p_m1, q_m1 = p_m1, q_m1, p, q
         x, y = y, a * y - x
     return symbols
+
+
+def _eigen_kernel(space, sign, eigenvalues) -> list[list[int]]:
+    """Simultaneous left eigenspace of the star involution and all good T_ell.
+
+    Successive restriction: each condition v (A - lambda) = 0 is solved
+    on the span of the vectors meeting the earlier ones.  Every good
+    ell <= GOOD_HECKE_BOUND, given as (ell, a_ell) in ``eigenvalues``,
+    cuts the space, whatever its dimension.
+    """
+    dim = space.dimension
+    conditions = [(space.star_matrix(), sign)] + [
+        (space.hecke_matrix(ell), a) for ell, a in eigenvalues
+    ]
+    basis = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for mat, lam in conditions:
+        image = [_combine(v, mat, [-lam * x for x in v]) for v in basis]
+        basis = [_combine(ys, basis, [0] * dim) for ys in left_kernel(image)]
+    return basis
+
+
+def _combine(coeffs, rows, acc):
+    """acc + sum_i coeffs[i] * rows[i], on dense integer rows."""
+    for x, row in zip(coeffs, rows):
+        if x:
+            acc = [a + x * b for a, b in zip(acc, row)]
+    return acc
+
+
+def oracle_eigen_symbol(space, curve, sign) -> tuple[tuple, tuple]:
+    """(vector, table) of the eigen-symbol from ``_eigen_kernel`` on the full space.
+
+    The kernel must be a line; its value table is scaled to Z with content
+    1 and signed by [0]^+ >= 0 (+) or a positive first coordinate.
+    """
+    good = [ell for ell in primes_up_to(GOOD_HECKE_BOUND) if space.N % ell]
+    (vec,) = _eigen_kernel(space, sign, [(ell, curve.ap(ell)) for ell in good])
+    values = [sum(vec[t] * v for t, v in red) for red in space.reduction]
+    den = lcm(*(Fraction(v).denominator for v in values))
+    ints = [int(v * den) for v in values]
+    content = gcd(*ints)
+    vec = tuple(Fraction(v * den, content) for v in vec)
+    table = tuple(v // content for v in ints)
+    anchor = EigenSymbol(space, curve.label, sign, vec, table).raw_value(0) if sign == 1 else 0
+    if anchor < 0 or (anchor == 0 and next(v for v in vec if v) < 0):
+        vec, table = tuple(-v for v in vec), tuple(-v for v in table)
+    return vec, table

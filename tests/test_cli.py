@@ -267,6 +267,31 @@ def test_msym_states_hecke_bound(capsys):
     assert code == 0 and "hecke_bound" not in json.loads(out)["outputs"]
 
 
+def test_msym_reports_the_hecke_bound_it_used(capsys, monkeypatch, tmp_path):
+    # with the cut-off at 2, 57a1's eigenspaces need T_5 (Sturm bound 13)
+    from mazurtate import modsym
+
+    catalog = tmp_path / "curves.cat"
+    catalog.write_text("57a1 [0,-1,1,-2,2] 57 ?\n")
+    monkeypatch.setattr(modsym, "GOOD_HECKE_BOUND", 2)
+    code, out, _ = run(capsys, "--catalog", str(catalog), "msym", "57a1", "--json", "--no-timing")
+    assert code == 0
+    assert json.loads(out)["outputs"]["hecke_bound"] == "5"
+
+
+# SHA-256 of `msym 5077a1 --json --no-timing`, recorded with the eigen
+# kernel solved by exact successive restriction on the full space (dimension
+# 845, about a minute); the sign quotients and the kernel mod q must print
+# the same bytes
+PINNED_MSYM_5077A1 = "adaaad724a8f887588de3cefd6c376c64c9fb1816edd8c80b1030ca6dad168a6"
+
+
+def test_msym_5077a1_output_pinned(capsys):
+    code, out, _ = run(capsys, "msym", "5077a1", "--json", "--no-timing")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MSYM_5077A1
+
+
 # SHA-256 of the --json --no-timing output, recorded with the schoolbook
 # series product and inverse, the product of binomials for gamma and a
 # dict of CycElt terms for the dlog sums; the packed product, the Newton

@@ -9,12 +9,14 @@ from modsym_oracle import (
     OracleSpace,
     dense,
     mat_mul,
+    oracle_eigen_symbol,
     orbit_min,
     orbit_p1,
     unimodular_path_hj,
     vec_mat,
 )
 
+from mazurtate import modsym
 from mazurtate.curves import CurveData, curve_by_label
 from mazurtate.modsym import (
     CalibrationError,
@@ -27,6 +29,7 @@ from mazurtate.modsym import (
     genus_x0,
     index_gamma0,
     left_kernel,
+    left_kernel_mod_q,
     merel_matrices,
     sparse_rref,
     unimodular_path,
@@ -353,12 +356,8 @@ def test_level_4999_passes_dimension_check(capsys):
 # ---------------------------------------------------------------------------
 # The Euclid-chain walk behind raw_value and values_mod
 
-CURVE_389A1 = CurveData("389a1", (0, 1, 1, -2, 0), 389)
-
-
 def _symbol(label, part):
-    curve = CURVE_389A1 if label == "389a1" else curve_by_label(label)
-    return eigen_pair(curve)[part]
+    return eigen_pair(curve_by_label(label))[part]
 
 
 def _path_sum(sym, r):
@@ -436,3 +435,143 @@ def test_calibrated_values_mod_scales_every_value(pair11, M):
     assert scaled == {a: lam * v for a, v in plus.values_mod(M).items()}
     assert list(scaled) == list(units_mod(M))
     assert all(isinstance(v, Fraction) for v in scaled.values())
+
+
+# ---------------------------------------------------------------------------
+# The eigen kernel: sign quotient, kernel mod q, exact certificate
+
+Q = modsym._Q
+
+
+@pytest.mark.parametrize("N", [*range(1, 121), 389])
+def test_sign_quotients_split_the_space(N):
+    # each sign quotient is dual to the star eigenspace of that sign, and
+    # over Q the two eigenspaces add up to the whole space
+    space = build_space(N)
+    star = space.star_matrix()
+    dims = []
+    for sign in (1, -1):
+        free, reduction = space.sign_quotient(sign)
+        assert all(type(v) is int for row in reduction for _, v in row)
+        shifted = [[x - sign * (i == j) for j, x in enumerate(row)] for i, row in enumerate(star)]
+        assert len(free) == len(left_kernel(shifted))
+        dims.append(len(free))
+    assert sum(dims) == space.dimension
+    if N == 389:
+        assert dims == [33, 32]
+
+
+def _kernel_mod_q_lifted(mat):
+    """left_kernel_mod_q on [M | I], each kernel vector lifted to Z."""
+    m = len(mat[0])
+    rows = [
+        sum((x % Q) << 8 * modsym._SLOT * k for k, x in enumerate(row + [0] * i + [1]))
+        for i, row in enumerate(mat)
+    ]
+    return [modsym._lift(v) for v in left_kernel_mod_q(rows, m, m + len(mat))]
+
+
+def _rref(vectors):
+    return sparse_rref([{j: x for j, x in enumerate(v) if x} for v in vectors])
+
+
+_small_matrices = st.integers(1, 6).flatmap(
+    lambda m: st.lists(
+        st.lists(st.integers(-2, 2), min_size=m, max_size=m)
+        | st.just([0] * m)
+        | st.sampled_from([[1] + [0] * (m - 1), [-2] + [0] * (m - 1)]),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_matrices)
+@example([[0, 0], [0, 0]])
+@example([[1, 2], [2, 4], [3, 6]])
+@example([[0, 1, -1]])
+def test_kernel_mod_q_lifts_to_left_kernel(mat):
+    # repeated, zero and proportional rows make the matrices rank-deficient
+    lifted = _kernel_mod_q_lifted(mat)
+    assert all(v is not None for v in lifted)
+    assert all(sum(x * row[k] for x, row in zip(v, mat)) == 0 for v in lifted for k in range(len(mat[0])))
+    assert _rref(lifted) == _rref(left_kernel(mat))
+
+
+def test_multiples_of_q_vanish_mod_q_but_not_over_q():
+    mat = [[Q, 0], [0, 1], [2 * Q, 3 * Q]]
+    assert len(_kernel_mod_q_lifted(mat)) == 2
+    assert len(left_kernel(mat)) == 1
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_shift_by_q_takes_the_exact_fallback(monkeypatch, sign):
+    # a_ell + q for every ell: every T_ell - a_ell is the true one mod q, so
+    # the kernel mod q is the newform's line, but over Q it is empty; the
+    # certificate must reject the lift and left_kernel give the answer
+    c11 = curve_by_label("11a1")
+    fake = CurveData("shifted11", c11.a_invariants, 11)
+    fake.ap_cache.update({ell: c11.ap(ell) + Q for ell in primes_up_to(20) if ell != 11})
+    calls = []
+
+    def counted(mat):
+        calls.append(len(mat))
+        return left_kernel(mat)
+
+    monkeypatch.setattr(modsym, "left_kernel", counted)
+    with pytest.raises(NotNewformError, match="dimension 0"):
+        eigen_symbol(build_space(11), fake, sign)
+    assert calls
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("label", ["11a1", "11a3", "37a1", "389a1"])
+def test_eigen_symbol_matches_full_space_oracle(label, sign):
+    curve = curve_by_label(label)
+    space = build_space(curve.conductor)
+    sym = eigen_symbol(space, curve, sign)
+    assert (sym.vector, sym.table) == oracle_eigen_symbol(space, curve, sign)
+    assert all(type(v) is int for v in sym.vector + sym.table)
+    assert sym.hecke_bound == 20
+
+
+@pytest.mark.parametrize("label", ["11a1", "37a1", "389a1"])
+def test_eigen_symbol_takes_the_fast_path(monkeypatch, label):
+    def refuse(mat):
+        raise AssertionError("the exact fallback ran")
+
+    monkeypatch.setattr(modsym, "left_kernel", refuse)
+    monkeypatch.setattr(modsym, "_eigen_cache", {})
+    curve = curve_by_label(label)
+    space = ModularSymbolSpace(curve.conductor)
+    for sign in (1, -1):
+        assert eigen_symbol(space, curve, sign).table
+
+
+# 57a1 and 57b1 share a_2 = -2 (a_5 = -3 and 1), so with the cut-off at 2
+# each sign's eigenspace is a plane until T_5 splits it
+CURVE_57A1 = CurveData("57a1", (0, -1, 1, -2, 2), 57)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sturm_bound_continues_past_the_cut_off(monkeypatch, sign):
+    space = build_space(57)
+    full = eigen_symbol(space, CURVE_57A1, sign)
+    monkeypatch.setattr(modsym, "GOOD_HECKE_BOUND", 2)
+    cut = eigen_symbol(space, CurveData("57a1", CURVE_57A1.a_invariants, 57), sign)
+    assert cut.hecke_bound == 5 and full.hecke_bound == 20
+    assert (cut.vector, cut.table) == (full.vector, full.table)
+
+
+def test_sturm_bound_is_the_last_resort(monkeypatch):
+    # the oldform plane of 11a1 at level 22 never splits: the kernel reads
+    # good ell up to [SL2(Z) : Gamma_0(22)] / 6 = 6 and still says 2
+    monkeypatch.setattr(modsym, "GOOD_HECKE_BOUND", 3)
+    read = []
+    fake = CurveData("fake22", (0, -1, 1, -10, -20), 22)
+    ap = fake.ap
+    monkeypatch.setattr(fake, "ap", lambda ell: read.append(ell) or ap(ell))
+    with pytest.raises(NotNewformError, match="dimension 2"):
+        eigen_symbol(build_space(22), fake, 1)
+    assert sorted(set(read)) == [3, 5]
