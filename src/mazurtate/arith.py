@@ -14,12 +14,12 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from .nt import divisors, euler_phi, factorize, is_prime
+from .records import Frozen
 
 Rat = Fraction
 
@@ -48,17 +48,16 @@ def as_rat(x) -> Fraction:
 # Residue rings
 
 
-@dataclass(frozen=True)
-class ModInt:
+class ModInt(Frozen):
     """An element of Z/modulus, 0 <= residue < modulus."""
 
-    residue: int
-    modulus: int
+    __slots__ = ("residue", "modulus")
 
-    def __post_init__(self):
-        if self.modulus <= 0:
+    def __init__(self, residue: int, modulus: int):
+        if modulus <= 0:
             raise ValueError("modulus must be positive")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+        object.__setattr__(self, "residue", residue % modulus)
+        object.__setattr__(self, "modulus", modulus)
 
     def _coerce(self, other) -> "ModInt":
         if isinstance(other, ModInt):

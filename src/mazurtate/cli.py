@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 # Every traced layer is imported here, not per command: perfbench's tracer
@@ -40,6 +39,7 @@ from .qexp import (
     theta_lead_exponent,
     zeta_modular_form,
 )
+from .records import Record
 from .theta import adjudicate_norm_relations, eigen_pair, theta_element
 
 
@@ -47,20 +47,28 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class Check:
-    name: str
-    status: str  # pass | fail | vacuous
-    witness: str | None = None
+class Check(Record):
+    # status: pass | fail | vacuous
+    __slots__ = ("name", "status", "witness")
+    _defaults = {"witness": None}
 
 
-@dataclass
-class RunReport:
-    command: str
-    inputs: dict
-    outputs: dict = field(default_factory=dict)
-    checks: list[Check] = field(default_factory=list)
-    timing: float | None = None
+class RunReport(Record):
+    __slots__ = ("command", "inputs", "outputs", "checks", "timing")
+
+    def __init__(
+        self,
+        command: str,
+        inputs: dict,
+        outputs: dict | None = None,
+        checks: list[Check] | None = None,
+        timing: float | None = None,
+    ):
+        self.command = command
+        self.inputs = inputs
+        self.outputs = {} if outputs is None else outputs
+        self.checks = [] if checks is None else checks
+        self.timing = timing
 
     def exit_code(self) -> int:
         return 0 if all(c.status in ("pass", "vacuous") for c in self.checks) else 1

@@ -14,9 +14,9 @@ negative.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .nt import is_prime
+from .records import Frozen, Record
 
 DEFAULT_COUNT_BOUND = 4000
 
@@ -33,20 +33,28 @@ class BoundExceeded(ValueError):
     pass
 
 
-@dataclass
-class CurveData:
+class CurveData(Record):
     """Integer Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
 
-    label: str
-    a_invariants: tuple[int, int, int, int, int]
-    conductor: int
-    fricke_sign: int | None = None
-    known_rank: int | None = None
-    ap_cache: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("label", "a_invariants", "conductor", "fricke_sign", "known_rank", "ap_cache")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        label: str,
+        a_invariants: tuple[int, int, int, int, int],
+        conductor: int,
+        fricke_sign: int | None = None,
+        known_rank: int | None = None,
+        ap_cache: dict[int, int] | None = None,
+    ):
+        self.label = label
+        self.a_invariants = a_invariants
+        self.conductor = conductor
+        self.fricke_sign = fricke_sign
+        self.known_rank = known_rank
+        self.ap_cache = {} if ap_cache is None else ap_cache
         if self.discriminant() == 0:
-            raise CatalogError(f"curve {self.label}: singular model")
+            raise CatalogError(f"curve {label}: singular model")
         for ell, a in self.ap_cache.items():
             _validate_ap(self, ell, a)
 
@@ -83,7 +91,8 @@ class CurveData:
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
     def ap(self, ell: int, bound: int = DEFAULT_COUNT_BOUND) -> int:
-        """a_ell at any prime, dispatching on reduction type; memoized."""
+        """a_ell at any prime, dispatching on reduction type; memoized, as
+        ``count_points`` and ``bad_ap`` store into ``ap_cache``."""
         if ell in self.ap_cache:
             return self.ap_cache[ell]
         a = bad_ap(self, ell) if self.conductor % ell == 0 else count_points(
@@ -221,12 +230,10 @@ def bad_ap(curve: CurveData, ell: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
-class EulerFactor:
+class EulerFactor(Frozen):
     """P_ell(x) = det(1 - x Frob_ell), as integer coefficients [1, ...]."""
 
-    prime: int
-    coefficients: tuple[int, ...]
+    __slots__ = ("prime", "coefficients")
 
     def degree(self) -> int:
         return len(self.coefficients) - 1

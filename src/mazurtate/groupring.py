@@ -14,7 +14,6 @@ unity in the field of the character's order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -26,6 +25,7 @@ from .nt import (
     unit_group_generators,
     units_mod,
 )
+from .records import Frozen
 
 
 class GroupRingElement:
@@ -210,8 +210,7 @@ def norm_map(x: GroupRingElement, target: int) -> GroupRingElement:
 # Dirichlet characters
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(Frozen):
     """Character of (Z/dZ)^x, stored by exponents on unit-group generators.
 
     ``exponents[i]`` is t_i with chi(g_i) = zeta_e^{t_i}, where e is the
@@ -219,17 +218,18 @@ class DirichletCharacter:
     t_i is a multiple of e / order(g_i), which construction validates).
     """
 
-    modulus: int
-    exponents: tuple[int, ...]
+    __slots__ = ("modulus", "exponents")
 
-    def __post_init__(self):
-        gens = unit_group_generators(self.modulus)
-        if len(self.exponents) != len(gens):
+    def __init__(self, modulus: int, exponents: tuple[int, ...]):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "exponents", exponents)
+        gens = unit_group_generators(modulus)
+        if len(exponents) != len(gens):
             raise ValueError(
-                f"modulus {self.modulus} needs {len(gens)} generator images"
+                f"modulus {modulus} needs {len(gens)} generator images"
             )
         e = self.group_exponent()
-        for t, (_, order) in zip(self.exponents, gens):
+        for t, (_, order) in zip(exponents, gens):
             if (t * order) % e != 0:
                 raise ValueError(
                     f"exponent {t} incompatible with generator order {order}"

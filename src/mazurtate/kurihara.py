@@ -16,13 +16,13 @@ moves each value by a unit only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .arith import ModInt
 from .curves import CurveData, DEFAULT_COUNT_BOUND
 from .modsym import EigenSymbol, build_space, eigen_symbol
 from .nt import factorize, is_prime, is_primitive_root, primes_up_to, smallest_primitive_root
+from .records import Record
 
 
 class AdmissibilityError(ValueError):
@@ -35,14 +35,9 @@ def _precision_modulus(p: int, k: int) -> int:
     return p**k
 
 
-@dataclass
-class AdmissiblePrimeSet:
-    curve_label: str
-    p: int
-    k: int
-    bound: int
-    primes: list[int]
-    eta: dict[int, int]  # ell -> chosen primitive root
+class AdmissiblePrimeSet(Record):
+    # eta: ell -> chosen primitive root
+    __slots__ = ("curve_label", "p", "k", "bound", "primes", "eta")
 
     def __contains__(self, ell: int) -> bool:
         return ell in self.eta
@@ -107,13 +102,9 @@ def discrete_log(ell: int, eta: int, a: int) -> ModInt:
     raise AssertionError("BSGS must find a logarithm for a primitive root")
 
 
-@dataclass
-class KuriharaNumber:
-    n: int
-    p: int
-    k: int
-    value: ModInt
-    ideal_valuation: int  # v_p of I_n = prod (ell-1, 1 - a_ell + ell)
+class KuriharaNumber(Record):
+    # ideal_valuation: v_p of I_n = prod (ell-1, 1 - a_ell + ell)
+    __slots__ = ("n", "p", "k", "value", "ideal_valuation")
 
     @property
     def vanishes(self) -> bool:
@@ -202,24 +193,12 @@ def kurihara_number(
     )
 
 
-@dataclass
-class SearchRow:
-    n: int
-    factors: tuple[int, ...]
-    value: ModInt
-    unit_class: str
-    vanishes: bool
+class SearchRow(Record):
+    __slots__ = ("n", "factors", "value", "unit_class", "vanishes")
 
 
-@dataclass
-class NonvanishingTable:
-    curve_label: str
-    p: int
-    k: int
-    bound: int
-    max_factors: int
-    rows: list[SearchRow]
-    found_nonvanishing: bool
+class NonvanishingTable(Record):
+    __slots__ = ("curve_label", "p", "k", "bound", "max_factors", "rows", "found_nonvanishing")
 
     def summary(self) -> str:
         verdict = (

@@ -19,12 +19,12 @@ the sign of the - functional by its first nonzero coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 
 from .curves import CurveData
 from .nt import divisors, euler_phi, factorize, primes_up_to
+from .records import Frozen
 
 
 class NotNewformError(ValueError):
@@ -420,8 +420,7 @@ def merel_matrices(n: int):
 GOOD_HECKE_BOUND = 20
 
 
-@dataclass(frozen=True)
-class EigenSymbol:
+class EigenSymbol(Frozen):
     """Hecke-eigen functional on a symbol space, one sign at a time.
 
     ``vector`` is a left eigenvector of the Hecke matrices (a functional
@@ -433,14 +432,12 @@ class EigenSymbol:
     ``hecke_bound`` is the largest ell whose T_ell cut the kernel, if above 20.
     """
 
-    space: ModularSymbolSpace
-    curve_label: str
-    sign: int
-    vector: tuple[int, ...]
-    table: tuple[int, ...]
-    scale: Fraction = Fraction(1)
-    scaling_mode: str = "integral-normalized"
-    hecke_bound: int = GOOD_HECKE_BOUND
+    __slots__ = (
+        "space", "curve_label", "sign", "vector", "table", "scale", "scaling_mode", "hecke_bound"
+    )
+    _defaults = {
+        "scale": Fraction(1), "scaling_mode": "integral-normalized", "hecke_bound": GOOD_HECKE_BOUND
+    }
 
     def half_value(self, a: int, M: int) -> int:
         """[a/M] for 0 <= a <= M/2 prime to M, in the integral normalization.
@@ -452,6 +449,7 @@ class EigenSymbol:
         adds table[(x : y)] and steps x, y = y, x % y, down to (1 : 0);
         the pairs at even distance from (1 : 0) take the factor ``sign``,
         as table[(c : -d)] = sign table[(c : d)] (Cremona 1997, ch. 2).
+        (1 : 0) itself is P^1 point 1, as (1 : d) is point 1 + d for N > 1.
         """
         space, table = self.space, self.table
         N, inv = space.N, space._inv
@@ -462,7 +460,7 @@ class EigenSymbol:
             u = inv[x % N]
             odd, even = even, odd + (table[1 + y * u % N] if u else table[space.p1_index(x, y)])
             x, y = y, x % y
-        return self.sign * (odd + table[space.p1_index(1, 0)]) + even
+        return self.sign * (odd + table[1]) + even
 
     def raw_value(self, r) -> int:
         """[r] in the integral normalization, whatever the symbol's scale.
@@ -496,7 +494,7 @@ class EigenSymbol:
 
     def calibrated(self, lam: Fraction) -> "EigenSymbol":
         """The period-calibrated symbol lam * [r], as a new value."""
-        return replace(self, scale=Fraction(lam), scaling_mode="period-calibrated")
+        return self._replace(scale=Fraction(lam), scaling_mode="period-calibrated")
 
 
 _Q = 2**31 - 1  # the eigen kernel's prime
@@ -642,7 +640,7 @@ def eigen_symbol(space: ModularSymbolSpace, curve: CurveData, sign: int) -> Eige
     # sign normalization
     anchor = sym.raw_value(0) if sign == 1 else 0
     if anchor < 0 or (anchor == 0 and next((v for v in vec if v != 0), 1) < 0):
-        sym = replace(sym, vector=tuple(-v for v in vec), table=tuple(-v for v in table))
+        sym = sym._replace(vector=tuple(-v for v in vec), table=tuple(-v for v in table))
     if bound == GOOD_HECKE_BOUND:  # the a_ell read past it are not in the key
         _eigen_cache[key] = sym
     return sym

@@ -16,23 +16,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .curves import CurveData
+from .records import Frozen
 
 
 class OracleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LValueOracle:
-    curve_label: str
-    lvalue: float
-    omega_plus: float
-    tail_bound: float
-    terms: int
-    real_components: int
+class LValueOracle(Frozen):
+    __slots__ = ("curve_label", "lvalue", "omega_plus", "tail_bound", "terms", "real_components")
 
     @property
     def normalized(self) -> float:

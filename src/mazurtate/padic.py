@@ -19,9 +19,7 @@ and calls the reading stable when the layer below gives the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .arith import CycElt, ModInt, NonOrdinaryPrime, hensel_unit_root
+from .arith import ModInt, NonOrdinaryPrime, hensel_unit_root
 from .curves import CurveData
 from .groupring import (
     DirichletCharacter,
@@ -32,6 +30,7 @@ from .groupring import (
     project,
 )
 from .nt import is_prime
+from .records import Record
 from .theta import adjudicated_variant, eigen_pair, integrality_report, theta_element
 
 
@@ -43,16 +42,11 @@ class PrecisionError(ValueError):
 # The tower
 
 
-@dataclass
-class PadicThetaTower:
-    curve_label: str
-    p: int
-    k: int
-    alpha: ModInt
-    layers: dict[int, GroupRingElement]  # n -> theta^alpha_n over Z/p^k at modulus p^n
-    theta_q: ModInt  # theta_Q reduced mod p^k
-    n_max: int
-    variant: str = "A"
+class PadicThetaTower(Record):
+    # layers: n -> theta^alpha_n over Z/p^k at modulus p^n
+    # theta_q: theta_Q reduced mod p^k
+    __slots__ = ("curve_label", "p", "k", "alpha", "layers", "theta_q", "n_max", "variant")
+    _defaults = {"variant": "A"}
 
     @property
     def pk(self) -> int:
@@ -145,14 +139,9 @@ def stabilize(
 # Interpolation
 
 
-@dataclass
-class TrivialInterpolationReport:
-    curve_label: str
-    p: int
-    k: int
-    expected: ModInt  # (1 - 1/alpha)^2 theta_Q
-    per_layer: list[tuple[int, ModInt]]
-    holds: bool
+class TrivialInterpolationReport(Record):
+    # expected: (1 - 1/alpha)^2 theta_Q
+    __slots__ = ("curve_label", "p", "k", "expected", "per_layer", "holds")
 
 
 def interpolate_trivial(tower: PadicThetaTower) -> TrivialInterpolationReport:
@@ -172,16 +161,11 @@ def interpolate_trivial(tower: PadicThetaTower) -> TrivialInterpolationReport:
     )
 
 
-@dataclass
-class CharacterInterpolationReport:
-    curve_label: str
-    p: int
-    k: int
-    conductor_exponent: int
+class CharacterInterpolationReport(Record):
     # integral lifts: the identity is the congruence lhs = rhs mod p^k
-    lhs: CycElt  # chi(theta^alpha_n)
-    rhs: CycElt  # alpha^{-n} chi(theta_{p^n})
-    holds: bool
+    # lhs: chi(theta^alpha_n)
+    # rhs: alpha^{-n} chi(theta_{p^n})
+    __slots__ = ("curve_label", "p", "k", "conductor_exponent", "lhs", "rhs", "holds")
 
 
 def interpolate_character(
@@ -324,16 +308,31 @@ def _read_invariants(poly: list[int], p: int, k: int) -> tuple[int, int]:
     return vals.index(mu), mu
 
 
-@dataclass
-class IwasawaInvariants:
-    lambda_: int
-    mu: int
-    layer: int
-    precision: int
-    stable: bool  # the reading agrees with the layer below
-    component_invariants: dict[int, tuple[int, int]] = field(default_factory=dict)
-    unstable_components: tuple[int, ...] = ()  # components that disagree with the layer below
-    normalization: str = "integral-normalized"  # _integral_theta refuses other symbols
+class IwasawaInvariants(Record):
+    __slots__ = (
+        "lambda_", "mu", "layer", "precision", "stable", "component_invariants",
+        "unstable_components", "normalization",
+    )
+
+    def __init__(
+        self,
+        lambda_: int,
+        mu: int,
+        layer: int,
+        precision: int,
+        stable: bool,  # the reading agrees with the layer below
+        component_invariants: dict[int, tuple[int, int]] | None = None,
+        unstable_components: tuple[int, ...] = (),  # components that disagree with the layer below
+        normalization: str = "integral-normalized",  # _integral_theta refuses other symbols
+    ):
+        self.lambda_ = lambda_
+        self.mu = mu
+        self.layer = layer
+        self.precision = precision
+        self.stable = stable
+        self.component_invariants = {} if component_invariants is None else component_invariants
+        self.unstable_components = unstable_components
+        self.normalization = normalization
 
 
 def iwasawa_invariants(tower: PadicThetaTower) -> IwasawaInvariants:

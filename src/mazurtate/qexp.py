@@ -25,11 +25,11 @@ roots of unity when the pullback has no q-shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .arith import CycElt, cyc_embed, reduce_mod_cyclotomic
+from .records import Frozen, Record
 
 
 class QExpError(ValueError):
@@ -40,19 +40,17 @@ class GatedFeatureError(NotImplementedError):
     """Weight-2 variants needing the Weierstrass-p convention are gated."""
 
 
-@dataclass(frozen=True)
-class TorsionPoint:
+class TorsionPoint(Frozen):
     """(a/N, b/N) in (1/N Z / Z)^2, with 0 <= a, b < N."""
 
-    a: int
-    b: int
-    level: int
+    __slots__ = ("a", "b", "level")
 
-    def __post_init__(self):
-        if self.level < 1:
+    def __init__(self, a: int, b: int, level: int):
+        if level < 1:
             raise ValueError("level must be >= 1")
-        object.__setattr__(self, "a", self.a % self.level)
-        object.__setattr__(self, "b", self.b % self.level)
+        object.__setattr__(self, "a", a % level)
+        object.__setattr__(self, "b", b % level)
+        object.__setattr__(self, "level", level)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -621,18 +619,14 @@ def siegel_theta_relative(pt: TorsionPoint, c: int, rel_prec) -> QSeries:
 # Rationalized Siegel units (c eliminated)
 
 
-@dataclass
-class RationalizedUnit:
+class RationalizedUnit(Record):
     """g at a torsion point: unit-part series plus a formal leading monomial.
 
     The leading coefficient is the root_order-th root of lead_base, kept
     as a formal tag; no branch of the root is ever chosen.
     """
 
-    lead_exponent: Fraction
-    lead_base: CycElt
-    root_order: int
-    unit: QSeries
+    __slots__ = ("lead_exponent", "lead_base", "root_order", "unit")
 
 
 def rationalized_g_qexp(pt: TorsionPoint, prec, c: int) -> RationalizedUnit:
@@ -661,14 +655,8 @@ def rationalized_g_qexp(pt: TorsionPoint, prec, c: int) -> RationalizedUnit:
     )
 
 
-@dataclass
-class CRelationReport:
-    point: TorsionPoint
-    c: int
-    d: int
-    prec: Fraction
-    holds: bool
-    witness: tuple | None
+class CRelationReport(Record):
+    __slots__ = ("point", "c", "d", "prec", "holds", "witness")
 
 
 def check_c_relation(pt: TorsionPoint, c: int, d: int, prec) -> CRelationReport:
@@ -947,15 +935,8 @@ def validate_zeta_parameters(M: int, N: int, k: int, r: int, rp: int):
         )
 
 
-@dataclass
-class ZetaModularForm:
-    M: int
-    N: int
-    k: int
-    r: int
-    rp: int
-    constant: Fraction
-    branches: dict[str, QSeries]
+class ZetaModularForm(Record):
+    __slots__ = ("M", "N", "k", "r", "rp", "constant", "branches")
 
 
 def zeta_modular_form(

@@ -21,7 +21,6 @@ which variant holds; downstream p-stabilization consumes the verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import CurveData
@@ -35,16 +34,11 @@ from .groupring import (
 )
 from .modsym import EigenSymbol, build_space, eigen_symbol
 from .nt import is_prime
+from .records import Record
 
 
-@dataclass
-class ThetaElement:
-    curve_label: str
-    modulus: int
-    element: GroupRingElement
-    plus: GroupRingElement
-    minus: GroupRingElement
-    scaling_mode: str
+class ThetaElement(Record):
+    __slots__ = ("curve_label", "modulus", "element", "plus", "minus", "scaling_mode")
 
     def coefficient(self, a: int) -> int | Fraction:
         return self.element.coeffs[a % self.modulus]
@@ -100,17 +94,13 @@ def theta_element(curve: CurveData, M: int, pair=None) -> ThetaElement:
 # Norm relations
 
 
-@dataclass
-class NormRelationReport:
-    curve_label: str
-    M: int
-    ell: int
-    branch: str  # "ell | M" or "ell good"
-    variant_a_holds: bool
-    variant_b_holds: bool
-    status: str  # "A", "B", "indeterminate", "neither"
-    witness_a: tuple | None
-    witness_b: tuple | None
+class NormRelationReport(Record):
+    # branch: "ell | M" or "ell good"
+    # status: "A", "B", "indeterminate", "neither"
+    __slots__ = (
+        "curve_label", "M", "ell", "branch", "variant_a_holds", "variant_b_holds", "status",
+        "witness_a", "witness_b",
+    )
 
 
 def check_norm_relation(curve: CurveData, M: int, ell: int, pair=None) -> NormRelationReport:
@@ -158,13 +148,9 @@ def check_norm_relation(curve: CurveData, M: int, ell: int, pair=None) -> NormRe
     )
 
 
-@dataclass
-class AdjudicationSummary:
-    curve_labels: tuple[str, ...]
-    max_product: int
-    reports: list[NormRelationReport]
-    variant: str | None  # the single variant holding in all non-vacuous cases
-    consistent: bool
+class AdjudicationSummary(Record):
+    # variant: the single variant holding in all non-vacuous cases
+    __slots__ = ("curve_labels", "max_product", "reports", "variant", "consistent")
 
     def non_vacuous(self):
         return [r for r in self.reports if r.status in ("A", "B", "neither")]
@@ -213,12 +199,9 @@ def adjudicated_variant(curve: CurveData) -> str:
 # Twisted L-value avatars and integrality
 
 
-@dataclass
-class TwistedValue:
-    curve_label: str
-    character_modulus: int
-    parity: int
-    value: object  # CycElt
+class TwistedValue(Record):
+    # value: CycElt
+    __slots__ = ("curve_label", "character_modulus", "parity", "value")
 
     def omega_sign(self) -> str:
         return "+" if self.parity == 1 else "-"
@@ -232,14 +215,11 @@ def twisted_lvalue_avatar(curve: CurveData, chi: DirichletCharacter, pair=None) 
     return TwistedValue(curve.label, d, chi.parity(), value)
 
 
-@dataclass
-class IntegralityReport:
-    curve_label: str
-    prime: int
-    level_exponent: int
-    scaling_mode: str
-    p_integral: bool
-    clearing_exponent: int  # minimal e with p^e * coefficients p-integral
+class IntegralityReport(Record):
+    # clearing_exponent: minimal e with p^e * coefficients p-integral
+    __slots__ = (
+        "curve_label", "prime", "level_exponent", "scaling_mode", "p_integral", "clearing_exponent",
+    )
 
     def __str__(self):
         state = "p-integral" if self.p_integral else (

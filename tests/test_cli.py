@@ -357,6 +357,30 @@ def _cli_run(*argv: str) -> str:
     )
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import mazurtate.cli",
+        # the set-up imports of perfbench/job.py
+        "import mazurtate\nfrom mazurtate.curves import curve_by_label\n"
+        "from mazurtate.theta import eigen_pair",
+    ],
+    ids=["cli", "bench-setup"],
+)
+def test_cold_import_skips_dataclasses_and_inspect(code):
+    # records are __slots__ classes: dataclasses would import inspect, ast,
+    # dis and tokenize and exec generated methods at every cold start;
+    # -S keeps site hooks from loading modules of their own
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code + "\nimport sys\nprint(' '.join(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "mazurtate.curves" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_import_mazurtate_loads_no_submodule():
     assert _loaded_after("import mazurtate") == set()
 

@@ -1,5 +1,6 @@
 import pytest
 
+from mazurtate import curves
 from mazurtate.curves import (
     BadPrimeError,
     BoundExceeded,
@@ -90,6 +91,22 @@ def test_hasse_bound_all_good_primes_up_to_500():
                 continue
             a = count_points(curve, ell)
             assert a * a <= 4 * ell
+
+
+@pytest.mark.parametrize("ell", [97, 37])
+def test_ap_is_memoized_in_ap_cache(monkeypatch, ell):
+    # count_points (good ell) and bad_ap (ell | N) store into ap_cache, so a
+    # second ap(ell) reads the cache and reaches neither
+    curve = curve_by_label("37a1")
+    a = curve.ap(ell)
+    assert curve.ap_cache[ell] == a
+
+    def refuse(*args):
+        raise AssertionError(f"a_{ell} computed twice")
+
+    monkeypatch.setattr(curves, "count_points", refuse)
+    monkeypatch.setattr(curves, "bad_ap", refuse)
+    assert curve.ap(ell) == a
 
 
 def test_an_multiplicativity(c11):

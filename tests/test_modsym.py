@@ -1,4 +1,3 @@
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -233,10 +232,7 @@ def test_calibration_11a1(pair11, c11):
     assert calibrated.value(0) == Fraction(1, 5)
     assert plus.scaling_mode == "integral-normalized" and plus.value(0) == 2
     # covariance: scaling the integral vector by 2 halves lambda
-    from dataclasses import replace
-
-    doubled = replace(
-        plus,
+    doubled = plus._replace(
         vector=tuple(2 * v for v in plus.vector),
         table=tuple(2 * v for v in plus.table),
     )
@@ -247,7 +243,7 @@ def test_calibration_11a1(pair11, c11):
 def test_eigen_symbols_are_frozen(pair11):
     plus, _ = pair11
     for name in ("table", "scale", "scaling_mode"):
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(plus, name, None)
 
 
@@ -570,8 +566,8 @@ def test_sturm_bound_is_the_last_resort(monkeypatch):
     monkeypatch.setattr(modsym, "GOOD_HECKE_BOUND", 3)
     read = []
     fake = CurveData("fake22", (0, -1, 1, -10, -20), 22)
-    ap = fake.ap
-    monkeypatch.setattr(fake, "ap", lambda ell: read.append(ell) or ap(ell))
+    ap = CurveData.ap  # records have no instance dict, so patch the class
+    monkeypatch.setattr(CurveData, "ap", lambda self, ell: read.append(ell) or ap(self, ell))
     with pytest.raises(NotNewformError, match="dimension 2"):
         eigen_symbol(build_space(22), fake, 1)
     assert sorted(set(read)) == [3, 5]

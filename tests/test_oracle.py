@@ -31,9 +31,7 @@ def test_period_32a_two_components(c32):
 
 
 def test_oracle_refuses_unknown_sign(c11):
-    from dataclasses import replace
-
-    anon = replace(c11, label="anon", fricke_sign=None, ap_cache={})
+    anon = c11._replace(label="anon", fricke_sign=None, ap_cache={})
     with pytest.raises(OracleError, match="refusing"):
         lvalue_and_period(anon)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from math import comb
 
@@ -36,8 +35,7 @@ def tower_11_3(c11):
 
 def scaled(tower, s):
     """Synthetic tower with every layer (and theta_Q) multiplied by s."""
-    return dataclasses.replace(
-        tower,
+    return tower._replace(
         curve_label=f"{tower.curve_label}*{s}",
         layers={n: x.map_coeffs(lambda v: v * s) for n, x in tower.layers.items()},
         theta_q=tower.theta_q * s,
@@ -146,7 +144,7 @@ def test_interpolate_character_order3(c11, tower_11_3):
     coeffs = dict(layers[2].coeffs)
     coeffs[1] = coeffs[1] + 1
     layers[2] = GroupRingElement(9, coeffs)
-    broken = dataclasses.replace(tower_11_3, layers=layers)
+    broken = tower_11_3._replace(layers=layers)
     assert not interpolate_character(broken, chis[0], c11).holds
 
 
@@ -363,7 +361,7 @@ def test_unit_constant_tower_has_zero_invariants():
         n: GroupRingElement.delta(p**n, 1, ModInt(2, pk), ModInt(0, pk))
         for n in range(1, 5)
     }
-    tower = dataclasses.replace(synthetic_tower(p, k, layers), theta_q=ModInt(2, pk))
+    tower = synthetic_tower(p, k, layers)._replace(theta_q=ModInt(2, pk))
     assert tower.is_projective()
     inv = iwasawa_invariants(tower)
     assert (inv.lambda_, inv.mu) == (0, 0)
