@@ -8,7 +8,7 @@ module defining X and what that module needs.
 from importlib import import_module
 
 _EXPORTS = {
-    "arith": ("CycElt", "ModInt", "Rat", "cyc_embed", "hensel_unit_root"),
+    "arith": ("CycElt", "Rat", "cyc_embed", "hensel_unit_root"),
     "curves": (
         "CurveData", "EulerFactor", "bad_ap", "count_points", "curve_by_label",
         "euler_factor", "load_catalog",

@@ -1,10 +1,10 @@
-"""Exact arithmetic foundation: rationals, residue rings, cyclotomic fields.
+"""Exact arithmetic foundation: rationals, cyclotomic fields, unit roots.
 
 Conventions
 -----------
 * ``Rat`` is ``fractions.Fraction`` (always reduced, positive denominator).
-* ``ModInt`` carries its modulus per value.  Arithmetic between different
-  moduli is an error; precision drops only through ``reduce_to``.
+* Residues mod p^k are plain ints in [0, p^k); the modulus lives on the
+  value that holds them (a tower, a Kurihara number), not on each int.
 * ``CycElt`` represents an element of Q(zeta_L) in the power basis
   1, z, ..., z^{phi(L)-1} modulo the L-th cyclotomic polynomial, with
   integer coordinates over one common denominator; Phi_L is monic, so
@@ -19,7 +19,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .nt import divisors, euler_phi, factorize, is_prime
-from .records import Frozen
 
 Rat = Fraction
 
@@ -42,90 +41,6 @@ def as_rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-# ---------------------------------------------------------------------------
-# Residue rings
-
-
-class ModInt(Frozen):
-    """An element of Z/modulus, 0 <= residue < modulus."""
-
-    __slots__ = ("residue", "modulus")
-
-    def __init__(self, residue: int, modulus: int):
-        if modulus <= 0:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(self, "residue", residue % modulus)
-        object.__setattr__(self, "modulus", modulus)
-
-    def _coerce(self, other) -> "ModInt":
-        if isinstance(other, ModInt):
-            if other.modulus != self.modulus:
-                raise ModulusMismatch(
-                    f"mixed moduli {self.modulus} and {other.modulus}; "
-                    "reduce_to a common modulus explicitly"
-                )
-            return other
-        if isinstance(other, int):
-            return ModInt(other, self.modulus)
-        if isinstance(other, Fraction):
-            return ModInt(
-                other.numerator * pow(other.denominator, -1, self.modulus),
-                self.modulus,
-            )
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModInt(self.residue + other.residue, self.modulus)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ModInt(-self.residue, self.modulus)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModInt(self.residue - other.residue, self.modulus)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModInt(self.residue * other.residue, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return ModInt(pow(self.residue, n, self.modulus), self.modulus)
-
-    def inverse(self) -> "ModInt":
-        return self**-1
-
-    def is_unit(self) -> bool:
-        return gcd(self.residue, self.modulus) == 1
-
-    def is_zero(self) -> bool:
-        return self.residue == 0
-
-    def reduce_to(self, modulus: int) -> "ModInt":
-        """Push the value into Z/modulus; modulus must divide the current one."""
-        if self.modulus % modulus != 0:
-            raise ModulusMismatch(
-                f"cannot reduce mod {self.modulus} to mod {modulus}"
-            )
-        return ModInt(self.residue % modulus, modulus)
-
-    def __repr__(self):
-        return f"{self.residue} mod {self.modulus}"
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +355,8 @@ def cyc_embed(x: CycElt, target: int) -> CycElt:
 # p-adic unit root
 
 
-def hensel_unit_root(a_p: int, p: int, k: int) -> ModInt:
-    """Unit root of X^2 - a_p X + p mod p^k for an odd ordinary prime.
+def hensel_unit_root(a_p: int, p: int, k: int) -> int:
+    """Unit root of X^2 - a_p X + p mod p^k for an odd ordinary prime, in [0, p^k).
 
     The reduction mod p factors as X(X - a_p), so the unit root starts at
     a_p mod p and Newton's iteration lifts it; the derivative 2X - a_p is
@@ -453,7 +368,6 @@ def hensel_unit_root(a_p: int, p: int, k: int) -> ModInt:
         raise ValueError("precision exponent must be >= 1")
     if a_p % p == 0:
         raise NonOrdinaryPrime(f"non-ordinary prime: {p} divides a_p = {a_p}")
-    modulus = p**k
     x = a_p % p
     prec = 1
     while prec < k:
@@ -462,6 +376,5 @@ def hensel_unit_root(a_p: int, p: int, k: int) -> ModInt:
         fx = (x * x - a_p * x + p) % m
         dfx = (2 * x - a_p) % m
         x = (x - fx * pow(dfx, -1, m)) % m
-    alpha = ModInt(x, modulus)
-    assert (alpha * alpha - a_p * alpha + p).is_zero() and alpha.is_unit()
-    return alpha
+    assert (x * x - a_p * x + p) % p**k == 0 and x % p
+    return x

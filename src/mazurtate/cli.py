@@ -17,8 +17,8 @@ import time
 from fractions import Fraction
 
 # Every traced layer is imported here, not per command: perfbench's tracer
-# wraps functions of these modules right after ``import mazurtate.cli``.
-from .arith import ModInt
+# wraps functions of these modules right after ``import mazurtate.cli``
+# (``arith`` comes in through ``groupring`` and ``qexp``).
 from .curves import CatalogError, curve_by_label, euler_factor
 from .groupring import all_characters
 from .kurihara import nonvanishing_search, sieve_admissible
@@ -78,8 +78,6 @@ def _ser(x):
     """Serialize values: rationals as 'p/q', numbers as decimal strings."""
     if isinstance(x, Fraction):
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, ModInt):
-        return f"{x.residue} mod {x.modulus}"
     if isinstance(x, bool):
         return x
     if isinstance(x, (int, float)):
@@ -89,6 +87,12 @@ def _ser(x):
     if isinstance(x, (list, tuple)):
         return [_ser(v) for v in x]
     return str(x)
+
+
+def _projectivity_witness(wit, pk: int) -> str:
+    """The mismatch (unit, lhs, rhs) of a projectivity check, residues read mod pk."""
+    a, lhs, rhs = wit
+    return f"({a}, {lhs} mod {pk}, {rhs} mod {pk})"
 
 
 def emit(report: RunReport, args) -> int:
@@ -244,10 +248,10 @@ def cmd_plfunc(args) -> RunReport:
         {"label": args.label, "p": args.p, "k": args.k, "n_max": args.n_max},
     )
     tower = stabilize(curve, args.p, args.k, args.n_max)
-    report.outputs["alpha"] = tower.alpha
+    report.outputs["alpha"] = f"{tower.alpha} mod {tower.pk}"
     report.outputs["variant"] = tower.variant
     report.outputs["layers"] = {
-        f"n={n}": {f"sigma_{a}": v.residue for a, v in sorted(x.coeffs.items())}
+        f"n={n}": {f"sigma_{a}": v for a, v in sorted(x.coeffs.items())}
         for n, x in tower.layers.items()
     }
     proj = tower.check_projectivity()
@@ -256,7 +260,7 @@ def cmd_plfunc(args) -> RunReport:
             Check(
                 f"projectivity layer {n+1} -> {n}",
                 "pass" if ok else "fail",
-                None if ok else str(wit),
+                None if ok else _projectivity_witness(wit, tower.pk),
             )
         )
     interp = interpolate_trivial(tower)
@@ -264,7 +268,7 @@ def cmd_plfunc(args) -> RunReport:
         Check(
             "trivial-character interpolation",
             "pass" if interp.holds else "fail",
-            None if interp.holds else f"expected {interp.expected}",
+            None if interp.holds else f"expected {interp.expected} mod {tower.pk}",
         )
     )
     if args.n_max >= 3:
@@ -301,7 +305,7 @@ def cmd_kurihara(args) -> RunReport:
         {
             "n": r.n,
             "factors": list(r.factors),
-            "value": r.value,
+            "value": f"{r.value} mod {table.p**table.k}",
             "unit_class": r.unit_class,
             "vanishes": r.vanishes,
         }
@@ -438,7 +442,7 @@ def _suite_projectivity(args):
                 Check(
                     f"{label} p={p}: layer {n+1} -> {n} mod {p}^{args.k}",
                     "pass" if ok else "fail",
-                    None if ok else str(wit),
+                    None if ok else _projectivity_witness(wit, tower.pk),
                 )
             )
     return {}, checks

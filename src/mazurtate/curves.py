@@ -13,6 +13,7 @@ negative.
 
 from __future__ import annotations
 
+import os
 import re
 
 from .nt import is_prime
@@ -117,6 +118,14 @@ class CurveData(Record):
         for _ in range(e - 1):
             prev, cur = cur, a * cur - ell * prev
         return cur
+
+    def __eq__(self, other):
+        # the same curve, whatever a_ell either record has memoized in ap_cache;
+        # defining __eq__ here keeps __hash__ None, so the record stays unhashable
+        if other.__class__ is not CurveData:
+            return NotImplemented
+        fields = ("label", "a_invariants", "conductor", "fricke_sign", "known_rank")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
 
     def __repr__(self):
         return f"CurveData({self.label}, N={self.conductor})"
@@ -314,15 +323,12 @@ def parse_catalog_line(line: str, lineno: int = 0) -> CurveData:
 def load_catalog(path=None) -> list[CurveData]:
     """Parse a catalog file; with no path, the bundled catalog."""
     if path is None:
-        from importlib.resources import files
-
-        text = files("mazurtate.data").joinpath("curves.cat").read_text()
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
+        path = os.path.join(os.path.dirname(__file__), "data", "curves.cat")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
     curves = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):

@@ -3,8 +3,9 @@
 Group elements sigma_a are indexed by the unit residues a of Z/mZ under
 the fixed identification a <-> (zeta_m |-> zeta_m^a); for m = 1 the
 single residue 0 stands for the identity.  Coefficients are stored
-densely (one entry per unit) and may be Fraction, ModInt, or CycElt;
-binary operations require equal moduli.
+densely (one entry per unit) and may be int, Fraction or CycElt (a
+p-adic tower layer holds ints read mod p^k); binary operations require
+equal moduli.
 
 Dirichlet characters are stored by their images on an internally
 computed generating set of (Z/dZ)^x, as exponents of a fixed root of
@@ -34,16 +35,17 @@ class GroupRingElement:
     __slots__ = ("modulus", "coeffs")
 
     def __init__(self, modulus: int, coeffs: dict):
-        units = units_mod(modulus)
         normalized = {}
         for a, v in coeffs.items():
             key = a % modulus
             if gcd(key, modulus) != 1:
                 raise ValueError(f"{a} is not a unit mod {modulus}")
             normalized[key] = v
-        missing = set(units) - set(normalized)
-        if missing:
-            raise ValueError(f"coefficients missing for units {sorted(missing)}")
+        # the keys are distinct units, so the counts match only when all are present
+        units = units_mod(modulus)
+        if len(normalized) != len(units):
+            missing = sorted(set(units) - normalized.keys())
+            raise ValueError(f"coefficients missing for units {missing}")
         self.modulus = modulus
         self.coeffs = normalized
 
@@ -153,7 +155,7 @@ class GroupRingElement:
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         return self.modulus == other.modulus and all(
-            _coeff_eq(self.coeffs[a], other.coeffs[a]) for a in self.coeffs
+            self.coeffs[a] == other.coeffs[a] for a in self.coeffs
         )
 
     def __repr__(self):
@@ -169,15 +171,11 @@ def _is_zero_coeff(v) -> bool:
     return v == 0
 
 
-def _coeff_eq(a, b) -> bool:
-    return a == b
-
-
 def first_mismatch(x: GroupRingElement, y: GroupRingElement):
     """Witness for x != y: smallest unit where coefficients differ, or None."""
     x._check(y)
     for a in units_mod(x.modulus):
-        if not _coeff_eq(x.coeffs[a], y.coeffs[a]):
+        if x.coeffs[a] != y.coeffs[a]:
             return a, x.coeffs[a], y.coeffs[a]
     return None
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .arith import ModInt
 from .curves import CurveData, DEFAULT_COUNT_BOUND
 from .modsym import EigenSymbol, build_space, eigen_symbol
 from .nt import factorize, is_prime, is_primitive_root, primes_up_to, smallest_primitive_root
@@ -79,8 +78,8 @@ def sieve_admissible(
     return AdmissiblePrimeSet(curve.label, p, k, bound, primes, eta)
 
 
-def discrete_log(ell: int, eta: int, a: int) -> ModInt:
-    """x mod ell-1 with eta^x = a mod ell, by baby-step giant-step."""
+def discrete_log(ell: int, eta: int, a: int) -> int:
+    """x in [0, ell - 1) with eta^x = a mod ell, by baby-step giant-step."""
     if a % ell == 0:
         raise ValueError(f"{a} is divisible by {ell}")
     if not is_primitive_root(eta, ell):
@@ -97,18 +96,19 @@ def discrete_log(ell: int, eta: int, a: int) -> ModInt:
     cur = a
     for i in range(m + 1):
         if cur in table:
-            return ModInt(i * m + table[cur], order)
+            return (i * m + table[cur]) % order
         cur = (cur * giant) % ell
     raise AssertionError("BSGS must find a logarithm for a primitive root")
 
 
 class KuriharaNumber(Record):
+    # value: delta_n mod p^k, in [0, p^k)
     # ideal_valuation: v_p of I_n = prod (ell-1, 1 - a_ell + ell)
     __slots__ = ("n", "p", "k", "value", "ideal_valuation")
 
     @property
     def vanishes(self) -> bool:
-        return self.value.is_zero()
+        return self.value == 0
 
 
 def _vp(x: int, p: int) -> int:
@@ -183,17 +183,17 @@ def kurihara_number(
         w = (w_a + sign * w_b) % pk
         if w:
             total += w * plus_symbol.half_value(a, n)
-    total %= pk
     return KuriharaNumber(
         n=n,
         p=p,
         k=k,
-        value=ModInt(total, pk),
+        value=total % pk,
         ideal_valuation=ideal_valuation(curve, n, p) if n > 1 else 0,
     )
 
 
 class SearchRow(Record):
+    # value: delta_n mod p^k, as in KuriharaNumber
     __slots__ = ("n", "factors", "value", "unit_class", "vanishes")
 
 
@@ -230,7 +230,7 @@ def nonvanishing_search(
 
     def emit(n: int, factors: tuple[int, ...]):
         num = kurihara_number(curve, n, p, k, prime_set, plus)
-        res = num.value.residue
+        res = num.value
         unit_class = "0" if res == 0 else ("unit" if res % p != 0 else f"p^{_vp(res, p)} * unit")
         rows.append(SearchRow(n, factors, num.value, unit_class, num.vanishes))
 

@@ -19,7 +19,7 @@ and calls the reading stable when the layer below gives the same.
 
 from __future__ import annotations
 
-from .arith import ModInt, NonOrdinaryPrime, hensel_unit_root
+from .arith import NonOrdinaryPrime, hensel_unit_root
 from .curves import CurveData
 from .groupring import (
     DirichletCharacter,
@@ -43,7 +43,8 @@ class PrecisionError(ValueError):
 
 
 class PadicThetaTower(Record):
-    # layers: n -> theta^alpha_n over Z/p^k at modulus p^n
+    # alpha: the unit root mod p^k
+    # layers: n -> theta^alpha_n at modulus p^n, int coefficients in [0, p^k)
     # theta_q: theta_Q reduced mod p^k
     __slots__ = ("curve_label", "p", "k", "alpha", "layers", "theta_q", "n_max", "variant")
     _defaults = {"variant": "A"}
@@ -56,10 +57,14 @@ class PadicThetaTower(Record):
         return self.layers[n]
 
     def check_projectivity(self) -> list[tuple[int, bool, tuple | None]]:
-        """For each 1 <= n < n_max: pi(theta^alpha_{n+1}) == theta^alpha_n."""
+        """For each 1 <= n < n_max: pi(theta^alpha_{n+1}) == theta^alpha_n mod p^k.
+
+        A failure's witness is (unit, lhs coefficient, rhs coefficient).
+        """
         out = []
+        pk = self.pk
         for n in range(1, self.n_max):
-            lhs = project(self.layers[n + 1], self.p**n)
+            lhs = project(self.layers[n + 1], self.p**n).map_coeffs(lambda v: v % pk)
             wit = first_mismatch(lhs, self.layers[n])
             out.append((n, wit is None, wit))
         return out
@@ -110,17 +115,16 @@ def stabilize(
         variant = adjudicated_variant(curve)
     pk = p**k
     alpha = hensel_unit_root(a_p, p, k)
-    nu = pow(alpha.residue, -1, pk) * (1 if variant == "A" else p)
+    nu = pow(alpha, -1, pk) * (1 if variant == "A" else p)
     prev = _integral_theta(curve, 1, pair)
-    theta_q = ModInt(prev.coeffs[0], pk)
+    theta_q = prev.coeffs[0] % pk
     layers: dict[int, GroupRingElement] = {}
     for n in range(1, n_max + 1):
         cur = _integral_theta(curve, p**n, pair)
         lift = norm_map(prev, p**n).coeffs
-        scale = pow(alpha.residue, -n, pk)
+        scale = pow(alpha, -n, pk)
         layers[n] = GroupRingElement(
-            p**n,
-            {a: ModInt((v - nu * lift[a]) * scale, pk) for a, v in cur.coeffs.items()},
+            p**n, {a: (v - nu * lift[a]) * scale % pk for a, v in cur.coeffs.items()}
         )
         prev = cur
     return PadicThetaTower(
@@ -140,19 +144,20 @@ def stabilize(
 
 
 class TrivialInterpolationReport(Record):
-    # expected: (1 - 1/alpha)^2 theta_Q
+    # expected: (1 - 1/alpha)^2 theta_Q mod p^k
+    # per_layer: (n, augmentation of layer n mod p^k)
     __slots__ = ("curve_label", "p", "k", "expected", "per_layer", "holds")
 
 
 def interpolate_trivial(tower: PadicThetaTower) -> TrivialInterpolationReport:
     """Augmentation of every layer against (1 - 1/alpha)^2 theta_Q mod p^k."""
-    one = ModInt(1, tower.pk)
-    factor = one - tower.alpha.inverse()
-    expected = factor * factor * tower.theta_q
+    pk = tower.pk
+    factor = 1 - pow(tower.alpha, -1, pk)
+    expected = factor * factor * tower.theta_q % pk
     per_layer = []
     holds = True
     for n in range(1, tower.n_max + 1):
-        aug = tower.layers[n].augmentation()
+        aug = tower.layers[n].augmentation() % pk
         per_layer.append((n, aug))
         if aug != expected:
             holds = False
@@ -195,10 +200,8 @@ def interpolate_character(
 
         curve = curve_by_label(tower.curve_label)
     raw = _integral_theta(curve, p**n, eigen_pair(curve))
-    lhs = eval_character(tower.layers[n].map_coeffs(lambda v: v.residue), chi)
-    rhs = eval_character(raw.map_coeffs(lambda v: v % pk), chi) * (
-        tower.alpha.inverse() ** n
-    ).residue
+    lhs = eval_character(tower.layers[n], chi)
+    rhs = eval_character(raw.map_coeffs(lambda v: v % pk), chi) * pow(tower.alpha, -n, pk)
     holds = ((lhs - rhs) / pk).den == 1
     return CharacterInterpolationReport(tower.curve_label, p, tower.k, n, lhs, rhs, holds)
 
@@ -269,7 +272,7 @@ def _component_polynomials(tower: PadicThetaTower, n: int, components) -> dict[i
     for r in range(1, p):
         a, row = _teichmuller(r, p, pn), []
         for _ in range(p ** (n - 1)):
-            row.append(coeffs[a].residue)
+            row.append(coeffs[a])
             a = a * (1 + p) % pn
         rows.append((_teichmuller(r, p, pk), row))
     polys = {}
@@ -282,16 +285,15 @@ def _component_polynomials(tower: PadicThetaTower, n: int, components) -> dict[i
     return polys
 
 
-def layer_polynomial(tower: PadicThetaTower, n: int, component: int = 0) -> list[ModInt]:
-    """Coefficients of the tame-component polynomial in T = gamma - 1.
+def layer_polynomial(tower: PadicThetaTower, n: int, component: int = 0) -> list[int]:
+    """Coefficients mod p^k of the tame-component polynomial in T = gamma - 1.
 
     The layer at p^n is pushed to the quotient (Z/p^n)^x -> Gal part
     generated by gamma = 1 + p, twisted by the ``component`` power of
     the Teichmuller character, then written as a polynomial of degree
     < p^{n-1} in T.
     """
-    poly = _component_polynomials(tower, n, [component])[component]
-    return [ModInt(v, tower.pk) for v in poly]
+    return _component_polynomials(tower, n, [component])[component]
 
 
 def _val(residue: int, p: int, k: int) -> int:

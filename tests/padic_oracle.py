@@ -1,6 +1,6 @@
 """Test-only oracles and synthetic towers for mazurtate.padic."""
 
-from mazurtate.arith import ModInt, hensel_unit_root
+from mazurtate.arith import hensel_unit_root
 from mazurtate.groupring import GroupRingElement, norm_map
 from mazurtate.nt import units_mod
 from mazurtate.padic import PadicThetaTower
@@ -8,14 +8,13 @@ from mazurtate.theta import theta_element
 
 
 def synthetic_tower(p, k, layers):
-    pk = p**k
     return PadicThetaTower(
         curve_label="synthetic",
         p=p,
         k=k,
-        alpha=ModInt(1, pk),
+        alpha=1,
         layers=layers,
-        theta_q=ModInt(0, pk),
+        theta_q=0,
         n_max=max(layers),
         variant="synthetic",
     )
@@ -24,7 +23,7 @@ def synthetic_tower(p, k, layers):
 def sparse_layer(p, k, n, values):
     """The layer at p^n with the given coefficients at some units, 0 elsewhere."""
     pk = p**k
-    return GroupRingElement(p**n, {a: ModInt(values.get(a, 0), pk) for a in units_mod(p**n)})
+    return GroupRingElement(p**n, {a: values.get(a, 0) % pk for a in units_mod(p**n)})
 
 
 def unstable_tower():
@@ -50,21 +49,26 @@ def taylor_shift_oracle(c, pk):
 
 
 def modint_chain_layers(curve, p, k, n_max, variant):
-    """alpha^-n (theta_{p^n} - nu N(theta_{p^(n-1)})) mod p^k, one ModInt at a time.
+    """alpha^-n (theta_{p^n} - nu N(theta_{p^(n-1)})) mod p^k, reduced at every step.
 
     nu is alpha^-1 (variant A) or p alpha^-1 (variant B), theta_{p^0} is
-    theta_Q in the trivial group ring, and N is the norm map.
+    theta_Q in the trivial group ring, and N is the norm map.  Each
+    product, difference and inverse is taken mod p^k on its own, as a
+    chain of residue-ring operations would.
     """
     pk = p**k
     alpha = hensel_unit_root(curve.ap(p), p, k)
-    nu = alpha.inverse() if variant == "A" else alpha.inverse() * p
-    prev = theta_element(curve, 1).element.map_coeffs(lambda v: ModInt(v, pk))
+    alpha_inv = pow(alpha, -1, pk)
+    nu = alpha_inv if variant == "A" else alpha_inv * p % pk
+    prev = theta_element(curve, 1).element.map_coeffs(lambda v: v % pk)
     layers = {}
-    alpha_pow = ModInt(1, pk)
+    alpha_pow = 1
     for n in range(1, n_max + 1):
-        alpha_pow = alpha_pow * alpha
-        cur = theta_element(curve, p**n).element.map_coeffs(lambda v: ModInt(v, pk))
-        lifted = norm_map(prev, p**n).map_coeffs(lambda v: v * nu)
-        layers[n] = (cur - lifted).map_coeffs(lambda v: v * alpha_pow.inverse())
+        alpha_pow = alpha_pow * alpha % pk
+        alpha_pow_inv = pow(alpha_pow, -1, pk)
+        cur = theta_element(curve, p**n).element.map_coeffs(lambda v: v % pk)
+        lifted = norm_map(prev, p**n).map_coeffs(lambda v: v * nu % pk)
+        diff = (cur - lifted).map_coeffs(lambda v: v % pk)
+        layers[n] = diff.map_coeffs(lambda v: v * alpha_pow_inv % pk)
         prev = cur
     return layers

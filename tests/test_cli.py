@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from importlib import import_module
 from pathlib import Path
 
@@ -10,6 +11,9 @@ import pytest
 from padic_oracle import unstable_tower
 
 from mazurtate.cli import main
+from mazurtate.padic import stabilize
+
+_variant_b = partial(stabilize, variant="B")
 
 
 def run(capsys, *argv):
@@ -83,6 +87,44 @@ def test_plfunc_reports_an_unstable_reading(capsys, monkeypatch):
     )
     outputs = json.loads(out)["outputs"]
     assert outputs["iwasawa"] == {"lambda": "0", "mu": "1", "layer": "3", "stable": False}
+
+
+def test_plfunc_prints_residue_witnesses(capsys, monkeypatch):
+    # the variant-B tower is neither projective nor interpolating (see
+    # test_wrong_variant_is_not_projective); the lines below were recorded
+    # when the tower's residues were ModInt values printed as "x mod m"
+    import mazurtate.cli as cli
+
+    monkeypatch.setattr(cli, "stabilize", _variant_b)
+    argv = ("plfunc", "11a1", "-p", "3", "-k", "4", "-n", "3", "--no-timing")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "alpha: 65 mod 81" in out.splitlines()
+    assert out.splitlines()[-3:] == [
+        "[FAIL] projectivity layer 2 -> 1  [(1, 14 mod 81, 73 mod 81)]",
+        "[FAIL] projectivity layer 3 -> 2  [(1, 6 mod 81, 4 mod 81)]",
+        "[FAIL] trivial-character interpolation  [expected 32 mod 81]",
+    ]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    assert [c["witness"] for c in json.loads(out)["checks"]] == [
+        "(1, 14 mod 81, 73 mod 81)", "(1, 6 mod 81, 4 mod 81)", "expected 32 mod 81",
+    ]
+
+
+def test_verify_projectivity_prints_residue_witnesses(capsys, monkeypatch):
+    import mazurtate.padic as padic
+
+    monkeypatch.setattr(padic, "stabilize", _variant_b)
+    code, out, _ = run(capsys, "verify", "projectivity", "-k", "2", "--no-timing")
+    assert code == 1
+    assert out.splitlines()[2:4] == [
+        "[FAIL] projectivity: 11a1 p=3: layer 2 -> 1 mod 3^2  [(1, 5 mod 9, 1 mod 9)]",
+        "[FAIL] projectivity: 11a1 p=3: layer 3 -> 2 mod 3^2  [(1, 6 mod 9, 4 mod 9)]",
+    ]
+    assert out.splitlines()[-1] == (
+        "[FAIL] projectivity: 37a1 p=5: layer 3 -> 2 mod 5^2  [(1, 1 mod 25, 14 mod 25)]"
+    )
 
 
 def test_python_dash_m_runs_the_cli():
@@ -329,6 +371,45 @@ def test_qexp_output_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the --json --no-timing output, recorded when towers, alpha
+# and Kurihara numbers held ModInt values that the CLI printed as
+# "x mod m"; the plain-int residues must print the same bytes
+PINNED_RESIDUES = {
+    "plfunc-11a1-p3": (
+        ("plfunc", "11a1", "-p", "3", "-k", "8", "-n", "7"),
+        "5f1247172a382b80cc186a01992c400d907eaa220de61835066f848a5fbfc87d",
+    ),
+    "plfunc-37a1-p5": (
+        ("plfunc", "37a1", "-p", "5", "-k", "6", "-n", "5"),
+        "0fcf7af7f127ddfa013e27293e08a9ec647e5fe819cd5cce417e3028eca0c00d",
+    ),
+    "kurihara-37a1": (
+        ("kurihara", "37a1", "-p", "3", "-k", "1", "--bound", "170", "--nu", "2"),
+        "592ac803f6d009317cf0d618ee2ad307d29abbdd69951e71724919f9de6b0c0f",
+    ),
+    "kurihara-11a1": (
+        ("kurihara", "11a1", "-p", "3", "-k", "2"),
+        "d623c6b693f2faf63fe09d80be691dfe89b0ce57312cf9e97252f35deceeac90",
+    ),
+    "verify-projectivity": (
+        ("verify", "projectivity"),
+        "831120a4bd4b72c7e981050fa3078c3d7366b5ecf1da3d2cd4aefdbf2f2fc529",
+    ),
+    "verify-interpolation": (
+        ("verify", "interpolation"),
+        "5b4eea7549409df774c431013cae8cc98ad0a4f90f282398d5d0b14220775533",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_RESIDUES))
+def test_residue_output_pinned(capsys, name):
+    argv, digest = PINNED_RESIDUES[name]
+    code, out, _ = run(capsys, *argv, "--json", "--no-timing")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # Cold start: which modules a fresh interpreter loads
 
@@ -379,6 +460,22 @@ def test_cold_import_skips_dataclasses_and_inspect(code):
     loaded = set(proc.stdout.split())
     assert "mazurtate.curves" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_bundled_catalog_skips_importlib_resources():
+    # the bundled catalog is read with open(); importlib.resources would
+    # pull in zipfile, tempfile and pathlib on every call without --catalog
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = (
+        "from mazurtate.curves import curve_by_label\n"
+        "assert curve_by_label('11a1').conductor == 11\n"
+        "import sys\nprint(' '.join(sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"importlib.resources", "zipfile", "tempfile", "pathlib"}
 
 
 def test_import_mazurtate_loads_no_submodule():

@@ -109,6 +109,18 @@ def test_ap_is_memoized_in_ap_cache(monkeypatch, ell):
     assert curve.ap(ell) == a
 
 
+def test_curve_equality_ignores_the_ap_memo():
+    # two records of one model stay equal after one of them memoizes an a_ell
+    a, b = curve_by_label("37a1"), curve_by_label("37a1")
+    a.ap(97)
+    assert 97 in a.ap_cache and 97 not in b.ap_cache
+    assert a == b and not a != b
+    assert a != curve_by_label("11a1")
+    assert a != a._replace(known_rank=None) and a != a._replace(label="37a")
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_an_multiplicativity(c11):
     # a_{mn} = a_m a_n for coprime m, n; a_{l^2} = a_l^2 - l at good l
     for m, n in [(2, 3), (3, 5), (2, 9), (4, 5)]:

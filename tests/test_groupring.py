@@ -57,6 +57,27 @@ def test_norm_additive_and_degree_property(data):
     assert project(norm_map(x, target), m) == x.scale(Fraction(degree))
 
 
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ({1: 0, 2: 0, 3: 0, 5: 0}, "5 is not a unit mod 5"),
+        ({1: 0, 2: 0}, r"coefficients missing for units \[3, 4\]"),
+        # 1 and 6 collide mod 5: four keys, three units, so 4 is missing
+        ({1: 0, 6: 0, 2: 0, 3: 0}, r"coefficients missing for units \[4\]"),
+    ],
+    ids=["non-unit", "missing", "colliding"],
+)
+def test_constructor_refuses_bad_keys(coeffs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GroupRingElement(5, coeffs)
+
+
+def test_constructor_reduces_keys_mod_m():
+    # a key past m counts as its residue; when two collide, the later one wins
+    x = GroupRingElement(5, {1: 0, 2: 0, 3: 0, 4: 0, 6: 1, -1: 7})
+    assert x.coeffs == {1: 1, 2: 0, 3: 0, 4: 7}
+
+
 def test_modulus_mismatch_raises():
     with pytest.raises(ModulusMismatch):
         project(GroupRingElement.delta(15, 1), 4)

@@ -12,7 +12,7 @@ from padic_oracle import (
     unstable_tower,
 )
 
-from mazurtate.arith import ModInt, NonOrdinaryPrime
+from mazurtate.arith import NonOrdinaryPrime
 from mazurtate.curves import curve_by_label
 from mazurtate.groupring import GroupRingElement, all_characters, trivial_character
 from mazurtate.nt import units_mod
@@ -34,25 +34,27 @@ def tower_11_3(c11):
 
 
 def scaled(tower, s):
-    """Synthetic tower with every layer (and theta_Q) multiplied by s."""
+    """Synthetic tower with every layer (and theta_Q) multiplied by s mod p^k."""
+    pk = tower.pk
     return tower._replace(
         curve_label=f"{tower.curve_label}*{s}",
-        layers={n: x.map_coeffs(lambda v: v * s) for n, x in tower.layers.items()},
-        theta_q=tower.theta_q * s,
+        layers={n: x.map_coeffs(lambda v: v * s % pk) for n, x in tower.layers.items()},
+        theta_q=tower.theta_q * s % pk,
         variant="synthetic",
     )
 
 
 def test_stabilize_example_alpha(c11):
     tower = stabilize(c11, 5, 2, 2)
-    assert tower.alpha == ModInt(21, 25)
+    assert (tower.alpha, tower.pk) == (21, 25)
     assert tower.is_projective()
 
 
 def test_projectivity_defining_instance(tower_11_3):
     from mazurtate.groupring import first_mismatch, project
 
-    lhs = project(tower_11_3.layer(2), 3)
+    # project sums the int coefficients; the layers are read mod p^k
+    lhs = project(tower_11_3.layer(2), 3).map_coeffs(lambda v: v % tower_11_3.pk)
     assert first_mismatch(lhs, tower_11_3.layer(1)) is None
 
 
@@ -95,7 +97,8 @@ def test_stabilize_matches_modint_chain(label, p, k, n_max, variant):
     assert tower.layers.keys() == oracle.keys()
     for n, layer in tower.layers.items():
         assert layer.modulus == oracle[n].modulus == p**n
-        assert layer.coeffs == oracle[n].coeffs  # ModInt equality: residue and modulus
+        assert layer.coeffs == oracle[n].coeffs
+        assert all(type(v) is int and 0 <= v < p**k for v in layer.coeffs.values())
 
 
 @settings(max_examples=8, deadline=None)
@@ -116,18 +119,17 @@ def test_interpolate_trivial(c11):
     rep = interpolate_trivial(tower)
     assert rep.holds
     # (1 - 1/alpha)^2 theta_Q, recomputed here independently
-    one = ModInt(1, 81)
-    expected = (one - tower.alpha.inverse()) ** 2 * ModInt(2, 81)  # theta_Q(11a1) = 2
-    assert rep.expected == expected
+    expected = (1 - pow(tower.alpha, -1, 81)) ** 2 * 2 % 81  # theta_Q(11a1) = 2
+    assert tower.pk == 81 and rep.expected == expected
     # augmentation is layer-independent
-    assert len({aug.residue for _, aug in rep.per_layer}) == 1
+    assert len({aug for _, aug in rep.per_layer}) == 1
 
 
 def test_interpolate_trivial_rank_one_zero(c37):
     tower = stabilize(c37, 5, 4, 2)
     rep = interpolate_trivial(tower)
     assert rep.holds
-    assert rep.expected == ModInt(0, 625)
+    assert (rep.expected, tower.pk) == (0, 625)
 
 
 def test_interpolate_character_order3(c11, tower_11_3):
@@ -142,7 +144,7 @@ def test_interpolate_character_order3(c11, tower_11_3):
     # a layer off by 1 at sigma_1 breaks the congruence
     layers = dict(tower_11_3.layers)
     coeffs = dict(layers[2].coeffs)
-    coeffs[1] = coeffs[1] + 1
+    coeffs[1] = (coeffs[1] + 1) % tower_11_3.pk
     layers[2] = GroupRingElement(9, coeffs)
     broken = tower_11_3._replace(layers=layers)
     assert not interpolate_character(broken, chis[0], c11).holds
@@ -252,7 +254,7 @@ def schoolbook_layer_polynomial(tower, n, component=0):
         principal = (a * pow(t, -1, pn)) % pn
         j = gamma_pows[principal]
         w = pow(_teichmuller_oracle(a, p, pk), component, pk) if component else 1
-        c[j] = (c[j] + w * v.residue) % pk
+        c[j] = (c[j] + w * v) % pk
     # expand sum c_j (1+T)^j
     coeffs = [0] * gamma_order
     for j, cj in enumerate(c):
@@ -260,7 +262,7 @@ def schoolbook_layer_polynomial(tower, n, component=0):
             continue
         for i in range(j + 1):
             coeffs[i] = (coeffs[i] + cj * comb(j, i)) % pk
-    return [ModInt(v, pk) for v in coeffs]
+    return coeffs
 
 
 # the oracle is quadratic in the degree p^(n-1), so layers stop at degree 243
@@ -290,7 +292,7 @@ def test_layer_polynomial_matches_schoolbook(case):
         coeffs = {
             a: rng.randrange(pk) if rng.random() < density else 0 for a in units_mod(p**n)
         }
-    layer = GroupRingElement(p**n, {a: ModInt(v, pk) for a, v in coeffs.items()})
+    layer = GroupRingElement(p**n, coeffs)
     tower = synthetic_tower(p, k, {n: layer})
     for component in range(p - 1):
         assert layer_polynomial(tower, n, component) == schoolbook_layer_polynomial(
@@ -315,10 +317,10 @@ def newton_polygon_lambda_mu(poly, p, k):
     """
 
     def val(c):
-        if c.residue % p**k == 0:
+        if c % p**k == 0:
             return k
         v = 0
-        r = c.residue
+        r = c
         while r % p == 0:
             r //= p
             v += 1
@@ -356,12 +358,8 @@ def test_scaling_covariance(tower_11_3):
 
 def test_unit_constant_tower_has_zero_invariants():
     p, k = 3, 5
-    pk = p**k
-    layers = {
-        n: GroupRingElement.delta(p**n, 1, ModInt(2, pk), ModInt(0, pk))
-        for n in range(1, 5)
-    }
-    tower = synthetic_tower(p, k, layers)._replace(theta_q=ModInt(2, pk))
+    layers = {n: GroupRingElement.delta(p**n, 1, 2, 0) for n in range(1, 5)}
+    tower = synthetic_tower(p, k, layers)._replace(theta_q=2)
     assert tower.is_projective()
     inv = iwasawa_invariants(tower)
     assert (inv.lambda_, inv.mu) == (0, 0)
