@@ -17,7 +17,7 @@ _EXPORTS = {
         "DirichletCharacter", "GroupRingElement", "eval_character", "gauss_sum",
         "kolyvagin_derivative", "norm_map", "project",
     ),
-    "kurihara": ("discrete_log", "kurihara_number", "nonvanishing_search", "sieve_admissible"),
+    "kurihara": ("kurihara_number", "nonvanishing_search", "sieve_admissible"),
     "modsym": (
         "EigenSymbol", "ModularSymbolSpace", "build_space", "calibrate_periods", "eigen_symbol",
     ),

@@ -11,36 +11,44 @@ exact rationals as "p/q".
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
-# Every traced layer is imported here, not per command: perfbench's tracer
-# wraps functions of these modules right after ``import mazurtate.cli``
-# (``arith`` comes in through ``groupring`` and ``qexp``).
-from .curves import CatalogError, curve_by_label, euler_factor
-from .groupring import all_characters
-from .kurihara import nonvanishing_search, sieve_admissible
-from .modsym import build_space, calibrate_periods, cusp_count, genus_x0
-from .nt import primes_up_to
-from .padic import interpolate_trivial, iwasawa_invariants, stabilize
-from .qexp import (
-    GatedFeatureError,
-    QExpError,
-    TorsionPoint,
-    ZetaParameterError,
-    check_c_relation,
-    eisenstein_00,
-    dlog_d_eisenstein,
-    f_series,
-    rationalized_g_qexp,
-    siegel_theta_qexp,
-    theta_lead_exponent,
-    zeta_modular_form,
-)
+from .nt import is_primitive_root, primes_up_to
 from .records import Record
-from .theta import adjudicate_norm_relations, eigen_pair, theta_element
+
+
+def _register_lazily(names) -> None:
+    """Put each layer in ``sys.modules`` unexecuted; its body runs on first attribute read.
+
+    A command thus compiles and runs only the layers it reaches (``qexp e00``
+    none of the symbol layers), while every layer is still found in
+    ``sys.modules`` and as an attribute of the package, as after a plain import.
+    """
+    package = sys.modules[__package__]
+    for name in names:
+        fullname = f"{__package__}.{name}"
+        if fullname in sys.modules:
+            continue
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(package, name, module)
+
+
+# Dependents come before the layers they import from.  perfbench's tracer
+# rebinds a wrapped function in every module while its sweep over
+# sys.modules loads the lazy ones in this order; a module that loaded after
+# the module it imports from was patched would bind the wrapper, and
+# uninstall would leave it there.
+_register_lazily(("padic", "kurihara", "theta", "modsym", "groupring", "qexp", "arith", "curves"))
+from . import arith, curves, groupring, kurihara, modsym, padic, qexp, theta  # noqa: E402
 
 
 class UsageError(ValueError):
@@ -137,8 +145,8 @@ def _text_block(v):
 
 def _get_curve(label: str, args):
     try:
-        return curve_by_label(label, args.catalog)
-    except CatalogError as exc:
+        return curves.curve_by_label(label, args.catalog)
+    except curves.CatalogError as exc:
         raise UsageError(str(exc))
 
 
@@ -167,7 +175,7 @@ def cmd_curve(args) -> RunReport:
     factors = {}
     for ell in primes_up_to(args.ap_bound):
         ap[ell] = curve.ap(ell)
-        factors[ell] = repr(euler_factor(curve, ell))
+        factors[ell] = repr(curves.euler_factor(curve, ell))
         if curve.conductor % ell == 0:
             reduction[ell] = {1: "split multiplicative", -1: "nonsplit multiplicative", 0: "additive"}[
                 ap[ell]
@@ -184,28 +192,30 @@ def cmd_msym(args) -> RunReport:
     N = curve.conductor if curve else args.level
     if N is None:
         raise UsageError("msym needs --level or a curve label")
-    space = build_space(N)
+    space = modsym.build_space(N)
     report = RunReport("msym", {"level": N, "label": args.label})
     report.outputs["dimension"] = space.dimension
-    report.outputs["genus"] = genus_x0(N)
-    report.outputs["cusps"] = cusp_count(N)
+    report.outputs["genus"] = modsym.genus_x0(N)
+    report.outputs["cusps"] = modsym.cusp_count(N)
     report.checks.append(
         Check(
             "dimension = 2g + cusps - 1",
             "pass"
-            if space.dimension == 2 * genus_x0(N) + cusp_count(N) - 1
+            if space.dimension == 2 * modsym.genus_x0(N) + modsym.cusp_count(N) - 1
             else "fail",
         )
     )
     if curve is not None:
-        plus, minus = eigen_pair(curve)
+        # the pair theta.eigen_pair builds, without loading theta
+        plus = modsym.eigen_symbol(space, curve, +1)
+        minus = modsym.eigen_symbol(space, curve, -1)
         report.outputs["eigen_plus"] = list(plus.vector)
         report.outputs["eigen_minus"] = list(minus.vector)
         report.outputs["hecke_bound"] = max(plus.hecke_bound, minus.hecke_bound)
         report.outputs["value_plus_at_0"] = plus.value(0)
         if args.calibrate:
             try:
-                lam = calibrate_periods(plus, curve)
+                lam = modsym.calibrate_periods(plus, curve)
                 report.outputs["calibration_scalar"] = lam
                 report.checks.append(Check("period calibration", "pass"))
             except Exception as exc:  # noqa: BLE001 - reported, not raised
@@ -215,27 +225,27 @@ def cmd_msym(args) -> RunReport:
 
 def cmd_theta(args) -> RunReport:
     curve = _get_curve(args.label, args)
-    plus, minus = eigen_pair(curve)
+    plus, minus = theta.eigen_pair(curve)
     if args.mode == "calibrated":
         # only Omega^+ is calibrated; the minus part stays integral
-        plus = plus.calibrated(calibrate_periods(plus, curve))
-    theta = theta_element(curve, args.modulus, (plus, minus))
+        plus = plus.calibrated(modsym.calibrate_periods(plus, curve))
+    theta_m = theta.theta_element(curve, args.modulus, (plus, minus))
     report = RunReport(
         "theta", {"label": args.label, "M": args.modulus, "mode": args.mode}
     )
     report.outputs["coefficients"] = {
-        f"sigma_{a}": v for a, v in sorted(theta.element.coeffs.items())
+        f"sigma_{a}": v for a, v in sorted(theta_m.element.coeffs.items())
     }
     if args.mode == "calibrated":
         report.outputs["normalization"] = {
             "plus": plus.scaling_mode,
             "minus": minus.scaling_mode,
         }
-    report.outputs["augmentation"] = theta.augmentation()
-    flip = theta.element.conjugation_flip()
+    report.outputs["augmentation"] = theta_m.augmentation()
+    flip = theta_m.element.conjugation_flip()
     cov = all(
-        flip.coeffs[a] == theta.plus.coeffs[a] - theta.minus.coeffs[a]
-        for a in theta.element.coeffs
+        flip.coeffs[a] == theta_m.plus.coeffs[a] - theta_m.minus.coeffs[a]
+        for a in theta_m.element.coeffs
     )
     report.checks.append(Check("conjugation covariance", "pass" if cov else "fail"))
     return report
@@ -247,7 +257,7 @@ def cmd_plfunc(args) -> RunReport:
         "plfunc",
         {"label": args.label, "p": args.p, "k": args.k, "n_max": args.n_max},
     )
-    tower = stabilize(curve, args.p, args.k, args.n_max)
+    tower = padic.stabilize(curve, args.p, args.k, args.n_max)
     report.outputs["alpha"] = f"{tower.alpha} mod {tower.pk}"
     report.outputs["variant"] = tower.variant
     report.outputs["layers"] = {
@@ -263,7 +273,7 @@ def cmd_plfunc(args) -> RunReport:
                 None if ok else _projectivity_witness(wit, tower.pk),
             )
         )
-    interp = interpolate_trivial(tower)
+    interp = padic.interpolate_trivial(tower)
     report.checks.append(
         Check(
             "trivial-character interpolation",
@@ -273,7 +283,7 @@ def cmd_plfunc(args) -> RunReport:
     )
     if args.n_max >= 3:
         try:
-            inv = iwasawa_invariants(tower)
+            inv = padic.iwasawa_invariants(tower)
             report.outputs["iwasawa"] = {
                 "lambda": inv.lambda_,
                 "mu": inv.mu,
@@ -298,9 +308,9 @@ def cmd_kurihara(args) -> RunReport:
             "max_nu": args.nu,
         },
     )
-    prime_set = sieve_admissible(curve, args.p, args.k, args.bound)
+    prime_set = kurihara.sieve_admissible(curve, args.p, args.k, args.bound)
     report.outputs["admissible_primes"] = prime_set.primes
-    table = nonvanishing_search(curve, args.p, args.k, args.nu, args.bound, prime_set)
+    table = kurihara.nonvanishing_search(curve, args.p, args.k, args.nu, args.bound, prime_set)
     report.outputs["table"] = [
         {
             "n": r.n,
@@ -315,14 +325,14 @@ def cmd_kurihara(args) -> RunReport:
     return report
 
 
-def _parse_point(text: str) -> TorsionPoint:
+def _parse_point(text: str) -> qexp.TorsionPoint:
     try:
         a_s, b_s = text.split(",")
         a_n, a_d = a_s.split("/")
         b_n, b_d = b_s.split("/")
         if a_d != b_d:
             raise ValueError
-        return TorsionPoint(int(a_n), int(b_n), int(a_d))
+        return qexp.TorsionPoint(int(a_n), int(b_n), int(a_d))
     except ValueError:
         raise UsageError(f"point must look like a/N,b/N with equal N: {text!r}")
 
@@ -354,8 +364,8 @@ def cmd_qexp(args) -> RunReport:
     try:
         if args.target == "siegel":
             pt = _parse_point(args.point)
-            s = siegel_theta_qexp(pt, args.c, args.prec)
-            lead = theta_lead_exponent(pt, args.c)
+            s = qexp.siegel_theta_qexp(pt, args.c, args.prec)
+            lead = qexp.theta_lead_exponent(pt, args.c)
             if args.prec < 0 and args.prec <= lead:
                 raise UsageError(f"--prec {args.prec} is negative and not above the lead {lead}")
             report.outputs["grid"] = s.grid
@@ -364,31 +374,31 @@ def cmd_qexp(args) -> RunReport:
             report.outputs["series"] = _series_rows(s)
         elif args.target == "g-unit":
             pt = _parse_point(args.point)
-            g = rationalized_g_qexp(pt, args.prec, args.c)
+            g = qexp.rationalized_g_qexp(pt, args.prec, args.c)
             report.outputs["lead_exponent"] = g.lead_exponent
             report.outputs["root_order"] = g.root_order
             report.outputs["lead_base"] = list(g.lead_base.coords)
             report.outputs["unit_series"] = _series_rows(g.unit)
         elif args.target == "eisenstein":
             pt = _parse_point(args.point)
-            s = dlog_d_eisenstein(pt, args.c, args.weight, args.prec)
+            s = qexp.dlog_d_eisenstein(pt, args.c, args.weight, args.prec)
             report.outputs["series"] = _series_rows(s)
         elif args.target == "e00":
-            s = eisenstein_00(args.weight, args.c, args.aux, args.prec)
+            s = qexp.eisenstein_00(args.weight, args.c, args.aux, args.prec)
             report.outputs["series"] = _series_rows(s)
         elif args.target == "f":
             pt = _parse_point(args.point)
-            s = f_series(args.weight, pt, args.prec)
+            s = qexp.f_series(args.weight, pt, args.prec)
             report.outputs["series"] = _series_rows(s)
         elif args.target == "zeta":
-            z = zeta_modular_form(
+            z = qexp.zeta_modular_form(
                 args.big_m, args.big_n, args.weight, args.r, args.rp, args.prec
             )
             for name, s in z.branches.items():
                 report.outputs[f"branch {name}"] = _series_rows(s)
         elif args.target == "c-relation":
             pt = _parse_point(args.point)
-            rep = check_c_relation(pt, args.c, args.d, args.prec)
+            rep = qexp.check_c_relation(pt, args.c, args.d, args.prec)
             report.checks.append(
                 Check(
                     f"c,d-relation c={args.c} d={args.d}",
@@ -398,7 +408,7 @@ def cmd_qexp(args) -> RunReport:
             )
         else:
             raise UsageError(f"unknown qexp target {args.target!r}")
-    except (QExpError, GatedFeatureError, ZetaParameterError) as exc:
+    except (qexp.QExpError, qexp.GatedFeatureError, qexp.ZetaParameterError) as exc:
         raise UsageError(str(exc))
     return report
 
@@ -408,8 +418,8 @@ def cmd_qexp(args) -> RunReport:
 
 
 def _suite_norm_relations(args):
-    curves = [curve_by_label(label, args.catalog) for label in ("11a1", "37a1")]
-    summary = adjudicate_norm_relations(curves, args.max_product)
+    curve_pair = [curves.curve_by_label(label, args.catalog) for label in ("11a1", "37a1")]
+    summary = theta.adjudicate_norm_relations(curve_pair, args.max_product)
     checks = []
     non_vac = summary.non_vacuous()
     if not non_vac:
@@ -431,12 +441,10 @@ def _suite_norm_relations(args):
 
 
 def _suite_projectivity(args):
-    from .padic import stabilize
-
     checks = []
     for label, p in (("11a1", 3), ("11a1", 7), ("37a1", 5)):
-        curve = curve_by_label(label, args.catalog)
-        tower = stabilize(curve, p, args.k, args.n_max)
+        curve = curves.curve_by_label(label, args.catalog)
+        tower = padic.stabilize(curve, p, args.k, args.n_max)
         for n, ok, wit in tower.check_projectivity():
             checks.append(
                 Check(
@@ -449,23 +457,21 @@ def _suite_projectivity(args):
 
 
 def _suite_interpolation(args):
-    from .padic import interpolate_character, interpolate_trivial, stabilize
-
     checks = []
     for label, p in (("11a1", 3), ("11a1", 7), ("37a1", 5)):
-        curve = curve_by_label(label, args.catalog)
-        tower = stabilize(curve, p, args.k, min(args.n_max, 2))
-        rep = interpolate_trivial(tower)
+        curve = curves.curve_by_label(label, args.catalog)
+        tower = padic.stabilize(curve, p, args.k, min(args.n_max, 2))
+        rep = padic.interpolate_trivial(tower)
         checks.append(
             Check(
                 f"{label} p={p}: trivial character",
                 "pass" if rep.holds else "fail",
             )
         )
-    curve = curve_by_label("11a1", args.catalog)
-    tower = stabilize(curve, 3, args.k, 2)
-    chi = next(c for c in all_characters(9) if c.is_primitive())
-    rep = interpolate_character(tower, chi, curve)
+    curve = curves.curve_by_label("11a1", args.catalog)
+    tower = padic.stabilize(curve, 3, args.k, 2)
+    chi = next(c for c in groupring.all_characters(9) if c.is_primitive())
+    rep = padic.interpolate_character(tower, chi, curve)
     checks.append(
         Check("11a1 p=3: order-3 character mod 9", "pass" if rep.holds else "fail")
     )
@@ -473,9 +479,6 @@ def _suite_interpolation(args):
 
 
 def _suite_kolyvagin(args):
-    from .groupring import telescoping_check
-    from .nt import is_primitive_root
-
     bad = []
     total = 0
     for ell in primes_up_to(args.max_l):
@@ -485,7 +488,7 @@ def _suite_kolyvagin(args):
             if not is_primitive_root(eta, ell):
                 continue
             total += 1
-            if not telescoping_check(ell, eta):
+            if not groupring.telescoping_check(ell, eta):
                 bad.append((ell, eta))
     checks = [
         Check(
@@ -498,18 +501,15 @@ def _suite_kolyvagin(args):
 
 
 def _suite_gauss(args):
-    from .arith import CycElt
-    from .groupring import gauss_sum
-
     bad = []
     total = 0
     for d in range(1, 14):
-        for chi in all_characters(d):
+        for chi in groupring.all_characters(d):
             if not chi.is_primitive():
                 continue
             total += 1
-            prod = gauss_sum(chi) * gauss_sum(chi.conjugate())
-            if prod != CycElt.rational(chi.parity() * d, prod.conductor):
+            prod = groupring.gauss_sum(chi) * groupring.gauss_sum(chi.conjugate())
+            if prod != arith.CycElt.rational(chi.parity() * d, prod.conductor):
                 bad.append((d, chi.exponents))
     checks = [
         Check(
@@ -522,9 +522,9 @@ def _suite_gauss(args):
 
 
 def _suite_siegel_c(args):
-    pt = TorsionPoint(0, 1, 5)
-    g1 = rationalized_g_qexp(pt, 10, 11)
-    g2 = rationalized_g_qexp(pt, 10, 31)
+    pt = qexp.TorsionPoint(0, 1, 5)
+    g1 = qexp.rationalized_g_qexp(pt, 10, 11)
+    g2 = qexp.rationalized_g_qexp(pt, 10, 31)
     agree, wit = g1.unit.agreement(g2.unit)
     checks = [
         Check(
@@ -533,7 +533,7 @@ def _suite_siegel_c(args):
             None if agree else str(wit),
         )
     ]
-    rep = check_c_relation(pt, 7, 11, 8)
+    rep = qexp.check_c_relation(pt, 7, 11, 8)
     checks.append(
         Check(
             "c,d-symmetric theta relation (c=7, d=11, q^8)",
@@ -547,8 +547,8 @@ def _suite_siegel_c(args):
 def _suite_eisenstein_a(args):
     checks = []
     for k in (1, 3):
-        ea = eisenstein_00(k, 5, 2, args.prec)
-        eb = eisenstein_00(k, 5, 3, args.prec)
+        ea = qexp.eisenstein_00(k, 5, 2, args.prec)
+        eb = qexp.eisenstein_00(k, 5, 3, args.prec)
         agree, wit = ea.agreement(eb)
         checks.append(
             Check(
@@ -605,6 +605,7 @@ def cmd_oracle(args) -> RunReport:
 # Argument parsing
 
 
+@cache  # parse_args leaves the parser unchanged, so one per process serves every main()
 def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps a pre-subcommand global flag from being clobbered by
     # the subparser's default; real defaults are filled in main()
@@ -713,7 +714,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         report = args.func(args)
-    except ValueError as exc:  # UsageError, CatalogError and OracleError too
+    except ValueError as exc:  # UsageError, curves.CatalogError and OracleError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.timing = time.perf_counter() - t0

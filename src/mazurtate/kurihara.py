@@ -16,8 +16,6 @@ moves each value by a unit only.
 
 from __future__ import annotations
 
-from math import isqrt
-
 from .curves import CurveData, DEFAULT_COUNT_BOUND
 from .modsym import EigenSymbol, build_space, eigen_symbol
 from .nt import factorize, is_prime, is_primitive_root, primes_up_to, smallest_primitive_root
@@ -76,29 +74,6 @@ def sieve_admissible(
         primes.append(ell)
         eta[ell] = smallest_primitive_root(ell)
     return AdmissiblePrimeSet(curve.label, p, k, bound, primes, eta)
-
-
-def discrete_log(ell: int, eta: int, a: int) -> int:
-    """x in [0, ell - 1) with eta^x = a mod ell, by baby-step giant-step."""
-    if a % ell == 0:
-        raise ValueError(f"{a} is divisible by {ell}")
-    if not is_primitive_root(eta, ell):
-        raise ValueError(f"{eta} is not a primitive root mod {ell}")
-    a %= ell
-    order = ell - 1
-    m = isqrt(order) + 1
-    table = {}
-    cur = 1
-    for j in range(m):
-        table.setdefault(cur, j)
-        cur = (cur * eta) % ell
-    giant = pow(eta, -m, ell)
-    cur = a
-    for i in range(m + 1):
-        if cur in table:
-            return (i * m + table[cur]) % order
-        cur = (cur * giant) % ell
-    raise AssertionError("BSGS must find a logarithm for a primitive root")
 
 
 class KuriharaNumber(Record):

@@ -79,9 +79,9 @@ def test_plfunc_states_iwasawa_normalization(capsys):
 def test_plfunc_reports_an_unstable_reading(capsys, monkeypatch):
     # no bundled tower moves between its top two layers, so a synthetic
     # one stands in for the tower the command would build
-    import mazurtate.cli as cli
+    import mazurtate.padic as padic
 
-    monkeypatch.setattr(cli, "stabilize", lambda *args: unstable_tower())
+    monkeypatch.setattr(padic, "stabilize", lambda *args: unstable_tower())
     code, out, _ = run(
         capsys, "plfunc", "11a1", "-p", "3", "-k", "4", "-n", "3", "--json", "--no-timing"
     )
@@ -93,9 +93,9 @@ def test_plfunc_prints_residue_witnesses(capsys, monkeypatch):
     # the variant-B tower is neither projective nor interpolating (see
     # test_wrong_variant_is_not_projective); the lines below were recorded
     # when the tower's residues were ModInt values printed as "x mod m"
-    import mazurtate.cli as cli
+    import mazurtate.padic as padic
 
-    monkeypatch.setattr(cli, "stabilize", _variant_b)
+    monkeypatch.setattr(padic, "stabilize", _variant_b)
     argv = ("plfunc", "11a1", "-p", "3", "-k", "4", "-n", "3", "--no-timing")
     code, out, _ = run(capsys, *argv)
     assert code == 1
@@ -415,16 +415,19 @@ def test_residue_output_pinned(capsys, name):
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-_REPORT_LOADED = (
+# the submodules whose body ran: the CLI registers its layers in sys.modules
+# unexecuted, and a module gets __builtins__ only when its body runs
+_REPORT_EXECUTED = (
     "\nimport sys\n"
-    "print(' '.join(sorted(m[10:] for m in sys.modules if m.startswith('mazurtate.'))))"
+    "print(' '.join(sorted(n[10:] for n, m in sys.modules.items() if n.startswith('mazurtate.')"
+    " and '__builtins__' in object.__getattribute__(m, '__dict__'))))"
 )
 
 
-def _loaded_after(code: str) -> set[str]:
+def _executed_after(code: str) -> set[str]:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", code + _REPORT_LOADED],
+        [sys.executable, "-c", code + _REPORT_EXECUTED],
         env=env, capture_output=True, text=True, check=True,
     )
     return set(proc.stdout.splitlines()[-1].split())
@@ -479,7 +482,7 @@ def test_bundled_catalog_skips_importlib_resources():
 
 
 def test_import_mazurtate_loads_no_submodule():
-    assert _loaded_after("import mazurtate") == set()
+    assert _executed_after("import mazurtate") == set()
 
 
 @pytest.mark.parametrize(
@@ -488,22 +491,73 @@ def test_import_mazurtate_loads_no_submodule():
         ("from mazurtate import QSeries", {"qexp"}, {"modsym", "theta", "kurihara", "padic"}),
         ("from mazurtate import kurihara_number", {"kurihara"}, {"qexp", "padic", "oracle"}),
         (
+            "import mazurtate.cli",
+            {"cli", "nt", "records"},
+            {"arith", "curves", "groupring", "kurihara", "modsym", "padic", "qexp", "theta"},
+        ),
+        (
             _cli_run("--no-timing", "qexp", "e00", "-k", "3", "--c", "5", "--prec", "4"),
-            {"cli", "qexp"},
-            {"oracle"},
+            {"cli", "qexp", "arith"},
+            {"modsym", "theta", "kurihara", "padic", "groupring", "curves", "oracle"},
         ),
         (
             _cli_run("--no-timing", "kurihara", "11a1", "-p", "3", "--bound", "70"),
-            {"cli", "kurihara"},
-            {"oracle"},
+            {"cli", "kurihara", "modsym", "curves"},
+            {"qexp", "padic", "theta", "groupring", "arith", "oracle"},
+        ),
+        (
+            _cli_run("--no-timing", "msym", "--level", "37"),
+            {"cli", "modsym"},
+            {"qexp", "padic", "kurihara", "theta", "groupring"},
+        ),
+        (
+            _cli_run("--no-timing", "msym", "11a1"),
+            {"cli", "modsym", "curves"},
+            {"qexp", "padic", "kurihara", "theta", "groupring"},
         ),
     ],
-    ids=["qseries", "kurihara_number", "cli-qexp", "cli-kurihara"],
+    ids=[
+        "qseries", "kurihara_number", "cli-import", "cli-qexp", "cli-kurihara",
+        "cli-msym-level", "cli-msym",
+    ],
 )
 def test_cold_start_loads_only_what_is_used(code, present, absent):
-    loaded = _loaded_after(code)
-    assert present <= loaded
-    assert not loaded & absent
+    executed = _executed_after(code)
+    assert present <= executed
+    assert not executed & absent
+
+
+_TRACED_RUN = """
+import contextlib, io, json, sys
+import mazurtate.cli
+sys.path.insert(0, {perfbench!r})
+import tracer
+t = tracer.Tracer()
+t.install()
+with contextlib.redirect_stdout(io.StringIO()) as buf:
+    code = mazurtate.cli.main({argv!r})
+t.uninstall()
+calls = {{n: c["calls"] for n, c in tracer.layer_totals(t.spans()).items()}}
+print(json.dumps({{"code": code, "stdout": buf.getvalue(), "calls": calls,
+                  "left": tracer.leftover_wrappers()}}))
+"""
+
+
+def test_traced_cli_run_matches_untraced_and_leaves_no_wrapper(capsys):
+    # perfbench's tracer loads the lazily registered layers while it swaps
+    # bindings, so a registration order that loads a module after the one it
+    # imports from was patched leaves a wrapper behind
+    argv = ["plfunc", "11a1", "-p", "3", "-k", "4", "-n", "3", "--json", "--no-timing"]
+    code = _TRACED_RUN.format(perfbench=str(SRC.parent / "perfbench"), argv=argv)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    traced = json.loads(proc.stdout)
+    assert traced["left"] == []
+    assert traced["calls"]["padic.stabilize"] == 1
+    assert traced["calls"]["modsym.eigen_symbol"] >= 1
+    assert [traced["code"], traced["stdout"]] == list(run(capsys, *argv)[:2])
 
 
 def test_package_names_resolve_lazily():

@@ -1,5 +1,6 @@
 import functools
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from mazurtate.curves import curve_by_label
 from mazurtate.kurihara import (
     AdmissibilityError,
-    discrete_log,
     ideal_valuation,
     kurihara_number,
     nonvanishing_search,
@@ -226,6 +226,32 @@ def test_search_keeps_no_per_modulus_state(c37):
     plus = eigen_pair(c37)[0]
     assert plus.values_mod(7) == plus.values_mod(7)
     assert plus.values_mod(7) is not plus.values_mod(7)
+
+
+def discrete_log(ell: int, eta: int, a: int) -> int:
+    """x in [0, ell - 1) with eta^x = a mod ell, by baby-step giant-step.
+
+    A test oracle: ``kurihara_number`` reads its logs from per-prime tables.
+    """
+    if a % ell == 0:
+        raise ValueError(f"{a} is divisible by {ell}")
+    if not is_primitive_root(eta, ell):
+        raise ValueError(f"{eta} is not a primitive root mod {ell}")
+    a %= ell
+    order = ell - 1
+    m = isqrt(order) + 1
+    table = {}
+    cur = 1
+    for j in range(m):
+        table.setdefault(cur, j)
+        cur = (cur * eta) % ell
+    giant = pow(eta, -m, ell)
+    cur = a
+    for i in range(m + 1):
+        if cur in table:
+            return (i * m + table[cur]) % order
+        cur = (cur * giant) % ell
+    raise AssertionError("BSGS must find a logarithm for a primitive root")
 
 
 def _delta_by_definition(plus, n, pk, prime_set):
