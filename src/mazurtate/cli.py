@@ -206,9 +206,7 @@ def cmd_msym(args) -> RunReport:
         )
     )
     if curve is not None:
-        # the pair theta.eigen_pair builds, without loading theta
-        plus = modsym.eigen_symbol(space, curve, +1)
-        minus = modsym.eigen_symbol(space, curve, -1)
+        plus, minus = modsym.eigen_pair(curve)
         report.outputs["eigen_plus"] = list(plus.vector)
         report.outputs["eigen_minus"] = list(minus.vector)
         report.outputs["hecke_bound"] = max(plus.hecke_bound, minus.hecke_bound)
@@ -225,7 +223,7 @@ def cmd_msym(args) -> RunReport:
 
 def cmd_theta(args) -> RunReport:
     curve = _get_curve(args.label, args)
-    plus, minus = theta.eigen_pair(curve)
+    plus, minus = modsym.eigen_pair(curve)
     if args.mode == "calibrated":
         # only Omega^+ is calibrated; the minus part stays integral
         plus = plus.calibrated(modsym.calibrate_periods(plus, curve))

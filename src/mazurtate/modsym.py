@@ -646,6 +646,11 @@ def eigen_symbol(space: ModularSymbolSpace, curve: CurveData, sign: int) -> Eige
     return sym
 
 
+def eigen_pair(curve: CurveData) -> tuple[EigenSymbol, EigenSymbol]:
+    space = build_space(curve.conductor)
+    return eigen_symbol(space, curve, +1), eigen_symbol(space, curve, -1)
+
+
 def calibrate_periods(eigen: EigenSymbol, curve: CurveData, oracle=None) -> Fraction:
     """Pin the rational scalar matching [0]^+ to the numeric L(E,1)/Omega^+.
 

@@ -32,7 +32,7 @@ from .groupring import (
     norm_map,
     project,
 )
-from .modsym import EigenSymbol, build_space, eigen_symbol
+from .modsym import eigen_pair
 from .nt import is_prime
 from .records import Record
 
@@ -48,11 +48,6 @@ class ThetaElement(Record):
 
     def is_zero(self) -> bool:
         return self.element.is_zero()
-
-
-def eigen_pair(curve: CurveData) -> tuple[EigenSymbol, EigenSymbol]:
-    space = build_space(curve.conductor)
-    return eigen_symbol(space, curve, +1), eigen_symbol(space, curve, -1)
 
 
 _theta_cache: dict[tuple, ThetaElement] = {}

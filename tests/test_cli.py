@@ -415,22 +415,29 @@ def test_residue_output_pinned(capsys, name):
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the submodules whose body ran: the CLI registers its layers in sys.modules
-# unexecuted, and a module gets __builtins__ only when its body runs
-_REPORT_EXECUTED = (
+# the submodules in sys.modules, then those whose body ran: the CLI
+# registers its layers in sys.modules unexecuted, and a module gets
+# __builtins__ only when its body runs
+_REPORT_MODULES = (
     "\nimport sys\n"
-    "print(' '.join(sorted(n[10:] for n, m in sys.modules.items() if n.startswith('mazurtate.')"
-    " and '__builtins__' in object.__getattribute__(m, '__dict__'))))"
+    "names = sorted(n for n in sys.modules if n.startswith('mazurtate.'))\n"
+    "print(' '.join(n[10:] for n in names))\n"
+    "print(' '.join(n[10:] for n in names"
+    " if '__builtins__' in object.__getattribute__(sys.modules[n], '__dict__')))"
 )
 
+# what import mazurtate.cli puts in sys.modules without running it
+_CLI_LAYERS = {"arith", "curves", "groupring", "kurihara", "modsym", "padic", "qexp", "theta"}
 
-def _executed_after(code: str) -> set[str]:
+
+def _modules_after(code: str) -> tuple[set[str], set[str]]:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", code + _REPORT_EXECUTED],
+        [sys.executable, "-c", code + _REPORT_MODULES],
         env=env, capture_output=True, text=True, check=True,
     )
-    return set(proc.stdout.splitlines()[-1].split())
+    loaded, executed = proc.stdout.split("\n")[-3:-1]
+    return set(loaded.split()), set(executed.split())
 
 
 def _cli_run(*argv: str) -> str:
@@ -445,11 +452,14 @@ def _cli_run(*argv: str) -> str:
     "code",
     [
         "import mazurtate.cli",
+        # every layer the CLI registers, run through it
+        "import mazurtate.cli\nfrom mazurtate.padic import stabilize\n"
+        "from mazurtate.kurihara import kurihara_number\nfrom mazurtate.qexp import QSeries",
         # the set-up imports of perfbench/job.py
         "import mazurtate\nfrom mazurtate.curves import curve_by_label\n"
         "from mazurtate.theta import eigen_pair",
     ],
-    ids=["cli", "bench-setup"],
+    ids=["cli", "cli-layers", "bench-setup"],
 )
 def test_cold_import_skips_dataclasses_and_inspect(code):
     # records are __slots__ classes: dataclasses would import inspect, ast,
@@ -482,7 +492,8 @@ def test_bundled_catalog_skips_importlib_resources():
 
 
 def test_import_mazurtate_loads_no_submodule():
-    assert _executed_after("import mazurtate") == set()
+    loaded, _ = _modules_after("import mazurtate")
+    assert loaded == set()
 
 
 @pytest.mark.parametrize(
@@ -490,11 +501,7 @@ def test_import_mazurtate_loads_no_submodule():
     [
         ("from mazurtate import QSeries", {"qexp"}, {"modsym", "theta", "kurihara", "padic"}),
         ("from mazurtate import kurihara_number", {"kurihara"}, {"qexp", "padic", "oracle"}),
-        (
-            "import mazurtate.cli",
-            {"cli", "nt", "records"},
-            {"arith", "curves", "groupring", "kurihara", "modsym", "padic", "qexp", "theta"},
-        ),
+        ("import mazurtate.cli", {"cli", "nt", "records"}, _CLI_LAYERS),
         (
             _cli_run("--no-timing", "qexp", "e00", "-k", "3", "--c", "5", "--prec", "4"),
             {"cli", "qexp", "arith"},
@@ -522,9 +529,11 @@ def test_import_mazurtate_loads_no_submodule():
     ],
 )
 def test_cold_start_loads_only_what_is_used(code, present, absent):
-    executed = _executed_after(code)
+    loaded, executed = _modules_after(code)
     assert present <= executed
     assert not executed & absent
+    # only the CLI's lazily registered layers may sit in sys.modules unrun
+    assert loaded - executed <= (_CLI_LAYERS if "cli" in executed else set())
 
 
 _TRACED_RUN = """

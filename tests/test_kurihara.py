@@ -231,7 +231,8 @@ def test_search_keeps_no_per_modulus_state(c37):
 def discrete_log(ell: int, eta: int, a: int) -> int:
     """x in [0, ell - 1) with eta^x = a mod ell, by baby-step giant-step.
 
-    A test oracle: ``kurihara_number`` reads its logs from per-prime tables.
+    Only its own three tests call it: ``kurihara_number`` reads its logs
+    from per-prime tables, and ``_delta_by_definition`` tabulates its own.
     """
     if a % ell == 0:
         raise ValueError(f"{a} is divisible by {ell}")
