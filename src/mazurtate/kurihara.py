@@ -53,9 +53,14 @@ class AdmissiblePrimeSet(Record):
 def sieve_admissible(
     curve: CurveData, p: int, k: int, bound: int, count_bound: int = DEFAULT_COUNT_BOUND
 ) -> AdmissiblePrimeSet:
-    """All admissible primes <= bound, each with its smallest primitive root."""
+    """All admissible primes <= bound, each with its smallest primitive root.
+
+    Bound 0 gives the empty set; a negative bound is refused.
+    """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
+    if bound < 0:
+        raise AdmissibilityError(f"bound must be >= 0, got {bound}")
     if bound > count_bound:
         raise AdmissibilityError(
             f"bound {bound} exceeds the point-counting limit {count_bound}"
@@ -104,6 +109,11 @@ def ideal_valuation(curve: CurveData, n: int, p: int) -> int:
     return total
 
 
+# the weights W(c) are built for this many c at a time, so no list in
+# kurihara_number is longer than one block plus twice the largest ell | n
+_WEIGHT_BLOCK = 4096
+
+
 def kurihara_number(
     curve: CurveData,
     n: int,
@@ -114,7 +124,20 @@ def kurihara_number(
 ) -> KuriharaNumber:
     """delta_n in Z/p^k for a squarefree product n of admissible primes.
 
-    n = 1 gives [0]^+ mod p^k (the empty product of logs is 1).
+    n = 1 gives [0]^+ mod p^k (the empty product of logs is 1).  For
+    n > 1 the sum is indexed by where each walk starts, not by a.  Let
+    W(c) = prod_{ell | n} log_ell(c) mod p^k and nu = nu(n).  On an
+    admissible ell, p^k is odd and divides ell - 1, so log(-1) =
+    (ell - 1)/2 = 0 mod p^k and W(n - c) = W(c); and log(c^-1) = -log(c),
+    so W(c^-1) = (-1)^nu W(c).  [n - a] = sign [a] pairs a < n/2 with
+    n - a, and [a/n] is the Euclid walk from (n : c), where c < n/2 is
+    the one of +-a^-1 (``EigenSymbol.walk``), with W(a) = (-1)^nu W(c);
+    a <-> c permutes the units below n/2.  Hence
+
+        delta_n = (1 + sign) (-1)^nu sum_{units c < n/2} W(c) walk(n, c),
+
+    with no modular inverse and one log product per c.  A non-unit c has
+    a zero log, so only the c with W(c) != 0 mod p^k are walked.
     """
     pk = _precision_modulus(p, k)
     if n == 1:
@@ -133,37 +156,34 @@ def kurihara_number(
         plus_symbol = eigen_symbol(build_space(curve.conductor), curve, +1)
     if plus_symbol.scaling_mode != "integral-normalized":
         raise AdmissibilityError("Kurihara numbers use integral-normalized symbols")
-    # per-prime log tables reduced into Z/p^k
-    log_tables = {}
+    if n == 1:
+        return KuriharaNumber(n=1, p=p, k=k, value=plus_symbol.walk(1, 0) % pk, ideal_valuation=0)
+    # per-prime log tables reduced into Z/p^k, each repeated so that
+    # tile[c % ell + i] = log_ell(c + i) for i < _WEIGHT_BLOCK
+    tiles = []
     for ell in factors:
         eta = prime_set.eta[ell]
         table = [0] * ell
-        cur_exp = 0
         cur = 1
-        for _ in range(ell - 1):
-            table[cur] = cur_exp % pk
+        for x in range(ell - 1):
+            table[cur] = x % pk
             cur = (cur * eta) % ell
-            cur_exp += 1
-        log_tables[ell] = table
-    # [n - a] = sign [a] pairs a < n/2 with n - a under the weight
-    # w(a) = prod log(a) + sign prod log(n - a); a non-unit has a zero log,
-    # so only units with w(a) != 0 mod p^k are walked
-    sign = plus_symbol.sign
-    total = plus_symbol.half_value(0, 1) if n == 1 else 0
-    for a in range(1, (n + 1) // 2):
-        w_a = w_b = 1
-        for ell, logs in log_tables.items():
-            w_a *= logs[a % ell]
-            w_b *= logs[(n - a) % ell]
-        w = (w_a + sign * w_b) % pk
-        if w:
-            total += w * plus_symbol.half_value(a, n)
+        tiles.append((ell, table * (_WEIGHT_BLOCK // ell + 2)))
+    walk = plus_symbol.walk
+    scale = (1 + plus_symbol.sign) * (-1) ** len(factors)
+    end = (n + 1) // 2 if scale else 1  # 1 + sign = 0: a minus symbol walks nothing
+    total = 0
+    for start in range(1, end, _WEIGHT_BLOCK):
+        stop = min(start + _WEIGHT_BLOCK, end)
+        weights = None
+        for ell, tile in tiles:
+            logs = tile[start % ell : start % ell + stop - start]
+            weights = logs if weights is None else [w * x % pk for w, x in zip(weights, logs)]
+        for c, w in zip(range(start, stop), weights):
+            if w:
+                total += w * walk(n, c)
     return KuriharaNumber(
-        n=n,
-        p=p,
-        k=k,
-        value=total % pk,
-        ideal_valuation=ideal_valuation(curve, n, p) if n > 1 else 0,
+        n=n, p=p, k=k, value=scale * total % pk, ideal_valuation=ideal_valuation(curve, n, p)
     )
 
 

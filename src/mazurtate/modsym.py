@@ -445,16 +445,25 @@ class EigenSymbol(Frozen):
         ``unimodular_path(a/M)`` adds (q_k : (-1)^(k+1) q_{k-1}) over the
         convergent denominators 1 = q_0 < q_1 < ... < q_n = M, and
         q_{n-1} = b, the one of +-a^-1 mod M that is <= M/2; read from
-        the top, they are the Euclid remainders of (M, b).  So one walk
-        adds table[(x : y)] and steps x, y = y, x % y, down to (1 : 0);
-        the pairs at even distance from (1 : 0) take the factor ``sign``,
-        as table[(c : -d)] = sign table[(c : d)] (Cremona 1997, ch. 2).
-        (1 : 0) itself is P^1 point 1, as (1 : d) is point 1 + d for N > 1.
+        the top, they are the Euclid remainders of (M, b), which ``walk``
+        sums.
+        """
+        b = pow(a, -1, M)
+        return self.walk(M, min(b, M - b))
+
+    def walk(self, M: int, b: int) -> int:
+        """[a/M] for the a <= M/2 with a b = +-1 mod M, given 0 <= b <= M/2
+        prime to M (M = 1, b = 0 gives [0]).
+
+        One walk adds table[(x : y)] and steps x, y = y, x % y from (M : b)
+        down to (1 : 0); the pairs at even distance from (1 : 0) take the
+        factor ``sign``, as table[(c : -d)] = sign table[(c : d)] (Cremona
+        1997, ch. 2).  (1 : 0) itself is P^1 point 1, as (1 : d) is point
+        1 + d for N > 1.
         """
         space, table = self.space, self.table
         N, inv = space.N, space._inv
-        b = pow(a, -1, M)
-        x, y = M, min(b, M - b)
+        x, y = M, b
         odd = even = 0  # entries at odd / even distance from the latest pair
         while y:
             u = inv[x % N]
@@ -486,7 +495,8 @@ class EigenSymbol(Frozen):
         if M <= 2:  # the one unit M - 1 is its own mirror
             return {M - 1: self.value(Fraction(M - 1, M))}
         low = [a for a in range(1, (M + 1) // 2) if gcd(a, M) == 1]
-        half = [self.half_value(a, M) for a in low]
+        walk = self.walk
+        half = [walk(M, min(b := pow(a, -1, M), M - b)) for a in low]
         vals = half + [self.sign * v for v in reversed(half)]
         if self.scale != 1:
             vals = [self.scale * v for v in vals]

@@ -283,6 +283,15 @@ def test_kurihara_refuses_negative_factor_count(capsys):
     assert "max_factors" in err
 
 
+def test_kurihara_refuses_negative_bound(capsys):
+    # a negative bound used to print an empty table for "primes <= -5"
+    code, out, err = run(capsys, "kurihara", "37a1", "-p", "3", "--bound", "-5", "--no-timing")
+    assert code == 2 and out == ""
+    assert "bound must be >= 0, got -5" in err
+    code, out, _ = run(capsys, "kurihara", "37a1", "-p", "3", "--bound", "0", "--json", "--no-timing")
+    assert code == 0 and json.loads(out)["outputs"]["admissible_primes"] == []
+
+
 def test_oracle_subcommand(capsys):
     code, out, _ = run(capsys, "oracle", "11a1", "--no-timing")
     assert code == 0 and "ratio: 0.2" in out
@@ -390,6 +399,18 @@ PINNED_RESIDUES = {
     "kurihara-11a1": (
         ("kurihara", "11a1", "-p", "3", "-k", "2"),
         "d623c6b693f2faf63fe09d80be691dfe89b0ce57312cf9e97252f35deceeac90",
+    ),
+    # recorded with a sum over a < n/2 under the weight prod log(a) +
+    # sign prod log(n - a) and one modular inverse per walk; the sum over
+    # walk starts c with weight W(c) must print the same bytes.  389a1's
+    # moduli exceed one weight block; 5077a1 has unit rows at nu = 3
+    "kurihara-389a1-nu2": (
+        ("kurihara", "389a1", "-p", "3", "-k", "1", "--bound", "400", "--nu", "2"),
+        "5fdb7c2c3c5138bc6de7fdf5934c1c3201f8e2078233ceac0c02919af148f96b",
+    ),
+    "kurihara-5077a1-nu3": (
+        ("kurihara", "5077a1", "-p", "3", "-k", "1", "--bound", "170", "--nu", "3"),
+        "a365c74fc71f90669002edbcf6858412e23a5f459def5e3886f994f4646aeb81",
     ),
     "verify-projectivity": (
         ("verify", "projectivity"),

@@ -1,5 +1,6 @@
 import functools
 import random
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -195,6 +196,9 @@ class _ShiftedValues:
     def half_value(self, a, n):
         return self.base.half_value(a, n) + self.shift
 
+    def walk(self, n, c):
+        return self.base.walk(n, c) + self.shift
+
 
 def test_well_definedness_under_constant_shift(c11, aset11):
     from mazurtate.theta import eigen_pair
@@ -231,8 +235,9 @@ def test_search_keeps_no_per_modulus_state(c37):
 def discrete_log(ell: int, eta: int, a: int) -> int:
     """x in [0, ell - 1) with eta^x = a mod ell, by baby-step giant-step.
 
-    Only its own three tests call it: ``kurihara_number`` reads its logs
-    from per-prime tables, and ``_delta_by_definition`` tabulates its own.
+    Only tests call it: its own three, and the log(-1) identity below,
+    which reads a log independently of the tables that ``kurihara_number``
+    and ``_delta_by_definition`` tabulate.
     """
     if a % ell == 0:
         raise ValueError(f"{a} is divisible by {ell}")
@@ -270,29 +275,90 @@ def _delta_by_definition(plus, n, pk, prime_set):
 
 
 @functools.cache
-def _prime_set(label, k):
-    return sieve_admissible(curve_by_label(label), 3, k, 300)
+def _prime_set(label, p, k):
+    return sieve_admissible(curve_by_label(label), p, k, 1000)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from(["11a1", "37a1"]),
+    st.sampled_from(["11a1", "37a1", "389a1"]),
+    st.sampled_from([3, 5]),
     st.sampled_from([1, 2]),
-    st.lists(st.integers(0, 99), max_size=2, unique=True),
+    st.lists(st.integers(0, 99), max_size=3, unique=True),
 )
-@example("11a1", 1, [])
-@example("37a1", 2, [])
-@example("37a1", 2, [0, 1])
-@example("11a1", 1, [6, 7])
-def test_kurihara_number_matches_the_definition(label, k, picks):
-    # the weight filter and the a <-> n - a pairing must not move delta_n;
-    # n is a product of at most two distinct admissible primes, or 1
+@example("11a1", 3, 1, [])
+@example("37a1", 3, 2, [])
+@example("37a1", 3, 2, [0, 1])
+@example("11a1", 3, 1, [6, 7])
+@example("37a1", 5, 1, [0])
+@example("389a1", 3, 1, [0, 1, 2])
+@example("389a1", 3, 2, [0, 1, 2])
+@example("11a1", 5, 2, [0, 1, 2])
+def test_kurihara_number_matches_the_definition(label, p, k, picks):
+    # the sum over walk starts c with weight W(c), and its (1 + sign)
+    # (-1)^nu factor, must not move delta_n; n is 1 or a product of at
+    # most three distinct admissible primes, a prime that would take n
+    # past 200,000 left out so that the definition's values_mod stays fast
     curve = curve_by_label(label)
-    prime_set = _prime_set(label, k)
+    prime_set = _prime_set(label, p, k)
     primes = prime_set.primes
     n = 1
-    for ell in {primes[i % len(primes)] for i in picks} if primes else ():
-        n *= ell
+    for ell in sorted({primes[i % len(primes)] for i in picks} if primes else ()):
+        if n * ell <= 200_000:
+            n *= ell
     plus = eigen_pair(curve)[0]
-    delta = kurihara_number(curve, n, 3, k, prime_set, plus)
-    assert delta.value == _delta_by_definition(plus, n, 3**k, prime_set) % 3**k
+    delta = kurihara_number(curve, n, p, k, prime_set, plus)
+    assert delta.value == _delta_by_definition(plus, n, p**k, prime_set)
+
+
+def _rechosen(prime_set, seed):
+    rng = random.Random(seed)
+    return prime_set.with_roots(
+        {
+            ell: rng.choice([x for x in range(2, ell) if is_primitive_root(x, ell)])
+            for ell in prime_set.primes
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "label, p, k", [("37a1", 3, 1), ("37a1", 3, 2), ("389a1", 3, 2), ("11a1", 5, 1), ("11a1", 5, 2)]
+)
+def test_log_of_minus_one_vanishes_on_admissible_primes(label, p, k):
+    # log(-1) = (ell - 1)/2 = 0 mod p^k, whence W(n - c) = W(c)
+    prime_set = _prime_set(label, p, k)
+    assert prime_set.primes
+    for chosen in prime_set, _rechosen(prime_set, 7), _rechosen(prime_set, 8):
+        for ell in chosen.primes:
+            assert discrete_log(ell, chosen.eta[ell], ell - 1) % p**k == 0
+
+
+@pytest.mark.parametrize("label, p, k", [("37a1", 3, 1), ("389a1", 3, 2), ("11a1", 5, 1)])
+def test_kurihara_number_of_a_minus_symbol_vanishes(label, p, k):
+    # [n - a] = -[a] cancels the pairs a, n - a under W(n - c) = W(c):
+    # the (1 + sign) factor, which the definition gives too
+    curve = curve_by_label(label)
+    prime_set = _prime_set(label, p, k)
+    minus = eigen_pair(curve)[1]
+    assert minus.sign == -1
+    first = prime_set.primes[:3]
+    for n in 1, first[0], first[0] * first[1], first[0] * first[1] * first[2]:
+        assert kurihara_number(curve, n, p, k, prime_set, minus).value == 0
+        if n <= 200_000:
+            assert _delta_by_definition(minus, n, p**k, prime_set) == 0
+
+
+def test_kurihara_number_memory_is_bounded_by_one_block(c37, aset37):
+    # n = 43 * 109 * 211 = 988,957: a weight list over all c < n/2 would
+    # take about 4 MB of pointers; the blocked weights stay far below it
+    plus = eigen_pair(c37)[0]
+    n = 43 * 109 * 211
+    kurihara_number(c37, 43 * 109, 3, 1, aset37, plus)  # warm per-curve caches
+    ideal_valuation(c37, n, 3)
+    tracemalloc.start()
+    try:
+        kurihara_number(c37, n, 3, 1, aset37, plus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
