@@ -371,6 +371,8 @@ def cmd_qexp(args) -> RunReport:
             report.outputs["truncation"] = s.trunc_exponent
             report.outputs["series"] = _series_rows(s)
         elif args.target == "g-unit":
+            if args.prec == 0:  # it counts unit-part steps past the lead
+                raise UsageError("g-unit needs --prec > 0, got 0")
             pt = _parse_point(args.point)
             g = qexp.rationalized_g_qexp(pt, args.prec, args.c)
             report.outputs["lead_exponent"] = g.lead_exponent

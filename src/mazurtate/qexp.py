@@ -1,9 +1,11 @@
 """Truncated q-expansions over cyclotomic fields: theta, Siegel, Eisenstein.
 
-Series live on a fixed exponent grid (1/L)Z with exact ``CycElt``
-coefficients and an explicit exclusive truncation order; every ring
-operation propagates the truncation (product order = min(t1 + lead2,
-t2 + lead1), sums take the min).
+Series live on a fixed exponent grid (1/L)Z with an explicit exclusive
+truncation order; every ring operation propagates the truncation
+(product order = min(t1 + lead2, t2 + lead1), sums take the min).  The
+coefficients in Q(zeta_L) are integer power-basis rows over one common
+denominator, and ring operations work on the rows; ``CycElt`` appears
+only at the edge (the constructor, ``coeffs`` and the coefficient readers).
 
 The universal object behind everything is the Tate curve with parameter
 t and invariant differential dt/t, so the weight-raising operator is
@@ -26,9 +28,10 @@ roots of unity when the pullback has no q-shift.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import ceil, gcd, isqrt, lcm
 
 from .arith import CycElt, cyc_embed, reduce_mod_cyclotomic
+from .nt import euler_phi
 from .records import Frozen, Record
 
 
@@ -67,38 +70,62 @@ class TorsionPoint(Frozen):
 
 
 class QSeries:
-    """Truncated series sum coeffs[i] q^{(start+i)/grid}, trunc exclusive."""
+    """Truncated series sum rows[i]/den q^{(start+i)/grid}, trunc exclusive.
 
-    __slots__ = ("grid", "start", "coeffs", "trunc", "conductor")
+    Row i holds the phi(L) power-basis numerators of one coefficient in
+    Q(zeta_L), every row over the one denominator ``den``.  The form is
+    canonical (den > 0, gcd(den, every entry) = 1, no zero row at either
+    end), so den is the lcm of the coefficients' own denominators and
+    equal series have equal fields.  The constructor takes ``CycElt``
+    coefficients; ``coeffs`` is their read-only view, built on first use.
+    """
+
+    __slots__ = ("grid", "start", "rows", "den", "trunc", "conductor", "_coeffs")
 
     def __init__(self, grid: int, start: int, coeffs, trunc: int, conductor: int):
         coeffs = list(coeffs)
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-            start += 1
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        if not coeffs:
+        den = lcm(1, *(c.den for c in coeffs))
+        rows = [[v * (den // c.den) for v in c.num] for c in coeffs]
+        self._set(grid, start, rows, den, trunc, conductor)
+
+    def _set(self, grid, start, rows, den, trunc, conductor):
+        i, j = 0, len(rows)
+        while i < j and not any(rows[i]):
+            i += 1
+        while j > i and not any(rows[j - 1]):
+            j -= 1
+        rows, start, g = rows[i:j], start + i, den
+        # last row first: Miller's rows carry falling powers of den, so the
+        # gcd reaches 1 soonest there
+        for r in reversed(rows):
+            if g == 1:
+                break
+            g = gcd(g, *r)
+        if g > 1:
+            rows = [[v // g for v in r] for r in rows]
+        if not rows:
             start = trunc
-        if start + len(coeffs) > trunc:
+        if start + len(rows) > trunc:
             raise ValueError("coefficients extend past the truncation order")
         self.grid = grid
         self.start = start
-        self.coeffs = coeffs
+        self.rows = rows
+        self.den = den // g
         self.trunc = trunc
         self.conductor = conductor
+        self._coeffs = None
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zero(grid: int, trunc_exp, conductor: int = 1) -> "QSeries":
         t = _to_idx(trunc_exp, grid)
-        return QSeries(grid, t, [], t, conductor)
+        return _series(grid, t, [], 1, t, conductor)
 
     @staticmethod
     def one(grid: int, trunc_exp, conductor: int = 1) -> "QSeries":
-        t = _to_idx(trunc_exp, grid)
-        return QSeries(grid, 0, [CycElt.one(conductor)], t, conductor)
+        row = [1] + [0] * (euler_phi(conductor) - 1)
+        return _series(grid, 0, [row], 1, _to_idx(trunc_exp, grid), conductor)
 
     @staticmethod
     def monomial(coeff: CycElt, exponent, grid: int, trunc_exp) -> "QSeries":
@@ -109,6 +136,12 @@ class QSeries:
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[CycElt, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple(CycElt._make(self.conductor, r, self.den) for r in self.rows)
+        return self._coeffs
+
+    @property
     def lead_exponent(self) -> Fraction:
         return Fraction(self.start, self.grid)
 
@@ -117,24 +150,21 @@ class QSeries:
         return Fraction(self.trunc, self.grid)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     def lead_coefficient(self) -> CycElt:
-        if not self.coeffs:
+        if not self.rows:
             raise QExpError("zero series has no leading coefficient")
-        return self.coeffs[0]
+        return CycElt._make(self.conductor, self.rows[0], self.den)
 
     def coefficient(self, exponent) -> CycElt:
         """Coefficient at a given exponent; exponent must be below truncation."""
         e = Fraction(exponent)
-        idx_num = e * self.grid
         if e >= self.trunc_exponent:
             raise QExpError(f"exponent {e} is beyond the truncation order")
-        if idx_num.denominator != 1:
-            return CycElt.zero(self.conductor)
-        i = int(idx_num) - self.start
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        i = e * self.grid - self.start
+        if i.denominator == 1 and 0 <= i < len(self.rows):
+            return self.coeffs[int(i)]
         return CycElt.zero(self.conductor)
 
     def terms(self):
@@ -150,24 +180,20 @@ class QSeries:
         if grid2 % self.grid != 0:
             raise QExpError(f"grid {grid2} does not refine {self.grid}")
         f = grid2 // self.grid
-        coeffs = []
-        for c in self.coeffs:
-            coeffs.append(c)
-            coeffs.extend([CycElt.zero(self.conductor)] * (f - 1))
-        if coeffs:
-            del coeffs[len(coeffs) - (f - 1) :]
-        return QSeries(grid2, self.start * f, coeffs, self.trunc * f, self.conductor)
+        rows = [[0] * euler_phi(self.conductor)] * (f * len(self.rows))
+        rows[::f] = self.rows
+        return _series(grid2, self.start * f, rows, self.den, self.trunc * f, self.conductor)
 
     def embed(self, conductor2: int) -> "QSeries":
+        """The series over Q(zeta_conductor2), zeta_L -> zeta^{conductor2/L}."""
         if conductor2 == self.conductor:
             return self
-        return QSeries(
-            self.grid,
-            self.start,
-            [cyc_embed(c, conductor2) for c in self.coeffs],
-            self.trunc,
-            conductor2,
-        )
+        step, rows = conductor2 // self.conductor, []
+        for r in self.rows:
+            poly = [0] * conductor2
+            poly[: step * len(r) : step] = r
+            rows.append(reduce_mod_cyclotomic(poly, conductor2))
+        return _series(self.grid, self.start, rows, self.den, self.trunc, conductor2)
 
     @staticmethod
     def _common(x: "QSeries", y: "QSeries"):
@@ -179,13 +205,13 @@ class QSeries:
         t = _to_idx(trunc_exp, self.grid)
         if t > self.trunc:
             raise QExpError("cannot extend a truncated series")
-        n = max(0, t - self.start)
-        return QSeries(self.grid, self.start, self.coeffs[:n], t, self.conductor)
+        rows = self.rows[: max(0, t - self.start)]
+        return _series(self.grid, self.start, rows, self.den, t, self.conductor)
 
     def shift(self, exponent) -> "QSeries":
         d = _to_idx(exponent, self.grid)
-        return QSeries(
-            self.grid, self.start + d, list(self.coeffs), self.trunc + d, self.conductor
+        return _series(
+            self.grid, self.start + d, self.rows, self.den, self.trunc + d, self.conductor
         )
 
     # -- ring operations ----------------------------------------------------
@@ -196,18 +222,16 @@ class QSeries:
         x, y = QSeries._common(self, other)
         t = min(x.trunc, y.trunc)
         s = min(x.start, y.start, t)
-        coeffs = [CycElt.zero(x.conductor) for _ in range(t - s)]
-        for src in (x, y):
-            for i, c in enumerate(src.coeffs):
-                j = src.start + i - s
-                if 0 <= j < len(coeffs):
-                    coeffs[j] = coeffs[j] + c
-        return QSeries(x.grid, s, coeffs, t, x.conductor)
+        d = lcm(x.den, y.den)
+        rows = [[0] * euler_phi(x.conductor)] * (t - s)  # shared, replaced below
+        for z in (x, y):
+            f = d // z.den
+            for i, r in zip(range(z.start - s, t - s), z.rows):
+                rows[i] = [u + f * v for u, v in zip(rows[i], r)]
+        return _series(x.grid, s, rows, d, t, x.conductor)
 
     def __neg__(self):
-        return QSeries(
-            self.grid, self.start, [-c for c in self.coeffs], self.trunc, self.conductor
-        )
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -215,21 +239,17 @@ class QSeries:
     def scale(self, scalar) -> "QSeries":
         if isinstance(scalar, CycElt):
             f = lcm(self.conductor, scalar.conductor)
-            s = cyc_embed(scalar, f)
-            me = self.embed(f)
-            if s.is_zero():
-                return QSeries(me.grid, me.trunc, [], me.trunc, f)
-            return QSeries(
-                me.grid, me.start, [s * c for c in me.coeffs], me.trunc, f
-            )
-        if scalar == 0:
-            return QSeries(self.grid, self.trunc, [], self.trunc, self.conductor)
-        return QSeries(
-            self.grid,
-            self.start,
-            [c * scalar for c in self.coeffs],
-            self.trunc,
-            self.conductor,
+            s, me = cyc_embed(scalar, f), self.embed(f)
+            rows = [
+                reduce_mod_cyclotomic(_mac([0] * (2 * len(r) - 1), s.num, r), f)
+                for r in me.rows
+            ]
+            return _series(me.grid, me.start, rows, me.den * s.den, me.trunc, f)
+        r = Fraction(scalar)
+        a = r.numerator
+        rows = [[v * a for v in row] for row in self.rows]
+        return _series(
+            self.grid, self.start, rows, self.den * r.denominator, self.trunc, self.conductor
         )
 
     def __mul__(self, other):
@@ -238,27 +258,27 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         x, y = QSeries._common(self, other)
+        L = x.conductor
         t = min(x.trunc + y.start, y.trunc + x.start)
         s = x.start + y.start
         if x.is_zero() or y.is_zero():
-            return QSeries(x.grid, t, [], t, x.conductor)
+            return _series(x.grid, t, [], 1, t, L)
         n = t - s  # >= 1: each factor knows at least its lead term
-        a, b = x.coeffs[:n], y.coeffs[:n]
-        da, db = lcm(*(c.den for c in a)), lcm(*(c.den for c in b))
-        ra = [[v * (da // c.den) for v in c.num] for c in a]
-        rb = [[v * (db // c.den) for v in c.num] for c in b]
-        ma = max(abs(v) for row in ra for v in row)
-        mb = max(abs(v) for row in rb for v in row)
-        m = min(len(a), len(b))
+        # a factor known past n steps is cut there, over its own denominator
+        if len(x.rows) > n:
+            x = x.truncate(Fraction(x.start + n, x.grid))
+        if len(y.rows) > n:
+            y = y.truncate(Fraction(y.start + n, y.grid))
+        ma = max(max(map(abs, r)) for r in x.rows)
+        mb = ma if y is x else max(max(map(abs, r)) for r in y.rows)
+        m = min(len(x.rows), len(y.rows))
         if ma.bit_length() + mb.bit_length() > _KRONECKER_BITS_PER_TERM * m:
-            coeffs = _coefficient_loop(a, b, n)
+            rows = _coefficient_loop(x.rows, y.rows, n, L)
         else:
-            L, den = x.conductor, da * db
-            coeffs = [
-                CycElt._make(L, reduce_mod_cyclotomic(p, L), den)
-                for p in _kronecker(ra, rb, n, ma * mb * m)
+            rows = [
+                reduce_mod_cyclotomic(p, L) for p in _kronecker(x.rows, y.rows, n, ma * mb * m)
             ]
-        return QSeries(x.grid, s, coeffs, t, x.conductor)
+        return _series(x.grid, s, rows, x.den * y.den, t, L)
 
     __rmul__ = __mul__
 
@@ -268,9 +288,8 @@ class QSeries:
         width(u) is the bit length of the largest numerator over the common
         denominator plus that of the denominator.
         """
-        d = lcm(*(c.den for c in self.coeffs))
-        top = max(abs(v) * (d // c.den) for c in self.coeffs for v in c.num)
-        width = top.bit_length() + d.bit_length()
+        top = max(max(map(abs, r)) for r in self.rows)
+        width = top.bit_length() + self.den.bit_length()
         return abs(m) * width > _KRONECKER_BITS_PER_TERM * (self.trunc - self.start)
 
     def _miller_power(self, m: int) -> "QSeries":
@@ -282,25 +301,21 @@ class QSeries:
         is an integer polynomial in v of weight j) and j G_j = sum_k ((m + 1) k
         - j) V_k G_{j-k}: each narrow V_k meets a wide G_{j-k} on integer rows.
         """
-        L, n, u0 = self.conductor, self.trunc - self.start, self.coeffs[0]
+        L, n, u0 = self.conductor, self.trunc - self.start, self.lead_coefficient()
         inv = u0.inverse()
-        v = [c * inv for c in self.coeffs[1:]]
-        D = lcm(1, *(c.den for c in v))
-        V = [[x * (D**k // c.den) for x in c.num] for k, c in enumerate(v, 1)]
+        w = self.scale(inv)  # rows D, D v_1, D v_2, ... over D
+        D = w.den
+        V = [[x * D ** (k - 1) for x in r] for k, r in enumerate(w.rows[1:], 1)]
         lead = (u0 if m > 0 else inv) ** abs(m)
         G = [list(lead.num)]
         for j in range(1, n):
             acc = [0] * (2 * len(G[0]) - 1)
             for k in range(1, min(j, len(V)) + 1):
-                f = (m + 1) * k - j
-                for i, x in enumerate(V[k - 1]):
-                    if x and f:
-                        fx = f * x
-                        for r, y in enumerate(G[j - k], i):
-                            acc[r] += fx * y
+                _mac(acc, V[k - 1], G[j - k], (m + 1) * k - j)
             G.append([x // j for x in reduce_mod_cyclotomic(acc, L)])
-        coeffs = [CycElt._make(L, row, D**j * lead.den) for j, row in enumerate(G)]
-        return QSeries(self.grid, m * self.start, coeffs, m * self.start + n, L)
+        rows = [[x * D ** (n - 1 - j) for x in r] for j, r in enumerate(G)]
+        s = m * self.start
+        return _series(self.grid, s, rows, D ** (n - 1) * lead.den, s + n, L)
 
     def __pow__(self, n: int):
         if n and not self.is_zero() and self._wide(n):
@@ -335,88 +350,67 @@ class QSeries:
             return self._miller_power(-1)
         g, L = self.grid, self.conductor
         n = self.trunc - self.start
-        y = QSeries(g, 0, [self.coeffs[0].inverse()], 1, L)
+        y = QSeries(g, 0, [self.lead_coefficient().inverse()], 1, L)
         k = 1
         while k < n:
             k = min(2 * k, n)
-            u = QSeries(g, 0, self.coeffs[:k], k, L)
-            yk = QSeries(g, 0, y.coeffs, k, L)
+            u = _series(g, 0, self.rows[:k], self.den, k, L)
+            yk = _series(g, 0, y.rows, y.den, k, L)
             y = yk + yk * (QSeries.one(g, Fraction(k, g), L) - u * yk)
-        return QSeries(g, -self.start, y.coeffs, n - self.start, L)
+        return _series(g, -self.start, y.rows, y.den, n - self.start, L)
 
     # -- unit-series transcendentals -----------------------------------------
 
     def _require_unit_one(self):
         if self.is_zero() or self.start != 0 or not (
-            self.coeffs[0] == CycElt.one(self.conductor)
+            self.lead_coefficient() == CycElt.one(self.conductor)
         ):
             raise QExpError("operation requires a series with constant term 1")
+
+    def _times_exponent(self, power: int) -> "QSeries":
+        """The series with the coefficient at each exponent e multiplied by e^power."""
+        w = [Fraction(self.start + i, self.grid) ** power for i in range(len(self.rows))]
+        d = lcm(1, *(x.denominator for x in w))
+        rows = [[v * (x.numerator * d // x.denominator) for v in r] for x, r in zip(w, self.rows)]
+        return _series(self.grid, self.start, rows, self.den * d, self.trunc, self.conductor)
 
     def log_unit(self) -> "QSeries":
         """log of a series with constant term 1 (antiderivative of u'/u)."""
         self._require_unit_one()
-        du = self.theta_derivative()
-        v = du * self.inverse()
-        coeffs = [CycElt.zero(self.conductor) for _ in range(v.trunc)]
-        for i, c in enumerate(v.coeffs):
-            idx = v.start + i
-            if idx == 0:
-                if not c.is_zero():
-                    raise AssertionError("u'/u of a unit series has no constant term")
-                continue
-            coeffs[idx] = c * Fraction(self.grid, idx)
-        return QSeries(self.grid, 0, coeffs, v.trunc, self.conductor)
+        # u'/u has no constant term, so no exponent is 0
+        return (self.theta_derivative() * self.inverse())._times_exponent(-1)
 
     def exp_positive(self) -> "QSeries":
-        """exp of a series supported in strictly positive exponents."""
+        """exp of a series supported in strictly positive exponents.
+
+        Newton's y <- y (1 + v - log y) doubles the known terms per step.
+        """
         if not self.is_zero() and self.start <= 0:
             raise QExpError("exp needs strictly positive exponents")
-        n = self.trunc
+        g, L, n = self.grid, self.conductor, self.trunc
         if n <= 0:
             raise QExpError("truncation too small for exp")
-        f = [CycElt.zero(self.conductor) for _ in range(n)]
-        f[0] = CycElt.one(self.conductor)
-        v = [CycElt.zero(self.conductor) for _ in range(n)]
-        for i, c in enumerate(self.coeffs):
-            if self.start + i < n:
-                v[self.start + i] = c
-        for m in range(1, n):
-            acc = CycElt.zero(self.conductor)
-            for j in range(1, m + 1):
-                if v[j].is_zero() or f[m - j].is_zero():
-                    continue
-                acc = acc + v[j] * f[m - j] * Fraction(j, 1)
-            f[m] = acc * Fraction(1, m)
-        return QSeries(self.grid, 0, f, n, self.conductor)
+        y, k = QSeries.one(g, Fraction(1, g), L), 1
+        while k < n:
+            k = min(2 * k, n)
+            y = _series(g, 0, y.rows, y.den, k, L)
+            y = y + y * (self.truncate(Fraction(k, g)) - y.log_unit())
+        return y
 
     def theta_derivative(self) -> "QSeries":
         """q d/dq: multiply the coefficient at exponent e by e."""
-        return QSeries(
-            self.grid,
-            self.start,
-            [
-                c * Fraction(self.start + i, self.grid)
-                for i, c in enumerate(self.coeffs)
-            ],
-            self.trunc,
-            self.conductor,
-        )
+        return self._times_exponent(1)
 
     # -- comparisons -----------------------------------------------------------
 
     def agreement(self, other: "QSeries"):
         """(holds, witness): compare up to the smaller truncation order."""
         x, y = QSeries._common(self, other)
-        t = min(x.trunc, y.trunc)
-        s = min(x.start, y.start, t)
-        for idx in range(s, t):
-            a = x.coeffs[idx - x.start] if 0 <= idx - x.start < len(x.coeffs) else None
-            b = y.coeffs[idx - y.start] if 0 <= idx - y.start < len(y.coeffs) else None
-            a = a if a is not None else CycElt.zero(x.conductor)
-            b = b if b is not None else CycElt.zero(x.conductor)
-            if not (a == b):
-                return False, (Fraction(idx, x.grid), a, b)
-        return True, None
+        d = x - y
+        if d.is_zero():
+            return True, None
+        e = d.lead_exponent
+        return False, (e, x.coefficient(e), y.coefficient(e))
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -427,7 +421,7 @@ class QSeries:
         parts = []
         for e, c in list(self.terms())[:6]:
             parts.append(f"({c!r}) q^{e}")
-        more = " + ..." if len(self.coeffs) > 6 else ""
+        more = " + ..." if len(self.rows) > 6 else ""
         return (
             f"QSeries[{' + '.join(parts) or '0'}{more}; O(q^{self.trunc_exponent})]"
         )
@@ -435,9 +429,19 @@ class QSeries:
     def serialized_rows(self):
         """(exponent, power-basis coordinates) rows for structured output."""
         return [
-            (Fraction(self.start + i, self.grid), tuple(c.coords))
-            for i, c in enumerate(self.coeffs)
+            (Fraction(self.start + i, self.grid), tuple(Fraction(v, self.den) for v in r))
+            for i, r in enumerate(self.rows)
         ]
+
+
+def _series(grid: int, start: int, rows, den: int, trunc: int, conductor: int) -> QSeries:
+    """The canonical series sum rows[i]/den q^{(start+i)/grid}.
+
+    Rows are shared, never copied: no operation writes into a stored row.
+    """
+    x = object.__new__(QSeries)
+    x._set(grid, start, rows, den, trunc, conductor)
+    return x
 
 
 def _to_idx(exponent, grid: int) -> int:
@@ -469,6 +473,7 @@ def _kronecker(ra, rb, n: int, bound: int) -> list[list[int]]:
     """First n coefficients of (sum ra[i] q^i)(sum rb[j] q^j) by one multiply.
 
     Rows hold phi power-basis numerators; no product entry exceeds bound * phi.
+    A square (rb is ra) packs once and multiplies the int by itself.
     """
     phi = len(ra[0])
     span = 2 * phi - 1  # a product of two phi-term polynomials
@@ -477,22 +482,31 @@ def _kronecker(ra, rb, n: int, bound: int) -> list[list[int]]:
     # half in every slot keeps each one a nonnegative byte field, so the
     # low n q-terms read off with no carry from one slot into the next
     offset = int.from_bytes(half.to_bytes(nbytes, "little") * (n * span), "little")
-    z = _pack(ra, span, nbytes) * _pack(rb, span, nbytes)
+    pa = _pack(ra, span, nbytes)
+    z = pa * (pa if rb is ra else _pack(rb, span, nbytes))
     data = ((z + offset) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
     slots = [int.from_bytes(data[i : i + nbytes], "little") - half for i in range(0, size, nbytes)]
     return [slots[i : i + span] for i in range(0, n * span, span)]
 
 
-def _coefficient_loop(a, b, n: int) -> list[CycElt]:
-    """The first n coefficients of (sum a_i q^i)(sum b_j q^j), term by term."""
-    coeffs = [CycElt.zero(a[0].conductor) for _ in range(n)]
+def _mac(acc: list[int], a, b, f: int = 1) -> list[int]:
+    """acc += f a b for polynomials a, b (lowest degree first); returns acc."""
+    for i, x in enumerate(a):
+        fx = f * x
+        if fx:
+            for r, y in enumerate(b, i):
+                acc[r] += fx * y
+    return acc
+
+
+def _coefficient_loop(a, b, n: int, L: int) -> list[list[int]]:
+    """The first n rows of (sum a_i q^i)(sum b_j q^j), term by term, reduced once."""
+    out = [[0] * (2 * len(a[0]) - 1) for _ in range(n)]
     for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b[: n - i], i):
-            if not bj.is_zero():
-                coeffs[j] = coeffs[j] + ai * bj
-    return coeffs
+        if any(ai):
+            for j, bj in enumerate(b[: n - i], i):
+                _mac(out[j], ai, bj)
+    return [reduce_mod_cyclotomic(p, L) for p in out]
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +515,6 @@ def _coefficient_loop(a, b, n: int) -> list[CycElt]:
 
 def _zeta(N: int, j: int) -> CycElt:
     return CycElt.zeta(N, j) if N > 1 else CycElt.one(1)
-
-
-def _cyclotomic_rows(rows, L: int) -> list[CycElt]:
-    """Integer rows of Z[x]/(x^L - 1), column j holding zeta_L^j, as CycElts."""
-    return [CycElt._make(L, reduce_mod_cyclotomic(row, L), 1) for row in rows]
 
 
 def _partitions(n: int) -> list[int]:
@@ -536,7 +545,7 @@ def _gamma_core(s: Fraction, b: int, N: int, grid: int, rel_steps: int) -> QSeri
         sign, col = (-1 if k % 2 else 1), b * k % L
         for n, i in enumerate(range(grid * k * (k - 1) // 2 + e * k, rel_steps, grid)):
             rows[i][col] += sign * p[n]
-    return QSeries(grid, 0, _cyclotomic_rows(rows, L), rel_steps, L)
+    return _series(grid, 0, [reduce_mod_cyclotomic(r, L) for r in rows], 1, rel_steps, L)
 
 
 def _gamma_pullback(exp: Fraction, b: int, N: int, grid: int, trunc_exp: Fraction) -> QSeries:
@@ -594,19 +603,17 @@ def siegel_theta_qexp(pt: TorsionPoint, c: int, prec) -> QSeries:
     N = pt.level
     prec = Fraction(prec)
     grid = 1 if pt.a == 0 and prec.denominator == 1 else N
-    e12 = (c * c - 1) // 12
     m_exp = (c - c * c) // 2
-    lead_shift = e12 + Fraction(pt.a * m_exp, N)
     b_shift = _theta_gamma_shift(pt, c)
-    total_lead = lead_shift - b_shift
-    rel = prec - total_lead
+    lead = theta_lead_exponent(pt, c)
+    rel = prec - lead
     if rel <= 0:
         return QSeries.zero(grid, prec, N if N > 1 else 1)
     part_a = _gamma_pullback(Fraction(pt.a, N), pt.b, N, grid, rel) ** (c * c)
     part_b = _gamma_pullback(Fraction(pt.a * c, N), pt.b * c, N, grid, rel + b_shift)
     sign = CycElt.rational(-1 if m_exp % 2 else 1, N if N > 1 else 1)
     pref = sign * _zeta(N, pt.b * m_exp)
-    out = (part_a * part_b.inverse()).scale(pref).shift(lead_shift)
+    out = (part_a * part_b.inverse()).scale(pref).shift(lead + b_shift)
     return out.truncate(min(out.trunc_exponent, prec))
 
 
@@ -685,46 +692,18 @@ def check_c_relation(pt: TorsionPoint, c: int, d: int, prec) -> CRelationReport:
 def _rational_part_derivative(k: int, zeta_val: CycElt) -> CycElt:
     """Value of (t d/dt)^{k-1} [-t/(1-t)] at t = a root of unity != 1.
 
-    The family P(t)/(1-t)^j is stable under t d/dt; differentiate
-    formally and evaluate exactly.
+    The family P(t)/(1-t)^j is stable under t d/dt, which sends P to
+    t P' (1-t) + j t P, whose t^i coefficient is i p_i + (j + 1 - i) p_{i-1};
+    differentiate formally on integer coefficients and evaluate exactly.
     """
-    num = [Fraction(0), Fraction(-1)]  # -t
-    j = 1
-    for _ in range(k - 1):
-        # t d/dt [P/(1-t)^j] = (t P' (1-t) + j t P) / (1-t)^{j+1}
-        tp = [Fraction(i) * ci for i, ci in enumerate(num)]  # t P'
-        one_minus_t = [Fraction(1), Fraction(-1)]
-        part1 = _poly_mul_fr(tp, one_minus_t)
-        part2 = [Fraction(0)] + [Fraction(j) * ci for ci in num]
-        num = _poly_add_fr(part1, part2)
-        j += 1
+    num = [0, -1]  # -t
+    for j in range(1, k):
+        num = [i * p + (j + 1 - i) * q for i, (p, q) in enumerate(zip(num + [0], [0] + num))]
     L = zeta_val.conductor
     value = CycElt.zero(L)
-    power = CycElt.one(L)
-    for ci in num:
-        if ci:
-            value = value + power * ci
-        power = power * zeta_val
-    denom = (CycElt.one(L) - zeta_val) ** j
-    return value * denom.inverse()
-
-
-def _poly_mul_fr(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return out
-
-
-def _poly_add_fr(p, q):
-    n = max(len(p), len(q))
-    return [
-        (p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
-        for i in range(n)
-    ]
+    for c in reversed(num):
+        value = value * zeta_val + c
+    return value * ((CycElt.one(L) - zeta_val) ** k).inverse()
 
 
 def _dlog_gamma_pullback(k: int, pt: TorsionPoint, prec: Fraction, grid: int) -> QSeries:
@@ -766,10 +745,10 @@ def _dlog_gamma_pullback(k: int, pt: TorsionPoint, prec: Fraction, grid: int) ->
                 rows[e_minus][-b * m % L] += mk if (k - 1) % 2 == 0 else -mk
             m += 1
         n += 1
-    coeffs = _cyclotomic_rows(rows, L)
+    out = _series(grid, 0, [reduce_mod_cyclotomic(r, L) for r in rows], 1, t_idx, L)
     if a == 0:
-        coeffs[0] = coeffs[0] + _rational_part_derivative(k, _zeta(N, b))
-    return QSeries(grid, 0, coeffs, t_idx, L)
+        out = out + QSeries.monomial(_rational_part_derivative(k, _zeta(N, b)), 0, grid, prec)
+    return out
 
 
 def dlog_d_eisenstein(pt: TorsionPoint, c: int, k: int, prec) -> QSeries:
@@ -831,18 +810,18 @@ def eisenstein_00(k: int, c: int, a: int, prec) -> QSeries:
             e = dlog_d_eisenstein(TorsionPoint(x, y, a), c, k, prec)
             total = e if total is None else total + e
     total = total.scale(Fraction(1, a**k - 1))
-    rows = {}
-    for exp, cf in total.terms():
-        if exp.denominator != 1 or not cf.is_rational():
+    g = total.grid
+    for i, r in enumerate(total.rows):
+        if any(r) and ((total.start + i) % g or any(r[1:])):
             raise AssertionError(
-                f"torsion sum failed to be rational at q^{exp}: {cf!r}"
+                f"torsion sum failed to be rational at q^{Fraction(total.start + i, g)}: "
+                f"{total.coeffs[i]!r}"
             )
-        rows[int(exp)] = cf.rational_value()
-    te = total.trunc_exponent
-    t_int = te.numerator // te.denominator + (0 if te.denominator == 1 else 1)
-    lo = min(rows) if rows else t_int
-    coeffs = [CycElt.rational(rows.get(i, 0)) for i in range(lo, t_int)]
-    return QSeries(1, lo, coeffs, t_int, 1)
+    # every nonzero row sits at an integer exponent, the lead too, so the
+    # rows at integer exponents are every g-th one from the lead
+    rows = [r[:1] for r in total.rows[::g]]
+    t = ceil(total.trunc_exponent)
+    return _series(1, ceil(total.lead_exponent), rows, total.den, t, 1)
 
 
 def _smallest_unit_scalar(N: int) -> int:

@@ -1,11 +1,11 @@
 """Term-by-term series arithmetic, used only by tests.
 
 Everything here works on ``CycElt`` coefficients one at a time, with the
-truncation rules of ``QSeries``: a product is known to min(t1 + lead2,
-t2 + lead1), an inverse or power to as many terms past its lead as the
-input.  The fast paths of ``mazurtate.qexp`` are checked against them:
-the Kronecker product and the Newton inverse against the schoolbook
-ones, Miller's power recurrence against repeated schoolbook products,
+truncation rules of ``QSeries``: a sum is known to the smaller order, a
+product to min(t1 + lead2, t2 + lead1), an inverse or power to as many
+terms past its lead as the input.  The fast paths of ``mazurtate.qexp``
+are checked against them: sums of integer rows against CycElt sums, the
+Kronecker product and the Newton inverse against the schoolbook ones, Miller's power recurrence against repeated schoolbook products,
 the triple-product gamma against the product of binomials, and the
 integer-row dlog sums against a dict of ``CycElt`` terms.
 """
@@ -30,6 +30,19 @@ def schoolbook_mul(x: QSeries, y: QSeries) -> QSeries:
         for j, b in enumerate(y.coeffs):
             if i + j < n:
                 coeffs[i + j] = coeffs[i + j] + a * b
+    return QSeries(x.grid, s, coeffs, t, x.conductor)
+
+
+def termwise_add(x: QSeries, y: QSeries) -> QSeries:
+    """x + y, one CycElt sum per exponent below the smaller truncation order."""
+    x, y = QSeries._common(x, y)
+    t = min(x.trunc, y.trunc)
+    s = min(x.start, y.start, t)
+    coeffs = [CycElt.zero(x.conductor) for _ in range(t - s)]
+    for z in (x, y):
+        for i, c in enumerate(z.coeffs, z.start - s):
+            if i < t - s:
+                coeffs[i] = coeffs[i] + c
     return QSeries(x.grid, s, coeffs, t, x.conductor)
 
 

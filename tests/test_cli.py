@@ -236,6 +236,21 @@ def test_qexp_refuses_negative_precision(capsys, argv):
     assert "--prec" in err and "negative" in err
 
 
+def test_qexp_g_unit_refuses_zero_precision(capsys):
+    # g-unit's --prec counts unit-part steps past the lead, so 0 knows none
+    code, out, err = run(
+        capsys, "qexp", "g-unit", "--point", "0/5,1/5", "--c", "11", "--prec", "0",
+        "--no-timing",
+    )
+    assert code == 2 and out == ""
+    assert "g-unit needs --prec > 0" in err
+    code, _, _ = run(
+        capsys, "qexp", "g-unit", "--point", "1/5,2/5", "--c", "11", "--prec", "1/5",
+        "--no-timing",
+    )
+    assert code == 0
+
+
 def test_qexp_siegel_negative_order_above_lead(capsys):
     # at 1/2 with c = 11 the lead exponent is -5, so order -4 knows two terms
     code, out, _ = run(
@@ -368,6 +383,23 @@ PINNED_QEXP = {
     "e00": (
         ("e00", "-k", "3", "--c", "5", "--aux", "3", "--prec", "40"),
         "d57382935fbdbc1d1995287a84673bbd2eeafaae927ec6788b1cb09cba089478",
+    ),
+    # recorded with CycElt coefficients on every series; the integer rows
+    # over one denominator must print the same bytes
+    "eisenstein": (
+        ("eisenstein", "--point", "1/7,2/7", "--c", "5", "-k", "3", "--prec", "12"),
+        "071a0239b0284173357804acd8bf46c670eac0f821ca355cf7e8d14f09d92d6b",
+    ),
+    "f": (
+        ("f", "--point", "1/5,2/5", "-k", "3", "--prec", "6"),
+        "cda4dfd9f1d1f6e07aa95105104ca195482958ffe96331d98fb12994a178a8b8",
+    ),
+    "zeta": (
+        (
+            "zeta", "--big-m", "5", "--big-n", "7", "--weight", "2", "--r", "1", "--rp", "1",
+            "--prec", "3",
+        ),
+        "b31368a93ba5f7ad05dd1f1b4ff96ea942d922b0c08cb8e01cf90eff97fe20f5",
     ),
 }
 

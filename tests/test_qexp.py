@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,11 +13,12 @@ from qseries_oracle import (
     schoolbook_inverse,
     schoolbook_mul,
     schoolbook_power,
+    termwise_add,
 )
 from tate_oracle import TateExpansion, gamma_tate, theta_numerator_tate
 
 from mazurtate import qexp
-from mazurtate.arith import CycElt
+from mazurtate.arith import CycElt, cyc_embed
 from mazurtate.nt import euler_phi
 from mazurtate.qexp import (
     GatedFeatureError,
@@ -154,6 +156,14 @@ def test_newton_inverse_matches_schoolbook_oracle(data):
     assert canonical(x.inverse()) == canonical(schoolbook_inverse(x))
 
 
+def _dense_series(bits: int, terms: int = 12) -> QSeries:
+    """terms dense coefficients in Q(zeta_7) with numerators up to 2^bits - 1."""
+    coeffs = [
+        CycElt(7, [(-1) ** (i + k) * (2**bits - 1 - k) for k in range(6)]) for i in range(terms)
+    ]
+    return QSeries(1, 0, coeffs, terms, 7)
+
+
 @pytest.mark.parametrize(
     "bits, terms, loop", [(8, 12, False), (16, 1, False), (17, 1, True), (1024, 12, True)]
 )
@@ -164,13 +174,86 @@ def test_product_selection_rule(monkeypatch, bits, terms, loop):
     monkeypatch.setattr(
         qexp, "_coefficient_loop", lambda *args: calls.append(args) or inner(*args)
     )
-    coeffs = [
-        CycElt(7, [(-1) ** (i + k) * (2**bits - 1 - k) for k in range(6)])
-        for i in range(terms)
-    ]
-    x = QSeries(1, 0, coeffs, terms, 7)
+    x = _dense_series(bits, terms)
     assert canonical(x * x) == canonical(schoolbook_mul(x, x))
     assert bool(calls) == loop
+
+
+def test_square_packs_once(monkeypatch):
+    calls = []
+    inner = qexp._pack
+    monkeypatch.setattr(qexp, "_pack", lambda *args: calls.append(args) or inner(*args))
+    x, y = _dense_series(8), _dense_series(8)  # equal values, distinct objects
+    assert canonical(x * x) == canonical(schoolbook_mul(x, x))
+    assert len(calls) == 1
+    calls.clear()
+    assert canonical(x * y) == canonical(schoolbook_mul(x, x))
+    assert len(calls) == 2
+
+
+def test_row_series_product_and_sum_make_no_cycelt(monkeypatch):
+    # both sides of the product rule: the packed product and the loop
+    narrow, wide = _dense_series(8), _dense_series(1024)
+    theta = siegel_theta_qexp(TorsionPoint(1, 2, 7), 5, 4)
+    calls = []
+    inner = CycElt._make
+    monkeypatch.setattr(
+        CycElt, "_make", staticmethod(lambda *args: calls.append(args) or inner(*args))
+    )
+    results = [narrow * theta, wide * wide, narrow + theta, wide - narrow]
+    assert not calls
+    monkeypatch.undo()
+    assert canonical(results[0]) == canonical(schoolbook_mul(narrow, theta))
+    assert canonical(results[1]) == canonical(schoolbook_mul(wide, wide))
+    assert canonical(results[2]) == canonical(termwise_add(narrow, theta))
+
+
+def _assert_canonical(x):
+    # den > 0, gcd(den, every entry) = 1, no zero row at either end, and
+    # the CycElt view reads the rows over den
+    assert x.den > 0
+    assert gcd(x.den, *(v for r in x.rows for v in r)) == 1
+    if x.rows:
+        assert any(x.rows[0]) and any(x.rows[-1])
+        assert x.start + len(x.rows) <= x.trunc
+    else:
+        assert x.start == x.trunc and x.den == 1
+    phi = euler_phi(x.conductor)
+    assert all(len(r) == phi for r in x.rows)
+    assert list(x.coeffs) == [CycElt(x.conductor, [F(v, x.den) for v in r]) for r in x.rows]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_row_form_stays_canonical(data):
+    L = data.draw(st.sampled_from([1, 5, 7, 12]))
+    x = _draw_series(data, L, data.draw(st.sampled_from([1, 2])), max_terms=6)
+    y = _draw_series(
+        data, data.draw(st.sampled_from([1, 5, L])), data.draw(st.sampled_from([1, 3])),
+        max_terms=6,
+    )
+    scalar = data.draw(
+        st.sampled_from([0, -3, F(7, 12), CycElt.zeta(5, 2) * F(-2, 3), CycElt.zero(L)])
+    )
+    neg_y = QSeries(y.grid, y.start, [-c for c in y.coeffs], y.trunc, y.conductor)
+    cut = F(data.draw(st.integers(x.start - 1, x.trunc)), x.grid)
+    results = [
+        x + y,
+        x - y,
+        x.scale(scalar),
+        x.shift(F(data.draw(st.integers(-3, 3)), x.grid)),
+        x.truncate(cut),
+        x.refine(6 * x.grid),
+        x * y,
+    ]
+    for r in results:
+        _assert_canonical(r)
+    assert canonical(results[0]) == canonical(termwise_add(x, y))
+    assert canonical(results[1]) == canonical(termwise_add(x, neg_y))
+    s = scalar if isinstance(scalar, CycElt) else CycElt.rational(scalar)
+    f = lcm(x.conductor, s.conductor)
+    scaled = [cyc_embed(c, f) * cyc_embed(s, f) for c in x.coeffs]
+    assert canonical(results[2]) == canonical(QSeries(x.grid, x.start, scaled, x.trunc, f))
 
 
 def test_product_wide_and_narrow_inside_siegel_workload(monkeypatch):
@@ -222,11 +305,7 @@ def _spy(monkeypatch, name):
 def test_power_selection_rule(monkeypatch, bits, terms, m, wide):
     # Miller's recurrence iff |m| (bits(max|num|) + bits(den)) > 32 n
     calls = _spy(monkeypatch, "_miller_power")
-    coeffs = [
-        CycElt(7, [(-1) ** (i + k) * (2**bits - 1 - k) for k in range(6)])
-        for i in range(terms)
-    ]
-    x = QSeries(1, 0, coeffs, terms, 7)
+    x = _dense_series(bits, terms)
     got = x.inverse() if m == -1 else x**m
     assert canonical(got) == canonical(schoolbook_power(x, m))
     assert bool(calls) == wide
