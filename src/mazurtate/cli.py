@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands: curve, msym, theta, plfunc, kurihara, qexp, verify.
+Subcommands: curve, msym, theta, plfunc, kurihara, qexp, oracle, verify.
 Global flags: --catalog <path>, --json, --no-timing.
+``verify`` runs the named suites of ``mazurtate.checks``, the same code the
+acceptance tests run.
 Exit codes: 0 all checks pass or vacuous, 1 check failure, 2 usage or
 input error.  Structured output is one JSON object per run with the
 fields of the run report; numbers are serialized as decimal strings and
@@ -18,8 +20,8 @@ import time
 from fractions import Fraction
 from functools import cache
 
-from .nt import is_primitive_root, primes_up_to
-from .records import Record
+from .nt import primes_up_to
+from .records import Check, Record
 
 
 def _register_lazily(names) -> None:
@@ -48,17 +50,11 @@ def _register_lazily(names) -> None:
 # the module it imports from was patched would bind the wrapper, and
 # uninstall would leave it there.
 _register_lazily(("padic", "kurihara", "theta", "modsym", "groupring", "qexp", "arith", "curves"))
-from . import arith, curves, groupring, kurihara, modsym, padic, qexp, theta  # noqa: E402
+from . import curves, kurihara, modsym, padic, qexp, theta  # noqa: E402
 
 
 class UsageError(ValueError):
     pass
-
-
-class Check(Record):
-    # status: pass | fail | vacuous
-    __slots__ = ("name", "status", "witness")
-    _defaults = {"witness": None}
 
 
 class RunReport(Record):
@@ -95,12 +91,6 @@ def _ser(x):
     if isinstance(x, (list, tuple)):
         return [_ser(v) for v in x]
     return str(x)
-
-
-def _projectivity_witness(wit, pk: int) -> str:
-    """The mismatch (unit, lhs, rhs) of a projectivity check, residues read mod pk."""
-    a, lhs, rhs = wit
-    return f"({a}, {lhs} mod {pk}, {rhs} mod {pk})"
 
 
 def emit(report: RunReport, args) -> int:
@@ -198,11 +188,9 @@ def cmd_msym(args) -> RunReport:
     report.outputs["genus"] = modsym.genus_x0(N)
     report.outputs["cusps"] = modsym.cusp_count(N)
     report.checks.append(
-        Check(
+        Check.of(
             "dimension = 2g + cusps - 1",
-            "pass"
-            if space.dimension == 2 * modsym.genus_x0(N) + modsym.cusp_count(N) - 1
-            else "fail",
+            space.dimension == 2 * modsym.genus_x0(N) + modsym.cusp_count(N) - 1,
         )
     )
     if curve is not None:
@@ -245,7 +233,7 @@ def cmd_theta(args) -> RunReport:
         flip.coeffs[a] == theta_m.plus.coeffs[a] - theta_m.minus.coeffs[a]
         for a in theta_m.element.coeffs
     )
-    report.checks.append(Check("conjugation covariance", "pass" if cov else "fail"))
+    report.checks.append(Check.of("conjugation covariance", cov))
     return report
 
 
@@ -262,21 +250,14 @@ def cmd_plfunc(args) -> RunReport:
         f"n={n}": {f"sigma_{a}": v for a, v in sorted(x.coeffs.items())}
         for n, x in tower.layers.items()
     }
-    proj = tower.check_projectivity()
-    for n, ok, wit in proj:
-        report.checks.append(
-            Check(
-                f"projectivity layer {n+1} -> {n}",
-                "pass" if ok else "fail",
-                None if ok else _projectivity_witness(wit, tower.pk),
-            )
-        )
+    for n, ok, wit in tower.check_projectivity():
+        report.checks.append(Check.of(f"projectivity layer {n+1} -> {n}", ok, wit))
     interp = padic.interpolate_trivial(tower)
     report.checks.append(
-        Check(
+        Check.of(
             "trivial-character interpolation",
-            "pass" if interp.holds else "fail",
-            None if interp.holds else f"expected {interp.expected} mod {tower.pk}",
+            interp.holds,
+            f"expected {interp.expected} mod {tower.pk}",
         )
     )
     if args.n_max >= 3:
@@ -359,6 +340,9 @@ def cmd_qexp(args) -> RunReport:
     # only siegel's --prec is an absolute order, which may lie below 0
     if args.prec < 0 and args.target != "siegel":
         raise UsageError(f"--prec must not be negative, got {args.prec}")
+    # these count steps past the lead, so order 0 knows no term
+    if args.prec == 0 and args.target in ("g-unit", "c-relation"):
+        raise UsageError(f"{args.target} needs --prec > 0, got 0")
     try:
         if args.target == "siegel":
             pt = _parse_point(args.point)
@@ -371,8 +355,6 @@ def cmd_qexp(args) -> RunReport:
             report.outputs["truncation"] = s.trunc_exponent
             report.outputs["series"] = _series_rows(s)
         elif args.target == "g-unit":
-            if args.prec == 0:  # it counts unit-part steps past the lead
-                raise UsageError("g-unit needs --prec > 0, got 0")
             pt = _parse_point(args.point)
             g = qexp.rationalized_g_qexp(pt, args.prec, args.c)
             report.outputs["lead_exponent"] = g.lead_exponent
@@ -400,11 +382,7 @@ def cmd_qexp(args) -> RunReport:
             pt = _parse_point(args.point)
             rep = qexp.check_c_relation(pt, args.c, args.d, args.prec)
             report.checks.append(
-                Check(
-                    f"c,d-relation c={args.c} d={args.d}",
-                    "pass" if rep.holds else "fail",
-                    None if rep.holds else str(rep.witness),
-                )
+                Check.of(f"c,d-relation c={args.c} d={args.d}", rep.holds, rep.witness)
             )
         else:
             raise UsageError(f"unknown qexp target {args.target!r}")
@@ -413,165 +391,9 @@ def cmd_qexp(args) -> RunReport:
     return report
 
 
-# ---------------------------------------------------------------------------
-# Verification suites
-
-
-def _suite_norm_relations(args):
-    curve_pair = [curves.curve_by_label(label, args.catalog) for label in ("11a1", "37a1")]
-    summary = theta.adjudicate_norm_relations(curve_pair, args.max_product)
-    checks = []
-    non_vac = summary.non_vacuous()
-    if not non_vac:
-        status = "vacuous"
-    elif summary.consistent:
-        status = "pass"
-    else:
-        status = "fail"
-    checks.append(
-        Check(
-            f"single variant across {len(non_vac)} non-vacuous cases "
-            f"(of {len(summary.reports)})",
-            status,
-            str({r.status for r in non_vac}) if status == "fail" else None,
-        )
-    )
-    outputs = {"variant": summary.variant}
-    return outputs, checks
-
-
-def _suite_projectivity(args):
-    checks = []
-    for label, p in (("11a1", 3), ("11a1", 7), ("37a1", 5)):
-        curve = curves.curve_by_label(label, args.catalog)
-        tower = padic.stabilize(curve, p, args.k, args.n_max)
-        for n, ok, wit in tower.check_projectivity():
-            checks.append(
-                Check(
-                    f"{label} p={p}: layer {n+1} -> {n} mod {p}^{args.k}",
-                    "pass" if ok else "fail",
-                    None if ok else _projectivity_witness(wit, tower.pk),
-                )
-            )
-    return {}, checks
-
-
-def _suite_interpolation(args):
-    checks = []
-    for label, p in (("11a1", 3), ("11a1", 7), ("37a1", 5)):
-        curve = curves.curve_by_label(label, args.catalog)
-        tower = padic.stabilize(curve, p, args.k, min(args.n_max, 2))
-        rep = padic.interpolate_trivial(tower)
-        checks.append(
-            Check(
-                f"{label} p={p}: trivial character",
-                "pass" if rep.holds else "fail",
-            )
-        )
-    curve = curves.curve_by_label("11a1", args.catalog)
-    tower = padic.stabilize(curve, 3, args.k, 2)
-    chi = next(c for c in groupring.all_characters(9) if c.is_primitive())
-    rep = padic.interpolate_character(tower, chi, curve)
-    checks.append(
-        Check("11a1 p=3: order-3 character mod 9", "pass" if rep.holds else "fail")
-    )
-    return {}, checks
-
-
-def _suite_kolyvagin(args):
-    bad = []
-    total = 0
-    for ell in primes_up_to(args.max_l):
-        if ell == 2:
-            continue
-        for eta in range(2, ell):
-            if not is_primitive_root(eta, ell):
-                continue
-            total += 1
-            if not groupring.telescoping_check(ell, eta):
-                bad.append((ell, eta))
-    checks = [
-        Check(
-            f"(sigma_eta - 1) D_ell = (ell-1) - N_ell for {total} pairs (ell <= {args.max_l})",
-            "pass" if not bad else "fail",
-            str(bad[:3]) if bad else None,
-        )
-    ]
-    return {}, checks
-
-
-def _suite_gauss(args):
-    bad = []
-    total = 0
-    for d in range(1, 14):
-        for chi in groupring.all_characters(d):
-            if not chi.is_primitive():
-                continue
-            total += 1
-            prod = groupring.gauss_sum(chi) * groupring.gauss_sum(chi.conjugate())
-            if prod != arith.CycElt.rational(chi.parity() * d, prod.conductor):
-                bad.append((d, chi.exponents))
-    checks = [
-        Check(
-            f"tau(chi) tau(chi-bar) = chi(-1) d for {total} primitive chi, d <= 13",
-            "pass" if not bad else "fail",
-            str(bad[:3]) if bad else None,
-        )
-    ]
-    return {}, checks
-
-
-def _suite_siegel_c(args):
-    pt = qexp.TorsionPoint(0, 1, 5)
-    g1 = qexp.rationalized_g_qexp(pt, 10, 11)
-    g2 = qexp.rationalized_g_qexp(pt, 10, 31)
-    agree, wit = g1.unit.agreement(g2.unit)
-    checks = [
-        Check(
-            "rationalized g unit parts agree (c = 11 vs 31, N = 5, q^10)",
-            "pass" if agree and g1.lead_exponent == g2.lead_exponent else "fail",
-            None if agree else str(wit),
-        )
-    ]
-    rep = qexp.check_c_relation(pt, 7, 11, 8)
-    checks.append(
-        Check(
-            "c,d-symmetric theta relation (c=7, d=11, q^8)",
-            "pass" if rep.holds else "fail",
-            None if rep.holds else str(rep.witness),
-        )
-    )
-    return {}, checks
-
-
-def _suite_eisenstein_a(args):
-    checks = []
-    for k in (1, 3):
-        ea = qexp.eisenstein_00(k, 5, 2, args.prec)
-        eb = qexp.eisenstein_00(k, 5, 3, args.prec)
-        agree, wit = ea.agreement(eb)
-        checks.append(
-            Check(
-                f"E^({k})_00 independent of a (a = 2 vs 3, c = 5, q^{args.prec})",
-                "pass" if agree else "fail",
-                None if agree else str(wit),
-            )
-        )
-    return {}, checks
-
-
-SUITES = {
-    "norm-relations": _suite_norm_relations,
-    "projectivity": _suite_projectivity,
-    "interpolation": _suite_interpolation,
-    "kolyvagin-identity": _suite_kolyvagin,
-    "gauss": _suite_gauss,
-    "siegel-c": _suite_siegel_c,
-    "eisenstein-a": _suite_eisenstein_a,
-}
-
-
 def cmd_verify(args) -> RunReport:
+    from .checks import SUITES
+
     if args.suite not in SUITES and args.suite != "all":
         raise UsageError(
             f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)} or 'all'"
@@ -579,10 +401,11 @@ def cmd_verify(args) -> RunReport:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     report = RunReport("verify", {"suite": args.suite})
     for name in names:
-        outputs, checks = SUITES[name](args)
+        suite, params = SUITES[name]
+        outputs, found = suite(**{param: getattr(args, param) for param in params})
         for k, v in outputs.items():
             report.outputs[f"{name}.{k}"] = v
-        for c in checks:
+        for c in found:
             report.checks.append(Check(f"{name}: {c.name}", c.status, c.witness))
     return report
 

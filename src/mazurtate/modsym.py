@@ -273,9 +273,6 @@ class ModularSymbolSpace:
         m = N // g
         return self._blocks[g][d * pow(c // g % m, -1, m) % m]
 
-    def p1_valid(self, c: int, d: int) -> bool:
-        return gcd(c, d, self.N) == 1
-
     def _quotient(self, sign):
         """(free generators, reduction rows) of the quotient by the Manin relations
         and, for sign = +-1, by x_i = sign x_{star i}.  With x_{S i} = -x_i and

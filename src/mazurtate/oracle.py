@@ -137,18 +137,3 @@ def lvalue_and_period(curve: CurveData, eps: float = 1e-12, fricke: int | None =
         real_components=components,
     )
 
-
-def consistency_check(curve: CurveData, plus_value_at_zero, oracle: LValueOracle) -> str:
-    """Cross-check the exact [0]^+ vanishing against the numeric L-value.
-
-    Returns 'consistent' or a description of the mismatch (e.g. after
-    flipping the functional-equation sign by hand).
-    """
-    exact_zero = plus_value_at_zero == 0
-    numeric_zero = abs(oracle.lvalue) <= max(oracle.tail_bound, 1e-9)
-    if exact_zero == numeric_zero:
-        return "consistent"
-    return (
-        f"calibration inconsistency: [0]^+ {'=' if exact_zero else '!='} 0 but "
-        f"numeric L(E,1) = {oracle.lvalue:.6g} (tail {oracle.tail_bound:.2g})"
-    )

@@ -56,21 +56,21 @@ class PadicThetaTower(Record):
     def layer(self, n: int) -> GroupRingElement:
         return self.layers[n]
 
-    def check_projectivity(self) -> list[tuple[int, bool, tuple | None]]:
+    def check_projectivity(self) -> list[tuple[int, bool, str | None]]:
         """For each 1 <= n < n_max: pi(theta^alpha_{n+1}) == theta^alpha_n mod p^k.
 
-        A failure's witness is (unit, lhs coefficient, rhs coefficient).
+        A failure's witness reads "(unit, lhs mod p^k, rhs mod p^k)".
         """
         out = []
         pk = self.pk
         for n in range(1, self.n_max):
             lhs = project(self.layers[n + 1], self.p**n).map_coeffs(lambda v: v % pk)
             wit = first_mismatch(lhs, self.layers[n])
+            if wit is not None:
+                a, left, right = wit
+                wit = f"({a}, {left} mod {pk}, {right} mod {pk})"
             out.append((n, wit is None, wit))
         return out
-
-    def is_projective(self) -> bool:
-        return all(ok for _, ok, _ in self.check_projectivity())
 
 
 def _integral_theta(curve, M, pair) -> GroupRingElement:

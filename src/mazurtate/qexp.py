@@ -774,7 +774,7 @@ def dlog_d_eisenstein(pt: TorsionPoint, c: int, k: int, prec) -> QSeries:
     if k == 1:
         w = (pt.a * c) // N
         const = Fraction(c - c * c, 2) + c * w
-        if const:
+        if const and prec > 0:  # a series known to order 0 has no q^0 term
             out = out + QSeries.monomial(
                 CycElt.rational(const, out.conductor), 0, grid, prec
             )

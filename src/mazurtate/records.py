@@ -9,7 +9,8 @@ and copying and pickling through ``__init__``; mutable records stay
 unhashable.  ``Frozen`` records also hash by their fields and refuse
 assignment, so an ``__init__`` sets their fields with
 ``object.__setattr__``, as ``Record.__init__`` does.  A record class is
-not subclassed further.
+not subclassed further.  ``Check`` is the verdict record of the CLI and of
+the named suites in ``checks``.
 """
 
 from __future__ import annotations
@@ -69,3 +70,14 @@ class Frozen(Record):
 
     def __hash__(self):
         return hash(self._field_values(self))
+
+
+class Check(Record):
+    # status: pass | fail | vacuous
+    __slots__ = ("name", "status", "witness")
+    _defaults = {"witness": None}
+
+    @classmethod
+    def of(cls, name: str, ok: bool, witness=None) -> Check:
+        """A pass, or a fail that keeps ``witness`` (as text, when there is one)."""
+        return cls(name, "pass", None) if ok else cls(name, "fail", witness and str(witness))

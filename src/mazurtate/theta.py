@@ -198,9 +198,6 @@ class TwistedValue(Record):
     # value: CycElt
     __slots__ = ("curve_label", "character_modulus", "parity", "value")
 
-    def omega_sign(self) -> str:
-        return "+" if self.parity == 1 else "-"
-
 
 def twisted_lvalue_avatar(curve: CurveData, chi: DirichletCharacter, pair=None) -> TwistedValue:
     """chi(theta_d): the exact avatar of tau(chi) L(E, chi_bar, 1) / Omega^{chi(-1)}."""

@@ -17,6 +17,11 @@ from mazurtate.modsym import GOOD_HECKE_BOUND, EigenSymbol, left_kernel
 from mazurtate.nt import primes_up_to, units_mod
 
 
+def p1_valid(space, c: int, d: int) -> bool:
+    """Whether (c : d) is a point of P^1(Z/N), N the level of ``space``."""
+    return gcd(c, d, space.N) == 1
+
+
 def orbit_p1(N: int):
     """P^1(Z/N) by enumerating unit orbits: (sorted reps, {(c, d): index})."""
     units = units_mod(N) if N > 1 else (1,)

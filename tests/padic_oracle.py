@@ -20,6 +20,10 @@ def synthetic_tower(p, k, layers):
     )
 
 
+def is_projective(tower) -> bool:
+    return all(ok for _, ok, _ in tower.check_projectivity())
+
+
 def sparse_layer(p, k, n, values):
     """The layer at p^n with the given coefficients at some units, 0 elsewhere."""
     pk = p**k

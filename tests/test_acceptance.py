@@ -2,7 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every check is exact at its stated precision unless explicitly a
-numeric-oracle comparison (criterion 2, relative 1e-6).
+numeric-oracle comparison (criterion 2, relative 1e-6).  Criteria 3, 4, 6,
+7, 9 and 10 run the named suites of `mazurtate.checks`, the code behind
+`mazurtate verify`, at the parameters stated below; the others check what
+no suite expresses.
 """
 
 import time
@@ -10,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from mazurtate.checks import SUITES
 from mazurtate.curves import curve_by_label
 from mazurtate.theta import eigen_pair, theta_element
 
@@ -17,6 +21,15 @@ from mazurtate.theta import eigen_pair, theta_element
 def verdict(num, ok, text):
     print(f"ACCEPTANCE {num:>2}: {'PASS' if ok else 'FAIL'} - {text}")
     assert ok, text
+
+
+def run_suite(name, **params):
+    """(outputs, checks, seconds, all checks pass) of the named verify suite."""
+    suite, _ = SUITES[name]
+    t0 = time.time()
+    outputs, checks = suite(**params)
+    elapsed = time.time() - t0
+    return outputs, checks, elapsed, all(c.status == "pass" for c in checks)
 
 
 @pytest.fixture(scope="module")
@@ -71,34 +84,26 @@ def test_criterion_2_period_calibration(curves):
     )
 
 
-def test_criterion_3_norm_relation_adjudication(curves):
-    from mazurtate.theta import adjudicate_norm_relations
-
-    t0 = time.time()
-    summary = adjudicate_norm_relations(list(curves.values()), max_product=150)
-    elapsed = time.time() - t0
-    non_vac = summary.non_vacuous()
-    ok = summary.consistent and summary.variant == "A" and elapsed < 120
+def test_criterion_3_norm_relation_adjudication():
+    outputs, (check,), elapsed, passed = run_suite("norm-relations", max_product=150)
+    ok = passed and outputs["variant"] == "A" and elapsed < 120
     verdict(
         3,
         ok,
-        f"variant {summary.variant} holds in all {len(non_vac)} non-vacuous of "
-        f"{len(summary.reports)} cases, Ml <= 150 ({elapsed:.1f}s)",
+        f"variant {outputs['variant']} holds: {check.name}, Ml <= 150 ({elapsed:.1f}s)",
     )
 
 
-def test_criterion_4_projective_system(towers):
-    t0 = time.time()
-    all_ok = True
-    details = []
-    for (label, p), tower in towers.items():
-        checks = tower.check_projectivity()  # layers (n+1 -> n), n = 1..3
-        good = all(ok for _, ok, _ in checks)
-        all_ok = all_ok and good and len(checks) == 3
-        details.append(f"{label}@p={p}:{'ok' if good else 'FAIL'}")
-    elapsed = time.time() - t0
-    ok = all_ok and elapsed < 120
-    verdict(4, ok, f"pi(theta^a_(n+1)) = theta^a_n mod p^6, n <= 3: {', '.join(details)}")
+def test_criterion_4_projective_system():
+    # three towers mod p^6 to layer 4: layers (n+1 -> n), n = 1..3, each
+    _, checks, elapsed, passed = run_suite("projectivity", k=6, n_max=4)
+    ok = passed and len(checks) == 9 and elapsed < 120
+    verdict(
+        4,
+        ok,
+        f"pi(theta^a_(n+1)) = theta^a_n mod p^6, n <= 3, {len(checks)} layer pairs "
+        f"({elapsed:.1f}s)",
+    )
 
 
 def test_criterion_5_trivial_interpolation(towers):
@@ -119,38 +124,13 @@ def test_criterion_5_trivial_interpolation(towers):
 
 
 def test_criterion_6_kolyvagin_telescoping():
-    from mazurtate.groupring import telescoping_check
-    from mazurtate.nt import is_primitive_root, primes_up_to
-
-    t0 = time.time()
-    total = 0
-    ok = True
-    for ell in primes_up_to(100):
-        if ell == 2:
-            continue
-        for eta in range(2, ell):
-            if is_primitive_root(eta, ell):
-                total += 1
-                ok = ok and telescoping_check(ell, eta)
-    elapsed = time.time() - t0
-    ok = ok and elapsed < 10
-    verdict(6, ok, f"(sigma-1)D_l = (l-1) - N_l for {total} (l, eta) pairs ({elapsed:.1f}s)")
+    _, (check,), elapsed, passed = run_suite("kolyvagin-identity", max_l=100)
+    verdict(6, passed and elapsed < 10, f"{check.name} ({elapsed:.1f}s)")
 
 
 def test_criterion_7_gauss_sums():
-    from mazurtate.arith import CycElt
-    from mazurtate.groupring import all_characters, gauss_sum
-
-    total = 0
-    ok = True
-    for d in range(1, 14):
-        for chi in all_characters(d):
-            if not chi.is_primitive():
-                continue
-            total += 1
-            prod = gauss_sum(chi) * gauss_sum(chi.conjugate())
-            ok = ok and prod == CycElt.rational(chi.parity() * d, prod.conductor)
-    verdict(7, ok, f"tau(chi)tau(chi-bar) = chi(-1)d for {total} primitive chi, d <= 13")
+    _, (check,), _, passed = run_suite("gauss")
+    verdict(7, passed, check.name)
 
 
 def test_criterion_8_kurihara_well_definedness(curves):
@@ -187,39 +167,17 @@ def test_criterion_8_kurihara_well_definedness(curves):
 
 
 def test_criterion_9_siegel_c_independence():
-    from mazurtate.qexp import TorsionPoint, check_c_relation, rationalized_g_qexp
-
-    t0 = time.time()
-    pt = TorsionPoint(0, 1, 5)
-    # c = N+1 = 6 violates (c, 6) = 1 (the object does not exist there);
-    # the two smallest valid scalars 1 mod 5 are 11 and 31
-    g1 = rationalized_g_qexp(pt, 10, 11)
-    g2 = rationalized_g_qexp(pt, 10, 31)
-    units_agree = (
-        g1.unit.agreement(g2.unit)[0] and g1.lead_exponent == g2.lead_exponent
-    )
-    rep = check_c_relation(pt, 7, 11, 8)
-    elapsed = time.time() - t0
-    ok = units_agree and rep.holds and elapsed < 60
-    verdict(
-        9,
-        ok,
-        f"g unit parts agree (c = 11 vs 31) to q^10; c,d-relation exact to q^8 "
-        f"({elapsed:.1f}s)",
-    )
+    # at N = 5, c = N+1 = 6 violates (c, 6) = 1 (the object does not exist
+    # there); the suite compares the two smallest valid scalars 1 mod 5,
+    # 11 and 31, and checks the c,d-relation at c = 7, d = 11
+    _, checks, elapsed, passed = run_suite("siegel-c")
+    ok = passed and len(checks) == 2 and elapsed < 60
+    verdict(9, ok, f"{'; '.join(c.name for c in checks)} ({elapsed:.1f}s)")
 
 
 def test_criterion_10_eisenstein_a_independence():
-    from mazurtate.qexp import eisenstein_00
-
-    t0 = time.time()
-    ok = True
-    for k in (1, 3):
-        ea = eisenstein_00(k, 5, 2, 15)
-        eb = eisenstein_00(k, 5, 3, 15)
-        ok = ok and ea.agreement(eb)[0]
-    elapsed = time.time() - t0
-    ok = ok and elapsed < 120
+    _, checks, elapsed, passed = run_suite("eisenstein-a", prec=15)
+    ok = passed and len(checks) == 2 and elapsed < 120
     verdict(10, ok, f"E^(k)_00 for a = 2 vs 3 agree to q^15, k in {{1, 3}} ({elapsed:.1f}s)")
 
 

@@ -236,6 +236,20 @@ def test_qexp_refuses_negative_precision(capsys, argv):
     assert "--prec" in err and "negative" in err
 
 
+@pytest.mark.parametrize("target", ["eisenstein", "e00", "f", "zeta", "c-relation"])
+def test_qexp_at_zero_precision(capsys, target):
+    # the k = 1 dlog series used to add its constant term at order 0, past a
+    # series known to order 0, and exit 2; k = 3 always printed empty series
+    code, out, err = run(capsys, "qexp", target, "--prec", "0", "--json", "--no-timing")
+    if target == "c-relation":  # it counts steps past the lead, as g-unit does
+        assert code == 2 and out == ""
+        assert "c-relation needs --prec > 0, got 0" in err
+    else:
+        assert (code, err) == (0, "")
+        outputs = json.loads(out)["outputs"]
+        assert outputs and all(rows == [] for rows in outputs.values())
+
+
 def test_qexp_g_unit_refuses_zero_precision(capsys):
     # g-unit's --prec counts unit-part steps past the lead, so 0 knows none
     code, out, err = run(
@@ -452,6 +466,12 @@ PINNED_RESIDUES = {
         ("verify", "interpolation"),
         "5b4eea7549409df774c431013cae8cc98ad0a4f90f282398d5d0b14220775533",
     ),
+    # recorded when the seven suites were functions in cli.py; the
+    # registry in mazurtate/checks.py must print the same bytes
+    "verify-all": (
+        ("verify", "all"),
+        "2d2d4bf16eda5f0d6a53b0375beb7ecc6f29cfaa467c6b77885c16d8cf7db264",
+    ),
 }
 
 
@@ -558,27 +578,33 @@ def test_import_mazurtate_loads_no_submodule():
         (
             _cli_run("--no-timing", "qexp", "e00", "-k", "3", "--c", "5", "--prec", "4"),
             {"cli", "qexp", "arith"},
-            {"modsym", "theta", "kurihara", "padic", "groupring", "curves", "oracle"},
+            {"modsym", "theta", "kurihara", "padic", "groupring", "curves", "oracle", "checks"},
         ),
         (
             _cli_run("--no-timing", "kurihara", "11a1", "-p", "3", "--bound", "70"),
             {"cli", "kurihara", "modsym", "curves"},
-            {"qexp", "padic", "theta", "groupring", "arith", "oracle"},
+            {"qexp", "padic", "theta", "groupring", "arith", "oracle", "checks"},
         ),
         (
             _cli_run("--no-timing", "msym", "--level", "37"),
             {"cli", "modsym"},
-            {"qexp", "padic", "kurihara", "theta", "groupring"},
+            {"qexp", "padic", "kurihara", "theta", "groupring", "checks"},
         ),
         (
             _cli_run("--no-timing", "msym", "11a1"),
             {"cli", "modsym", "curves"},
-            {"qexp", "padic", "kurihara", "theta", "groupring"},
+            {"qexp", "padic", "kurihara", "theta", "groupring", "checks"},
+        ),
+        (
+            # the registry imports every layer it may use, and runs only those reached
+            _cli_run("--no-timing", "verify", "gauss"),
+            {"cli", "checks", "groupring", "arith"},
+            {"modsym", "theta", "kurihara", "padic", "qexp", "curves", "oracle"},
         ),
     ],
     ids=[
         "qseries", "kurihara_number", "cli-import", "cli-qexp", "cli-kurihara",
-        "cli-msym-level", "cli-msym",
+        "cli-msym-level", "cli-msym", "cli-verify-gauss",
     ],
 )
 def test_cold_start_loads_only_what_is_used(code, present, absent):

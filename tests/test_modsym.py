@@ -11,6 +11,7 @@ from modsym_oracle import (
     oracle_eigen_symbol,
     orbit_min,
     orbit_p1,
+    p1_valid,
     unimodular_path_hj,
     vec_mat,
 )
@@ -276,7 +277,7 @@ def test_p1_matches_orbit_oracle(N):
     space = ModularSymbolSpace(N)
     assert space.p1_reps == reps
     pairs = [(c, d) for c in range(N) for d in range(N)]
-    assert {cd for cd in pairs if space.p1_valid(*cd)} == index.keys()
+    assert {cd for cd in pairs if p1_valid(space, *cd)} == index.keys()
     assert {cd: space.p1_index(*cd) for cd in index} == index
     for (c, d), i in list(index.items())[:: max(1, len(index) // 50)]:
         assert space.p1_index(c - 3 * N, d + 2 * N) == i
@@ -301,7 +302,7 @@ def test_p1_index_is_orbit_minimum_at_larger_levels(N, data):
     for _ in range(12):
         c = data.draw(st.integers(-2 * N, 2 * N))
         d = data.draw(st.integers(-2 * N, 2 * N))
-        if not space.p1_valid(c, d):
+        if not p1_valid(space, c, d):
             continue
         assert reps[space.p1_index(c, d)] == orbit_min(N, c, d)
     i = data.draw(st.integers(0, len(reps) - 1))

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+from lvalue_oracle import consistency_check
+
 from mazurtate.oracle import (
     OracleError,
-    consistency_check,
     lvalue_and_period,
     real_period,
 )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from padic_oracle import (
+    is_projective,
     modint_chain_layers,
     sparse_layer,
     synthetic_tower,
@@ -47,7 +48,7 @@ def scaled(tower, s):
 def test_stabilize_example_alpha(c11):
     tower = stabilize(c11, 5, 2, 2)
     assert (tower.alpha, tower.pk) == (21, 25)
-    assert tower.is_projective()
+    assert is_projective(tower)
 
 
 def test_projectivity_defining_instance(tower_11_3):
@@ -105,13 +106,13 @@ def test_stabilize_matches_modint_chain(label, p, k, n_max, variant):
 @given(st.integers(1, 8))
 def test_towers_projective_for_random_k(c11, k):
     tower = stabilize(c11, 3, k, 4)
-    assert tower.is_projective()
+    assert is_projective(tower)
     assert interpolate_trivial(tower).holds
 
 
 def test_wrong_variant_is_not_projective(c11):
     tower_b = stabilize(c11, 3, 4, 3, variant="B")
-    assert not tower_b.is_projective()
+    assert not is_projective(tower_b)
 
 
 def test_interpolate_trivial(c11):
@@ -360,7 +361,7 @@ def test_unit_constant_tower_has_zero_invariants():
     p, k = 3, 5
     layers = {n: GroupRingElement.delta(p**n, 1, 2, 0) for n in range(1, 5)}
     tower = synthetic_tower(p, k, layers)._replace(theta_q=2)
-    assert tower.is_projective()
+    assert is_projective(tower)
     inv = iwasawa_invariants(tower)
     assert (inv.lambda_, inv.mu) == (0, 0)
 
