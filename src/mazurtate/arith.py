@@ -10,6 +10,9 @@ Conventions
   integer coordinates over one common denominator; Phi_L is monic, so
   every reduction stays in the integers.  Products require equal
   conductors; use ``cyc_embed`` to move into a joint field first.
+* ``poly_mac``, ``cyc_scatter`` and ``binary_power`` are the one kernel on
+  those integer rows: ``CycElt`` and ``qexp.QSeries`` both multiply, embed,
+  conjugate and power through them.
 """
 
 from __future__ import annotations
@@ -105,6 +108,50 @@ def reduce_mod_cyclotomic(poly: list[int], L: int) -> list[int]:
     del poly[phi:]
     poly.extend([0] * (phi - len(poly)))
     return poly
+
+
+# ---------------------------------------------------------------------------
+# The row kernel: power-basis rows of Z[x]/Phi_L, shared by ``CycElt`` and
+# ``qexp.QSeries``
+
+
+def poly_mac(acc: list[int], a, b, f: int = 1) -> list[int]:
+    """acc += f a b for polynomials a, b (lowest degree first); returns acc."""
+    for i, x in enumerate(a):
+        fx = f * x
+        if fx:
+            for r, y in enumerate(b, i):
+                acc[r] += fx * y
+    return acc
+
+
+def cyc_scatter(row, step: int, L: int) -> list[int]:
+    """The row under zeta |-> zeta_L^step, reduced modulo Phi_L.
+
+    Coordinate i moves to exponent i step mod L: step = L/L' embeds a row
+    of Q(zeta_L') into Q(zeta_L), and a step j prime to L is the Galois
+    automorphism zeta |-> zeta^j.
+    """
+    poly = [0] * L
+    for i, c in enumerate(row):
+        poly[i * step % L] += c
+    return reduce_mod_cyclotomic(poly, L)
+
+
+def binary_power(x, n: int):
+    """x^n for n >= 1: one x * x per bit below the top, one product per further set bit.
+
+    A square is always ``x * x``, so a product that packs its factors
+    packs a square once.
+    """
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
 
 
 class CycElt:
@@ -234,11 +281,7 @@ class CycElt:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prod = [0] * (2 * len(self.num) - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other.num, i):
-                    prod[j] += a * b
+        prod = poly_mac([0] * (2 * len(self.num) - 1), self.num, other.num)
         return CycElt._make(
             self.conductor,
             reduce_mod_cyclotomic(prod, self.conductor),
@@ -252,15 +295,7 @@ class CycElt:
             return self.inverse() ** (-n)
         if n == 0:
             return CycElt.one(self.conductor)
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return binary_power(self, n)
 
     def inverse(self) -> "CycElt":
         """Field inverse: the product of the other Galois conjugates over the norm."""
@@ -288,14 +323,11 @@ class CycElt:
         L = self.conductor
         if gcd(j, L) != 1:
             raise ValueError(f"{j} does not define an automorphism of Q(zeta_{L})")
-        poly = [0] * L
-        for i, c in enumerate(self.num):
-            poly[i * j % L] += c
-        return CycElt._make(L, reduce_mod_cyclotomic(poly, L), self.den)
+        return CycElt._make(L, cyc_scatter(self.num, j, L), self.den)
 
     def conj(self) -> "CycElt":
         """Complex conjugation zeta |-> zeta^{-1}."""
-        return self.galois(-1 % self.conductor) if self.conductor > 2 else self
+        return self.galois(-1)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -344,11 +376,7 @@ def cyc_embed(x: CycElt, target: int) -> CycElt:
         raise ConductorMismatch(f"conductor {L} does not divide target {target}")
     if target == L:
         return x
-    step = target // L
-    poly = [0] * target
-    for i, c in enumerate(x.num):
-        poly[i * step] = c
-    return CycElt._make(target, reduce_mod_cyclotomic(poly, target), x.den)
+    return CycElt._make(target, cyc_scatter(x.num, target // L, target), x.den)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import re
 
-from .nt import is_prime
+from .nt import factorize, is_prime
 from .records import Frozen, Record
 
 DEFAULT_COUNT_BOUND = 4000
@@ -106,7 +106,7 @@ class CurveData(Record):
         if n < 1:
             raise ValueError("n must be >= 1")
         out = 1
-        for ell, e in _factor(n).items():
+        for ell, e in factorize(n).items():
             out *= self._prime_power_an(ell, e, bound)
         return out
 
@@ -129,12 +129,6 @@ class CurveData(Record):
 
     def __repr__(self):
         return f"CurveData({self.label}, N={self.conductor})"
-
-
-def _factor(n: int) -> dict[int, int]:
-    from .nt import factorize
-
-    return factorize(n)
 
 
 def _validate_ap(curve: CurveData, ell: int, a: int):

@@ -20,6 +20,7 @@ from math import gcd, lcm
 
 from .arith import CycElt, ModulusMismatch, cyc_embed
 from .nt import (
+    divisors,
     is_prime,
     is_primitive_root,
     unit_decompose,
@@ -296,8 +297,6 @@ class DirichletCharacter(Frozen):
         )
 
     def conductor(self) -> int:
-        from .nt import divisors
-
         for d in divisors(self.modulus):
             if self.factors_through(d):
                 return d

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from .curves import CurveData, DEFAULT_COUNT_BOUND
 from .modsym import EigenSymbol, build_space, eigen_symbol
-from .nt import factorize, is_prime, is_primitive_root, primes_up_to, smallest_primitive_root
+from .nt import (
+    factorize, is_prime, is_primitive_root, primes_up_to, smallest_primitive_root, valuation,
+)
 from .records import Record
 
 
@@ -50,9 +52,7 @@ class AdmissiblePrimeSet(Record):
         )
 
 
-def sieve_admissible(
-    curve: CurveData, p: int, k: int, bound: int, count_bound: int = DEFAULT_COUNT_BOUND
-) -> AdmissiblePrimeSet:
+def sieve_admissible(curve: CurveData, p: int, k: int, bound: int) -> AdmissiblePrimeSet:
     """All admissible primes <= bound, each with its smallest primitive root.
 
     Bound 0 gives the empty set; a negative bound is refused.
@@ -61,9 +61,9 @@ def sieve_admissible(
         raise ValueError("p must be an odd prime")
     if bound < 0:
         raise AdmissibilityError(f"bound must be >= 0, got {bound}")
-    if bound > count_bound:
+    if bound > DEFAULT_COUNT_BOUND:
         raise AdmissibilityError(
-            f"bound {bound} exceeds the point-counting limit {count_bound}"
+            f"bound {bound} exceeds the point-counting limit {DEFAULT_COUNT_BOUND}"
         )
     pk = _precision_modulus(p, k)
     primes = []
@@ -73,7 +73,7 @@ def sieve_admissible(
             continue
         if (ell - 1) % pk != 0:
             continue
-        a_ell = curve.ap(ell, count_bound)
+        a_ell = curve.ap(ell)
         if (a_ell - ell - 1) % pk != 0:
             continue
         primes.append(ell)
@@ -91,21 +91,13 @@ class KuriharaNumber(Record):
         return self.value == 0
 
 
-def _vp(x: int, p: int) -> int:
-    if x == 0:
-        return 10**9
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def ideal_valuation(curve: CurveData, n: int, p: int) -> int:
     """v_p of the product over ell | n of gcd-ideals (ell - 1, 1 - a_ell + ell)."""
+    # 1 - a_ell + ell counts the points of E mod ell, the origin among them,
+    # so neither generator is 0
     total = 0
     for ell in factorize(n):
-        total += min(_vp(ell - 1, p), _vp(1 - curve.ap(ell) + ell, p))
+        total += min(valuation(ell - 1, p), valuation(1 - curve.ap(ell) + ell, p))
     return total
 
 
@@ -225,8 +217,8 @@ def nonvanishing_search(
 
     def emit(n: int, factors: tuple[int, ...]):
         num = kurihara_number(curve, n, p, k, prime_set, plus)
-        res = num.value
-        unit_class = "0" if res == 0 else ("unit" if res % p != 0 else f"p^{_vp(res, p)} * unit")
+        v = valuation(num.value, p) if num.value else None
+        unit_class = "0" if v is None else ("unit" if v == 0 else f"p^{v} * unit")
         rows.append(SearchRow(n, factors, num.value, unit_class, num.vanishes))
 
     def extend(start: int, n: int, factors: tuple[int, ...], depth: int):

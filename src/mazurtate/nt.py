@@ -58,6 +58,20 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def valuation(x, p: int) -> int:
+    """v_p(x) for a nonzero int or Fraction x and a prime p."""
+    if x == 0:
+        raise ValueError("the valuation of 0 is infinite")
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
 def divisors(n: int) -> list[int]:
     ds = [1]
     for p, e in factorize(n).items():

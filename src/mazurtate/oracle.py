@@ -33,7 +33,11 @@ class LValueOracle(Frozen):
         return self.lvalue / self.omega_plus
 
 
-def lseries_at_one(curve: CurveData, eps: float = 1e-12, fricke: int | None = None):
+# the L-series sum runs until its tail bound is below _L_EPS / 10
+_L_EPS = 1e-12
+
+
+def lseries_at_one(curve: CurveData, fricke: int | None = None):
     """(value, tail_bound, terms) for L(E,1) by the exponential series."""
     if fricke is None:
         fricke = curve.fricke_sign
@@ -46,7 +50,7 @@ def lseries_at_one(curve: CurveData, eps: float = 1e-12, fricke: int | None = No
         return 0.0, 0.0, 0
     c = 2 * math.pi / math.sqrt(curve.conductor)
     n_terms = 10
-    while 2 * 2 * math.exp(-c * (n_terms + 1)) / (1 - math.exp(-c)) > eps / 10:
+    while 2 * 2 * math.exp(-c * (n_terms + 1)) / (1 - math.exp(-c)) > _L_EPS / 10:
         n_terms += 5
     total = 0.0
     for n in range(1, n_terms + 1):
@@ -125,8 +129,8 @@ def real_period(curve: CurveData) -> tuple[float, int]:
     return abs(omega1), 1
 
 
-def lvalue_and_period(curve: CurveData, eps: float = 1e-12, fricke: int | None = None) -> LValueOracle:
-    lval, tail, terms = lseries_at_one(curve, eps, fricke)
+def lvalue_and_period(curve: CurveData, fricke: int | None = None) -> LValueOracle:
+    lval, tail, terms = lseries_at_one(curve, fricke)
     omega, components = real_period(curve)
     return LValueOracle(
         curve_label=curve.label,

@@ -29,9 +29,9 @@ from .groupring import (
     norm_map,
     project,
 )
-from .nt import is_prime
+from .nt import is_prime, valuation
 from .records import Record
-from .theta import adjudicated_variant, eigen_pair, integrality_report, theta_element
+from .theta import adjudicated_variant, eigen_pair, theta_element
 
 
 class PrecisionError(ValueError):
@@ -107,10 +107,6 @@ def stabilize(
         raise ValueError("n_max must be >= 1")
     if pair is None:
         pair = eigen_pair(curve)
-    for n in range(1, n_max + 1):
-        rep = integrality_report(curve, p, n, pair)
-        if not rep.p_integral:
-            raise PrecisionError(str(rep))
     if variant is None:
         variant = adjudicated_variant(curve)
     pk = p**k
@@ -174,7 +170,7 @@ class CharacterInterpolationReport(Record):
 
 
 def interpolate_character(
-    tower: PadicThetaTower, chi: DirichletCharacter, curve: CurveData | None = None
+    tower: PadicThetaTower, chi: DirichletCharacter, curve: CurveData
 ) -> CharacterInterpolationReport | TrivialInterpolationReport:
     """chi(theta^alpha_n) = alpha^{-n} chi(theta_{p^n}), at precision p^k.
 
@@ -186,19 +182,11 @@ def interpolate_character(
     p, pk = tower.p, tower.pk
     if not chi.is_primitive():
         raise ValueError("character must be primitive")
-    d = chi.modulus
-    n = 0
-    while d % p == 0:
-        d //= p
-        n += 1
-    if d != 1:
+    n = valuation(chi.modulus, p)
+    if chi.modulus != p**n:
         raise ValueError(f"conductor {chi.modulus} is not a power of {p}")
     if not 1 <= n <= tower.n_max:
         raise ValueError(f"conductor exponent {n} outside tower range")
-    if curve is None:
-        from .curves import curve_by_label
-
-        curve = curve_by_label(tower.curve_label)
     raw = _integral_theta(curve, p**n, eigen_pair(curve))
     lhs = eval_character(tower.layers[n], chi)
     rhs = eval_character(raw.map_coeffs(lambda v: v % pk), chi) * pow(tower.alpha, -n, pk)
@@ -296,16 +284,9 @@ def layer_polynomial(tower: PadicThetaTower, n: int, component: int = 0) -> list
     return _component_polynomials(tower, n, [component])[component]
 
 
-def _val(residue: int, p: int, k: int) -> int:
-    v = 0
-    while v < k and residue % p == 0:
-        residue //= p
-        v += 1
-    return v
-
-
 def _read_invariants(poly: list[int], p: int, k: int) -> tuple[int, int]:
-    vals = [_val(c, p, k) for c in poly]
+    # a residue mod p^k that is 0 has valuation at least k: read it as k
+    vals = [min(k, valuation(c, p)) if c else k for c in poly]
     mu = min(vals)
     return vals.index(mu), mu
 

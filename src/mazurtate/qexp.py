@@ -4,8 +4,9 @@ Series live on a fixed exponent grid (1/L)Z with an explicit exclusive
 truncation order; every ring operation propagates the truncation
 (product order = min(t1 + lead2, t2 + lead1), sums take the min).  The
 coefficients in Q(zeta_L) are integer power-basis rows over one common
-denominator, and ring operations work on the rows; ``CycElt`` appears
-only at the edge (the constructor, ``coeffs`` and the coefficient readers).
+denominator, and ring operations work on the rows through ``arith``'s row
+kernel, as ``CycElt`` does; ``CycElt`` appears only at the edge (the
+constructor, ``coeffs`` and the coefficient readers).
 
 The universal object behind everything is the Tate curve with parameter
 t and invariant differential dt/t, so the weight-raising operator is
@@ -30,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, gcd, isqrt, lcm
 
-from .arith import CycElt, cyc_embed, reduce_mod_cyclotomic
+from .arith import CycElt, binary_power, cyc_embed, cyc_scatter, poly_mac, reduce_mod_cyclotomic
 from .nt import euler_phi
 from .records import Frozen, Record
 
@@ -188,11 +189,8 @@ class QSeries:
         """The series over Q(zeta_conductor2), zeta_L -> zeta^{conductor2/L}."""
         if conductor2 == self.conductor:
             return self
-        step, rows = conductor2 // self.conductor, []
-        for r in self.rows:
-            poly = [0] * conductor2
-            poly[: step * len(r) : step] = r
-            rows.append(reduce_mod_cyclotomic(poly, conductor2))
+        step = conductor2 // self.conductor
+        rows = [cyc_scatter(r, step, conductor2) for r in self.rows]
         return _series(self.grid, self.start, rows, self.den, self.trunc, conductor2)
 
     @staticmethod
@@ -241,7 +239,7 @@ class QSeries:
             f = lcm(self.conductor, scalar.conductor)
             s, me = cyc_embed(scalar, f), self.embed(f)
             rows = [
-                reduce_mod_cyclotomic(_mac([0] * (2 * len(r) - 1), s.num, r), f)
+                reduce_mod_cyclotomic(poly_mac([0] * (2 * len(r) - 1), s.num, r), f)
                 for r in me.rows
             ]
             return _series(me.grid, me.start, rows, me.den * s.den, me.trunc, f)
@@ -311,7 +309,7 @@ class QSeries:
         for j in range(1, n):
             acc = [0] * (2 * len(G[0]) - 1)
             for k in range(1, min(j, len(V)) + 1):
-                _mac(acc, V[k - 1], G[j - k], (m + 1) * k - j)
+                poly_mac(acc, V[k - 1], G[j - k], (m + 1) * k - j)
             G.append([x // j for x in reduce_mod_cyclotomic(acc, L)])
         rows = [[x * D ** (n - 1 - j) for x in r] for j, r in enumerate(G)]
         s = m * self.start
@@ -326,15 +324,7 @@ class QSeries:
             return QSeries.one(
                 self.grid, Fraction(self.trunc - self.start, self.grid), self.conductor
             )
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return binary_power(self, n)
 
     def inverse(self) -> "QSeries":
         """Reciprocal series; the leading coefficient must be invertible.
@@ -489,32 +479,18 @@ def _kronecker(ra, rb, n: int, bound: int) -> list[list[int]]:
     return [slots[i : i + span] for i in range(0, n * span, span)]
 
 
-def _mac(acc: list[int], a, b, f: int = 1) -> list[int]:
-    """acc += f a b for polynomials a, b (lowest degree first); returns acc."""
-    for i, x in enumerate(a):
-        fx = f * x
-        if fx:
-            for r, y in enumerate(b, i):
-                acc[r] += fx * y
-    return acc
-
-
 def _coefficient_loop(a, b, n: int, L: int) -> list[list[int]]:
     """The first n rows of (sum a_i q^i)(sum b_j q^j), term by term, reduced once."""
     out = [[0] * (2 * len(a[0]) - 1) for _ in range(n)]
     for i, ai in enumerate(a):
         if any(ai):
             for j, bj in enumerate(b[: n - i], i):
-                _mac(out[j], ai, bj)
+                poly_mac(out[j], ai, bj)
     return [reduce_mod_cyclotomic(p, L) for p in out]
 
 
 # ---------------------------------------------------------------------------
 # Theta pullbacks
-
-
-def _zeta(N: int, j: int) -> CycElt:
-    return CycElt.zeta(N, j) if N > 1 else CycElt.one(1)
 
 
 def _partitions(n: int) -> list[int]:
@@ -537,15 +513,15 @@ def _gamma_core(s: Fraction, b: int, N: int, grid: int, rel_steps: int) -> QSeri
     sum_k (-1)^k q^{k(k-1)/2} t^k * sum_n p(n) q^n, and t^k = zeta^{bk}
     q^{sk}: each k adds +-p(n) at column bk of the rows.
     """
-    L, e = (N if N > 1 else 1), _to_idx(s, grid)
+    e = _to_idx(s, grid)
     p = _partitions((rel_steps - 1) // grid)
-    rows = [[0] * L for _ in range(rel_steps)]
+    rows = [[0] * N for _ in range(rel_steps)]
     k_max = isqrt(2 * rel_steps // grid) + 2  # beyond it k(k-1)/2 > rel_steps / grid
     for k in range(-k_max, k_max + 1):
-        sign, col = (-1 if k % 2 else 1), b * k % L
+        sign, col = (-1 if k % 2 else 1), b * k % N
         for n, i in enumerate(range(grid * k * (k - 1) // 2 + e * k, rel_steps, grid)):
             rows[i][col] += sign * p[n]
-    return _series(grid, 0, [reduce_mod_cyclotomic(r, L) for r in rows], 1, rel_steps, L)
+    return _series(grid, 0, [reduce_mod_cyclotomic(r, N) for r in rows], 1, rel_steps, N)
 
 
 def _gamma_pullback(exp: Fraction, b: int, N: int, grid: int, trunc_exp: Fraction) -> QSeries:
@@ -561,10 +537,10 @@ def _gamma_pullback(exp: Fraction, b: int, N: int, grid: int, trunc_exp: Fractio
     shift = Fraction(-w * (w - 1), 2) - s * w
     rel_steps = _to_idx(trunc_exp - shift, grid)
     if rel_steps <= 0:
-        return QSeries.zero(grid, trunc_exp, N if N > 1 else 1)
+        return QSeries.zero(grid, trunc_exp, N)
     core = _gamma_core(s, b, N, grid, rel_steps)
-    sign = CycElt.rational(-1 if w % 2 else 1, N if N > 1 else 1)
-    pref = sign * _zeta(N, -b * w)
+    sign = CycElt.rational(-1 if w % 2 else 1, N)
+    pref = sign * CycElt.zeta(N, -b * w)
     return core.scale(pref).shift(shift)
 
 
@@ -608,11 +584,11 @@ def siegel_theta_qexp(pt: TorsionPoint, c: int, prec) -> QSeries:
     lead = theta_lead_exponent(pt, c)
     rel = prec - lead
     if rel <= 0:
-        return QSeries.zero(grid, prec, N if N > 1 else 1)
+        return QSeries.zero(grid, prec, N)
     part_a = _gamma_pullback(Fraction(pt.a, N), pt.b, N, grid, rel) ** (c * c)
     part_b = _gamma_pullback(Fraction(pt.a * c, N), pt.b * c, N, grid, rel + b_shift)
-    sign = CycElt.rational(-1 if m_exp % 2 else 1, N if N > 1 else 1)
-    pref = sign * _zeta(N, pt.b * m_exp)
+    sign = CycElt.rational(-1 if m_exp % 2 else 1, N)
+    pref = sign * CycElt.zeta(N, pt.b * m_exp)
     out = (part_a * part_b.inverse()).scale(pref).shift(lead + b_shift)
     return out.truncate(min(out.trunc_exponent, prec))
 
@@ -717,16 +693,15 @@ def _dlog_gamma_pullback(k: int, pt: TorsionPoint, prec: Fraction, grid: int) ->
     """
     N = pt.level
     a, b = pt.a, pt.b
-    L = N if N > 1 else 1
     t_idx = _to_idx(prec, grid)
     if t_idx <= 0:
-        return QSeries.zero(grid, prec, L)
-    rows = [[0] * L for _ in range(t_idx)]  # column j holds zeta_N^j
+        return QSeries.zero(grid, prec, N)
+    rows = [[0] * N for _ in range(t_idx)]  # column j holds zeta_N^j
     step = grid // N
     if a != 0:
         m = 1
         while m * a * step < t_idx:
-            rows[m * a * step][b * m % L] -= m ** (k - 1)
+            rows[m * a * step][b * m % N] -= m ** (k - 1)
             m += 1
     n = 1
     while n * grid - a * step < t_idx:  # smallest exponent contributed at this n
@@ -740,14 +715,14 @@ def _dlog_gamma_pullback(k: int, pt: TorsionPoint, prec: Fraction, grid: int) ->
                 break
             mk = m ** (k - 1)
             if e_plus < t_idx:
-                rows[e_plus][b * m % L] -= mk
+                rows[e_plus][b * m % N] -= mk
             if e_minus < t_idx:
-                rows[e_minus][-b * m % L] += mk if (k - 1) % 2 == 0 else -mk
+                rows[e_minus][-b * m % N] += mk if (k - 1) % 2 == 0 else -mk
             m += 1
         n += 1
-    out = _series(grid, 0, [reduce_mod_cyclotomic(r, L) for r in rows], 1, t_idx, L)
+    out = _series(grid, 0, [reduce_mod_cyclotomic(r, N) for r in rows], 1, t_idx, N)
     if a == 0:
-        out = out + QSeries.monomial(_rational_part_derivative(k, _zeta(N, b)), 0, grid, prec)
+        out = out + QSeries.monomial(_rational_part_derivative(k, CycElt.zeta(N, b)), 0, grid, prec)
     return out
 
 
@@ -826,9 +801,9 @@ def eisenstein_00(k: int, c: int, a: int, prec) -> QSeries:
 
 def _smallest_unit_scalar(N: int) -> int:
     """Smallest c > 1 with c = 1 mod N and (c, 6) = 1."""
-    c = N + 1 if N > 1 else 2
-    while gcd(c, 6) != 1 or c == 1:
-        c += N if N > 1 else 1
+    c = N + 1
+    while gcd(c, 6) != 1:
+        c += N
     return c
 
 
@@ -876,7 +851,7 @@ def f_series(k: int, pt: TorsionPoint, prec) -> QSeries:
     for x in range(N):
         for y in range(N):
             e = rationalized_eisenstein(TorsionPoint(x, y, N), k, prec)
-            term = e.scale(_zeta(N, pt.b * x - pt.a * y))
+            term = e.scale(CycElt.zeta(N, pt.b * x - pt.a * y))
             total = term if total is None else total + term
     return total.scale(Fraction(1, N**k))
 

@@ -33,7 +33,7 @@ from .groupring import (
     project,
 )
 from .modsym import eigen_pair
-from .nt import is_prime
+from .nt import is_prime, primes_up_to, valuation
 from .records import Record
 
 
@@ -108,25 +108,16 @@ def check_norm_relation(curve: CurveData, M: int, ell: int, pair=None) -> NormRe
         pair = eigen_pair(curve)
     lhs = project(theta_element(curve, M * ell, pair).element, M)
     theta_m = theta_element(curve, M, pair).element
-    a_ell = curve.ap(ell)
+    head = theta_m.scale(curve.ap(ell))
     if M % ell == 0:
         branch = "ell | M"
-        nu_term = norm_map(theta_element(curve, M // ell, pair).element, M)
-        rhs_a = theta_m.scale(a_ell) - nu_term
-        rhs_b = theta_m.scale(a_ell) - nu_term.scale(ell)
+        tail = norm_map(theta_element(curve, M // ell, pair).element, M)
     else:
         branch = "ell good"
-        euler_a = (
-            theta_m.scale(a_ell)
-            - theta_m.sigma_shift(ell % M if M > 1 else 1)
-            - theta_m.sigma_shift(pow(ell, -1, M) if M > 1 else 1)
-        )
-        euler_b = (
-            theta_m.scale(a_ell)
-            - theta_m.sigma_shift(ell % M if M > 1 else 1)
-            - theta_m.sigma_shift(pow(ell, -1, M) if M > 1 else 1).scale(ell)
-        )
-        rhs_a, rhs_b = euler_a, euler_b
+        # sigma_shift is the identity at M = 1, where pow(ell, -1, 1) is 0
+        head = head - theta_m.sigma_shift(ell)
+        tail = theta_m.sigma_shift(pow(ell, -1, M))
+    rhs_a, rhs_b = head - tail, head - tail.scale(ell)
     wit_a = first_mismatch(lhs, rhs_a)
     wit_b = first_mismatch(lhs, rhs_b)
     a_holds, b_holds = wit_a is None, wit_b is None
@@ -153,8 +144,6 @@ class AdjudicationSummary(Record):
 
 def adjudicate_norm_relations(curves, max_product: int = 150) -> AdjudicationSummary:
     """Sweep all (M, ell) with good prime ell and M*ell <= max_product."""
-    from .nt import primes_up_to
-
     reports = []
     statuses = set()
     for curve in curves:
@@ -223,28 +212,13 @@ class IntegralityReport(Record):
         )
 
 
-def _p_valuation(x: int | Fraction, p: int) -> int:
-    if x == 0:
-        return 10**9
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 def integrality_report(curve: CurveData, p: int, n: int, pair=None) -> IntegralityReport:
     """p-integrality of theta at modulus p^n in the current scaling mode."""
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     theta = theta_element(curve, p**n, pair)
-    worst = min(
-        _p_valuation(v, p) for v in theta.element.coeffs.values()
-    ) if theta.element.coeffs else 0
+    # an all-zero theta is p-integral, with clearing exponent 0
+    worst = min((valuation(v, p) for v in theta.element.coeffs.values() if v), default=0)
     return IntegralityReport(
         curve_label=curve.label,
         prime=p,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mazurtate.arith import CycElt, cyc_embed
-from mazurtate.qexp import QSeries, TorsionPoint, _rational_part_derivative, _to_idx, _zeta
+from mazurtate.qexp import QSeries, TorsionPoint, _rational_part_derivative, _to_idx
 
 
 def schoolbook_mul(x: QSeries, y: QSeries) -> QSeries:
@@ -87,9 +87,9 @@ def gamma_core_product(s: Fraction, b: int, N: int, grid: int, rel_steps: int) -
     e = _to_idx(s, grid)
     for n in range(0, rel_steps):
         if e + n * grid < rel_steps:
-            out = mul_binomial(out, e + n * grid, -_zeta(N, b))
+            out = mul_binomial(out, e + n * grid, -CycElt.zeta(N, b))
         if n and n * grid - e < rel_steps:
-            out = mul_binomial(out, n * grid - e, -_zeta(N, -b))
+            out = mul_binomial(out, n * grid - e, -CycElt.zeta(N, -b))
     return out
 
 
@@ -105,18 +105,18 @@ def dlog_gamma_terms(k: int, pt: TorsionPoint, prec: Fraction, grid: int) -> QSe
 
     step = grid // N
     if a == 0:
-        add(0, _rational_part_derivative(k, _zeta(N, b)))
+        add(0, _rational_part_derivative(k, CycElt.zeta(N, b)))
     else:
         for m in range(1, t_idx):
             if m * a * step < t_idx:
-                add(m * a * step, _zeta(N, b * m) * -(m ** (k - 1)))
+                add(m * a * step, CycElt.zeta(N, b * m) * -(m ** (k - 1)))
     for n in range(1, t_idx + 1):
         for m in range(1, t_idx + 1):
             e_plus, e_minus = m * (n * grid + a * step), m * (n * grid - a * step)
             if e_plus < t_idx:
-                add(e_plus, _zeta(N, b * m) * -(m ** (k - 1)))
+                add(e_plus, CycElt.zeta(N, b * m) * -(m ** (k - 1)))
             if e_minus < t_idx:
-                add(e_minus, _zeta(N, -b * m) * (-m) ** (k - 1))
+                add(e_minus, CycElt.zeta(N, -b * m) * (-m) ** (k - 1))
     coeffs = [CycElt.zero(conductor) for _ in range(max(t_idx, 0))]
     for idx, cf in acc.items():
         coeffs[idx] = cyc_embed(cf, conductor)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import lcm
 
 from mazurtate.arith import CycElt, cyc_embed
-from mazurtate.qexp import QSeries, _zeta
+from mazurtate.qexp import QSeries
 
 
 class TateExpansion:
@@ -103,7 +103,7 @@ class TateExpansion:
         f = lcm(self.conductor, N if N > 1 else 1)
         acc: dict[int, CycElt] = {}
         for (n, m), c in self.terms.items():
-            v = cyc_embed(c, f) * cyc_embed(_zeta(N, b * m), f)
+            v = cyc_embed(c, f) * cyc_embed(CycElt.zeta(N, b * m), f)
             acc[n] = acc[n] + v if n in acc else v
         if not acc:
             return QSeries.zero(1, self.q_trunc, f)

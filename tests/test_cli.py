@@ -415,6 +415,11 @@ PINNED_QEXP = {
         ),
         "b31368a93ba5f7ad05dd1f1b4ff96ea942d922b0c08cb8e01cf90eff97fe20f5",
     ),
+    # the dual series at level 1: zeta_1 is 1, a conductor-1 field value
+    "f-level1": (
+        ("f", "--point", "0/1,0/1", "-k", "4", "--prec", "5"),
+        "254f0d0c807898b4eed61d09459c5bc7893e53410cf757017f6536246d68307e",
+    ),
 }
 
 

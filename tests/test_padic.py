@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -67,6 +68,15 @@ def test_stabilize_rejects_bad_and_nonordinary(c11):
 
     with pytest.raises(NonOrdinaryPrime, match="non-ordinary"):
         stabilize(curve_by_label("37a1"), 3, 2, 2)
+
+
+def test_stabilize_refuses_calibrated_symbols_before_precision(c11, pair11):
+    # lambda = 1/10 puts 5 in a denominator: the refusal is the one about
+    # the normalization, not a precision error about the missing p-power
+    plus, minus = pair11
+    pair = (plus.calibrated(Fraction(1, 10)), minus)
+    with pytest.raises(ValueError, match="p-adic towers use integral-normalized symbols"):
+        stabilize(c11, 5, 2, 2, pair=pair)
 
 
 def test_stabilize_refuses_calibrated_symbols(c11, pair11):
