@@ -145,6 +145,8 @@ def _get_curve(label: str, args):
 
 
 def cmd_curve(args) -> RunReport:
+    if args.ap_bound < 0:
+        raise UsageError(f"--ap-bound must be >= 0, got {args.ap_bound}")
     curve = _get_curve(args.label, args)
     report = RunReport(
         "curve",
@@ -398,6 +400,8 @@ def cmd_verify(args) -> RunReport:
         raise UsageError(
             f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)} or 'all'"
         )
+    if args.prec < 0:
+        raise UsageError(f"--prec must not be negative, got {args.prec}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     report = RunReport("verify", {"suite": args.suite})
     for name in names:

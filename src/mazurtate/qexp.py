@@ -290,41 +290,51 @@ class QSeries:
         width = top.bit_length() + self.den.bit_length()
         return abs(m) * width > _KRONECKER_BITS_PER_TERM * (self.trunc - self.start)
 
-    def _miller_power(self, m: int) -> "QSeries":
-        """u^m by J. C. P. Miller's recurrence (Knuth, TAOCP 2, 4.7).
+    def _miller_power(self, m) -> "QSeries":
+        """u^m for a rational m = a/b by J. C. P. Miller's recurrence (Knuth, TAOCP 2, 4.7).
 
         For u = u0 q^s (1 + v), g = u^m / q^{ms} has g_0 = u0^m and
-        j g_j = sum_{k=1..j} ((m + 1) k - j) v_k g_{j-k}.  With v_k = V_k / D^k
-        and u0^m = P/Q over integers, G_j = D^j Q g_j is integral (g_j / u0^m
-        is an integer polynomial in v of weight j) and j G_j = sum_k ((m + 1) k
-        - j) V_k G_{j-k}: each narrow V_k meets a wide G_{j-k} on integer rows.
+        j g_j = sum_{k=1..j} ((m + 1) k - j) v_k g_{j-k}.  A root (b > 1) is
+        taken only of a series with constant term 1 (u0 = 1, s = 0).  With
+        v_k = V_k / D^k and u0^m = P/Q over integers, G_j = (b^2 D)^j Q g_j is
+        integral: g_j / u0^m = sum_i C(m, i) [q^j] v^i over i <= j, where
+        D^j [q^j] v^i is an integer polynomial in the V_k and b^{2i} C(a/b, i)
+        is an integer (its denominator is b^i prod_{p | b} p^{v_p(i!)}, and
+        v_p(i!) < i).  Multiplied through, j G_j = sum_k ((a + b) k - b j)
+        b^{2k-1} V_k G_{j-k}: each narrow V_k meets a wide G_{j-k} on integer
+        rows.  For b = 1 this is D^j Q g_j and ((m + 1) k - j) V_k G_{j-k}.
         """
+        a, b = m.numerator, m.denominator
         L, n, u0 = self.conductor, self.trunc - self.start, self.lead_coefficient()
+        if b > 1 and (self.start or u0 != CycElt.one(L)):
+            raise QExpError(f"the power {m} needs a series with constant term 1")
         inv = u0.inverse()
         w = self.scale(inv)  # rows D, D v_1, D v_2, ... over D
         D = w.den
-        V = [[x * D ** (k - 1) for x in r] for k, r in enumerate(w.rows[1:], 1)]
-        lead = (u0 if m > 0 else inv) ** abs(m)
+        E = b * b * D
+        V = [[b * E**k * x for x in r] for k, r in enumerate(w.rows[1:])]  # b^{2k-1} V_k
+        lead = (u0 if a > 0 else inv) ** abs(a)
         G = [list(lead.num)]
         for j in range(1, n):
             acc = [0] * (2 * len(G[0]) - 1)
             for k in range(1, min(j, len(V)) + 1):
-                poly_mac(acc, V[k - 1], G[j - k], (m + 1) * k - j)
+                poly_mac(acc, V[k - 1], G[j - k], (a + b) * k - b * j)
             G.append([x // j for x in reduce_mod_cyclotomic(acc, L)])
-        rows = [[x * D ** (n - 1 - j) for x in r] for j, r in enumerate(G)]
-        s = m * self.start
-        return _series(self.grid, s, rows, D ** (n - 1) * lead.den, s + n, L)
+        rows = [[x * E ** (n - 1 - j) for x in r] for j, r in enumerate(G)]
+        s = a * self.start  # b > 1 only at start 0
+        return _series(self.grid, s, rows, E ** (n - 1) * lead.den, s + n, L)
 
-    def __pow__(self, n: int):
-        if n and not self.is_zero() and self._wide(n):
-            return self._miller_power(n)
-        if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0:
+    def __pow__(self, m):
+        """u^m for an integer m, or a rational m when u has constant term 1."""
+        if m.denominator > 1 or (m and not self.is_zero() and self._wide(m)):
+            return self._miller_power(m)
+        if m < 0:
+            return self.inverse() ** (-m)
+        if m == 0:
             return QSeries.one(
                 self.grid, Fraction(self.trunc - self.start, self.grid), self.conductor
             )
-        return binary_power(self, n)
+        return binary_power(self, int(m))
 
     def inverse(self) -> "QSeries":
         """Reciprocal series; the leading coefficient must be invertible.
@@ -348,48 +358,6 @@ class QSeries:
             yk = _series(g, 0, y.rows, y.den, k, L)
             y = yk + yk * (QSeries.one(g, Fraction(k, g), L) - u * yk)
         return _series(g, -self.start, y.rows, y.den, n - self.start, L)
-
-    # -- unit-series transcendentals -----------------------------------------
-
-    def _require_unit_one(self):
-        if self.is_zero() or self.start != 0 or not (
-            self.lead_coefficient() == CycElt.one(self.conductor)
-        ):
-            raise QExpError("operation requires a series with constant term 1")
-
-    def _times_exponent(self, power: int) -> "QSeries":
-        """The series with the coefficient at each exponent e multiplied by e^power."""
-        w = [Fraction(self.start + i, self.grid) ** power for i in range(len(self.rows))]
-        d = lcm(1, *(x.denominator for x in w))
-        rows = [[v * (x.numerator * d // x.denominator) for v in r] for x, r in zip(w, self.rows)]
-        return _series(self.grid, self.start, rows, self.den * d, self.trunc, self.conductor)
-
-    def log_unit(self) -> "QSeries":
-        """log of a series with constant term 1 (antiderivative of u'/u)."""
-        self._require_unit_one()
-        # u'/u has no constant term, so no exponent is 0
-        return (self.theta_derivative() * self.inverse())._times_exponent(-1)
-
-    def exp_positive(self) -> "QSeries":
-        """exp of a series supported in strictly positive exponents.
-
-        Newton's y <- y (1 + v - log y) doubles the known terms per step.
-        """
-        if not self.is_zero() and self.start <= 0:
-            raise QExpError("exp needs strictly positive exponents")
-        g, L, n = self.grid, self.conductor, self.trunc
-        if n <= 0:
-            raise QExpError("truncation too small for exp")
-        y, k = QSeries.one(g, Fraction(1, g), L), 1
-        while k < n:
-            k = min(2 * k, n)
-            y = _series(g, 0, y.rows, y.den, k, L)
-            y = y + y * (self.truncate(Fraction(k, g)) - y.log_unit())
-        return y
-
-    def theta_derivative(self) -> "QSeries":
-        """q d/dq: multiply the coefficient at exponent e by e."""
-        return self._times_exponent(1)
 
     # -- comparisons -----------------------------------------------------------
 
@@ -524,17 +492,23 @@ def _gamma_core(s: Fraction, b: int, N: int, grid: int, rel_steps: int) -> QSeri
     return _series(grid, 0, [reduce_mod_cyclotomic(r, N) for r in rows], 1, rel_steps, N)
 
 
-def _gamma_pullback(exp: Fraction, b: int, N: int, grid: int, trunc_exp: Fraction) -> QSeries:
-    """gamma(zeta_N^b q^exp) for exp >= 0, reduced into the fundamental annulus.
+def _annulus_shift(e: Fraction) -> tuple[int, Fraction, Fraction]:
+    """(w, s, shift) for gamma(q^e u) with e >= 0: w = floor(e), s = e - w.
 
     gamma(q^w u) = (-1)^w q^{-w(w-1)/2} u^{-w} gamma(u) peels off whole
-    powers of q from the argument.
+    powers of q from the argument; at u = q^s the q-exponent peeled off is
+    shift = -w(w-1)/2 - s w.
     """
-    w = int(exp)  # floor; exp >= 0
-    s = exp - w
+    w = int(e)  # floor; e >= 0
+    s = e - w
+    return w, s, Fraction(-w * (w - 1), 2) - s * w
+
+
+def _gamma_pullback(exp: Fraction, b: int, N: int, grid: int, trunc_exp: Fraction) -> QSeries:
+    """gamma(zeta_N^b q^exp) for exp >= 0, reduced into the fundamental annulus."""
+    w, s, shift = _annulus_shift(exp)
     if s == 0 and b % N == 0:
         raise QExpError("gamma vanishes at t = 1: the point hits the c-torsion")
-    shift = Fraction(-w * (w - 1), 2) - s * w
     rel_steps = _to_idx(trunc_exp - shift, grid)
     if rel_steps <= 0:
         return QSeries.zero(grid, trunc_exp, N)
@@ -553,10 +527,7 @@ def _check_c(pt: TorsionPoint, c: int):
 
 def _theta_gamma_shift(pt: TorsionPoint, c: int) -> Fraction:
     """The q-exponent peeled off gamma(t^c) by quasi-periodicity."""
-    exp_tc = Fraction(pt.a * c, pt.level)
-    w = int(exp_tc)
-    s = exp_tc - w
-    return Fraction(-w * (w - 1), 2) - s * w
+    return _annulus_shift(Fraction(pt.a * c, pt.level))[2]
 
 
 def theta_lead_exponent(pt: TorsionPoint, c: int) -> Fraction:
@@ -616,7 +587,8 @@ def rationalized_g_qexp(pt: TorsionPoint, prec, c: int) -> RationalizedUnit:
     """Extract the (c^2-1)-th root of the c-Siegel unit at pt.
 
     Requires c = 1 mod N, (c, 6) = 1, c != +-1, so that the c-unit equals
-    g^{c^2-1}; the unit part is exp(log/(c^2-1)) and is independent of c.
+    g^{c^2-1}; the unit part is the (c^2-1)-th root with constant term 1,
+    taken by Miller's recurrence, and is independent of c.
     ``prec`` counts known unit-part steps past the leading monomial.
     """
     N = pt.level
@@ -627,14 +599,11 @@ def rationalized_g_qexp(pt: TorsionPoint, prec, c: int) -> RationalizedUnit:
     theta = siegel_theta_relative(pt, c, prec)
     lead = theta.lead_coefficient()
     unit = theta.shift(-theta.lead_exponent).scale(lead.inverse())
-    log = unit.log_unit()
-    root_log = log.scale(Fraction(1, c * c - 1))
-    root_unit = root_log.exp_positive()
     return RationalizedUnit(
         lead_exponent=theta.lead_exponent / (c * c - 1),
         lead_base=lead,
         root_order=c * c - 1,
-        unit=root_unit,
+        unit=unit ** Fraction(1, c * c - 1),
     )
 
 

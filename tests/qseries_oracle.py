@@ -5,9 +5,11 @@ truncation rules of ``QSeries``: a sum is known to the smaller order, a
 product to min(t1 + lead2, t2 + lead1), an inverse or power to as many
 terms past its lead as the input.  The fast paths of ``mazurtate.qexp``
 are checked against them: sums of integer rows against CycElt sums, the
-Kronecker product and the Newton inverse against the schoolbook ones, Miller's power recurrence against repeated schoolbook products,
-the triple-product gamma against the product of binomials, and the
-integer-row dlog sums against a dict of ``CycElt`` terms.
+Kronecker product and the Newton inverse against the schoolbook ones,
+Miller's power recurrence against repeated schoolbook products and its
+rational powers against exp(m log u), the triple-product gamma against
+the product of binomials, and the integer-row dlog sums against a dict of
+``CycElt`` terms.
 """
 
 from __future__ import annotations
@@ -68,6 +70,34 @@ def schoolbook_power(x: QSeries, m: int) -> QSeries:
     for _ in range(abs(m) - 1):
         out = schoolbook_mul(out, base)
     return out
+
+
+def times_exponent(x: QSeries, power: int) -> QSeries:
+    """The series with the coefficient at each exponent e multiplied by e^power."""
+    coeffs = [c * Fraction(x.start + i, x.grid) ** power for i, c in enumerate(x.coeffs)]
+    return QSeries(x.grid, x.start, coeffs, x.trunc, x.conductor)
+
+
+def log_unit(u: QSeries) -> QSeries:
+    """log of a series with constant term 1: the antiderivative of (q d/dq u) / u."""
+    assert u.start == 0 and u.lead_coefficient() == CycElt.one(u.conductor)
+    # (q d/dq u) / u has no constant term, so no exponent is 0
+    return times_exponent(times_exponent(u, 1) * u.inverse(), -1)
+
+
+def exp_positive(v: QSeries) -> QSeries:
+    """exp of a series supported in strictly positive exponents.
+
+    Newton's y <- y (1 + v - log y) doubles the known terms per step.
+    """
+    assert v.is_zero() or v.start > 0
+    g, L, n = v.grid, v.conductor, v.trunc
+    y, k = QSeries.one(g, Fraction(1, g), L), 1
+    while k < n:
+        k = min(2 * k, n)
+        y = QSeries(g, 0, y.coeffs, k, L)  # y is exact as a polynomial
+        y = y + y * (v.truncate(Fraction(k, g)) - log_unit(y))
+    return y
 
 
 def mul_binomial(x: QSeries, exp_idx: int, coeff: CycElt) -> QSeries:

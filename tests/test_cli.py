@@ -304,6 +304,38 @@ def test_verify_empty_norm_relation_sweep_is_vacuous(capsys):
     assert "0 non-vacuous cases (of 0)" in check["name"]
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("kolyvagin-identity", "--max-l", "2"), "for 0 pairs (ell <= 2)"),
+        (("eisenstein-a", "--prec", "0"), "no term below q^0"),
+        (("projectivity", "-n", "1"), "no pair with n < 1"),
+    ],
+    ids=["kolyvagin-identity", "eisenstein-a", "projectivity"],
+)
+def test_verify_reports_vacuous_when_nothing_is_compared(capsys, argv, name):
+    # each used to pass with nothing compared, or to print no check at all
+    code, out, _ = run(capsys, "verify", *argv, "--json", "--no-timing")
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "vacuous" and name in check["name"]
+
+
+def test_verify_refuses_negative_precision(capsys):
+    code, out, err = run(capsys, "verify", "eisenstein-a", "--prec", "-3", "--no-timing")
+    assert code == 2 and out == ""
+    assert "--prec must not be negative, got -3" in err
+
+
+def test_curve_refuses_negative_ap_bound(capsys):
+    # a negative bound used to print empty a_ell and Euler-factor tables
+    code, out, err = run(capsys, "curve", "11a1", "--ap-bound", "-1", "--no-timing")
+    assert code == 2 and out == ""
+    assert "--ap-bound must be >= 0, got -1" in err
+    code, out, _ = run(capsys, "curve", "11a1", "--ap-bound", "0", "--json", "--no-timing")
+    assert code == 0 and json.loads(out)["outputs"]["a_ell"] == {}
+
+
 def test_kurihara_refuses_negative_factor_count(capsys):
     code, out, err = run(
         capsys, "kurihara", "37a1", "-p", "3", "--bound", "50", "--nu", "-1", "--no-timing"
@@ -385,6 +417,13 @@ PINNED_QEXP = {
     "g-unit": (
         ("g-unit", "--point", "1/5,2/5", "--c", "11", "--prec", "10"),
         "a303b3cb94ad71d4a8ba5c843836e91627b956c1bd163b72b0596fd45a0f5692",
+    ),
+    # recorded with the root taken as exp(log / (c^2 - 1)) by two nested
+    # Newton iterations; Miller's recurrence for the power 1/840 must print
+    # the same bytes
+    "g-unit-c29": (
+        ("g-unit", "--point", "1/7,3/7", "--c", "29", "--prec", "12"),
+        "f301d757c1828f2ca30c15b5c92bd14353d466b8491cb167b1a70a08c27fefa2",
     ),
     "siegel-prec16": (
         ("siegel", "--point", "1/7,2/7", "--c", "5", "--prec", "16"),

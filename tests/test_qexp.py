@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from qseries_oracle import (
     canonical,
     dlog_gamma_terms,
+    exp_positive,
     gamma_core_product,
+    log_unit,
     schoolbook_inverse,
     schoolbook_mul,
     schoolbook_power,
@@ -56,9 +58,13 @@ def test_inverse_and_log_exp_roundtrip():
         (F(i), F(1)) for i in range(6)
     ]
     assert (u * inv) == QSeries.one(1, 6)
-    log = u.log_unit()
+    log = log_unit(u)
     assert log.coefficient(3) == CycElt.rational(F(-1, 3))
-    assert log.exp_positive() == u
+    assert exp_positive(log) == u
+    # sqrt(1 - q) = 1 - q/2 - q^2/8 - q^3/16 - ...
+    root = u ** F(1, 2)
+    assert canonical(root) == canonical(exp_positive(log.scale(F(1, 2))))
+    assert root.coefficient(3) == CycElt.rational(F(-1, 16))
 
 
 def test_power_negative_and_zero():
@@ -281,6 +287,39 @@ def test_power_matches_repeated_schoolbook_products(data):
     assume(ms)
     m = data.draw(st.sampled_from(ms))
     assert canonical(x**m) == canonical(schoolbook_power(x, m))
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_rational_power_matches_exp_of_scaled_log(data):
+    L = data.draw(st.sampled_from([1, 5, 7, 12]))
+    x = _draw_series(data, L, data.draw(st.sampled_from([1, 2])), max_terms=8)
+    u = x.shift(-x.lead_exponent).scale(x.lead_coefficient().inverse())
+    # the square factors of 4, 9 and 120 exercise the b^2 scaling of the rows
+    b = data.draw(st.sampled_from([2, 4, 9, 120]))
+    a = data.draw(st.sampled_from([a for a in (1, -1, 3, -3) if gcd(a, b) == 1]))
+    root = u ** F(a, b)
+    assert canonical(root) == canonical(exp_positive(log_unit(u).scale(F(a, b))))
+    assert canonical((u ** F(1, b)) ** b) == canonical(u)
+
+
+@pytest.mark.parametrize(
+    "start, lead", [(0, CycElt.rational(2)), (0, CycElt.zeta(5)), (1, CycElt.one(5))]
+)
+def test_rational_power_refuses_constant_term_other_than_1(start, lead):
+    x = QSeries(1, start, [lead, CycElt.one(5)], start + 4, 5)
+    with pytest.raises(QExpError, match="constant term 1"):
+        x ** F(1, 2)
+    assert canonical(x ** F(4, 2)) == canonical(x**2)  # an integral exponent is a power
+
+
+def test_rational_power_takes_miller_recurrence(monkeypatch):
+    calls = _spy(monkeypatch, "_miller_power")
+    u = _series(1, 0, [1, 1], 6)  # narrow, so u ** 3 stays packed
+    u**3
+    assert not calls
+    u ** F(1, 3)
+    assert calls == [(u, F(1, 3))]
 
 
 def _spy(monkeypatch, name):
@@ -515,7 +554,11 @@ def test_log_exp_roundtrip_on_unit_series():
     pt = TorsionPoint(0, 1, 5)
     theta = siegel_theta_relative(pt, 7, 8)
     unit = theta.shift(-theta.lead_exponent).scale(theta.lead_coefficient().inverse())
-    assert unit.log_unit().exp_positive() == unit
+    log = log_unit(unit)
+    assert exp_positive(log) == unit
+    # the (c^2 - 1)-th root, c^2 - 1 = 48, against the oracle's exp(log / 48)
+    root = unit ** F(1, 48)
+    assert canonical(root) == canonical(exp_positive(log.scale(F(1, 48))))
 
 
 def test_c_relation_exact():
