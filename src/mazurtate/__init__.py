@@ -10,8 +10,8 @@ from importlib import import_module
 _EXPORTS = {
     "arith": ("CycElt", "Rat", "cyc_embed", "hensel_unit_root"),
     "curves": (
-        "CurveData", "EulerFactor", "bad_ap", "count_points", "curve_by_label",
-        "euler_factor", "load_catalog",
+        "CurveData", "EulerFactor", "count_points", "curve_by_label", "euler_factor",
+        "load_catalog",
     ),
     "groupring": (
         "DirichletCharacter", "GroupRingElement", "eval_character", "gauss_sum",

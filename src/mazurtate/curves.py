@@ -2,9 +2,12 @@
 
 Curves enter through a small text catalog (see ``load_catalog``); the
 conductor and minimal model are trusted inputs.  Fourier coefficients
-a_ell at good primes are computed by enumerating x over F_ell and
-counting y-solutions through a quadratic-residue table, which keeps
-everything exact with no dependencies.
+a_ell = ell + 1 - #E~(F_ell) are computed at every prime by enumerating x
+over F_ell and counting y-solutions through a quadratic-residue table,
+which keeps everything exact with no dependencies.  At ell | N the count
+includes the singular point, and the nonsingular points form G_m, the
+norm-one torus or G_a (Silverman, AEC III.2.5), so a_ell = 1, -1 or 0 for
+split multiplicative, nonsplit multiplicative or additive reduction.
 
 The catalog's ``fricke`` column stores the Fricke eigenvalue of the
 attached newform; the sign of the functional equation of L(E, s) is its
@@ -23,10 +26,6 @@ DEFAULT_COUNT_BOUND = 4000
 
 
 class CatalogError(ValueError):
-    pass
-
-
-class BadPrimeError(ValueError):
     pass
 
 
@@ -91,27 +90,23 @@ class CurveData(Record):
         b2, b4, b6, b8 = self.b_invariants()
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
-    def ap(self, ell: int, bound: int = DEFAULT_COUNT_BOUND) -> int:
-        """a_ell at any prime, dispatching on reduction type; memoized, as
-        ``count_points`` and ``bad_ap`` store into ``ap_cache``."""
+    def ap(self, ell: int) -> int:
+        """a_ell at any prime, memoized: ``count_points`` stores into ``ap_cache``."""
         if ell in self.ap_cache:
             return self.ap_cache[ell]
-        a = bad_ap(self, ell) if self.conductor % ell == 0 else count_points(
-            self, ell, bound
-        )
-        return a
+        return count_points(self, ell)
 
-    def an(self, n: int, bound: int = DEFAULT_COUNT_BOUND) -> int:
+    def an(self, n: int) -> int:
         """a_n for n >= 1 by multiplicativity and the Hecke recursion."""
         if n < 1:
             raise ValueError("n must be >= 1")
         out = 1
         for ell, e in factorize(n).items():
-            out *= self._prime_power_an(ell, e, bound)
+            out *= self._prime_power_an(ell, e)
         return out
 
-    def _prime_power_an(self, ell: int, e: int, bound: int) -> int:
-        a = self.ap(ell, bound)
+    def _prime_power_an(self, ell: int, e: int) -> int:
+        a = self.ap(ell)
         if self.conductor % ell == 0:
             return a**e
         prev, cur = 1, a
@@ -143,19 +138,27 @@ def _validate_ap(curve: CurveData, ell: int, a: int):
         )
 
 
-def count_points(curve: CurveData, ell: int, bound: int = DEFAULT_COUNT_BOUND) -> int:
-    """a_ell = ell + 1 - #E(F_ell) at a good prime, by enumeration over x.
+def count_points(curve: CurveData, ell: int) -> int:
+    """a_ell = ell + 1 - #E~(F_ell) at any prime ell, by enumeration over x.
 
     For each x the number of y with y^2 + (a1 x + a3) y = f(x) is
     1 + chi(disc) where chi is the quadratic character of F_ell, read off
-    a precomputed table of squares.  The point at infinity is counted.
+    a precomputed table of squares.  The point at infinity is counted.  At
+    ell | N the singular point is counted too, so the result is 1, -1 or 0
+    by AEC III.2.5.  Good ell are bounded by ``DEFAULT_COUNT_BOUND``; bad
+    ell are not.
     """
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     if curve.conductor % ell == 0:
-        raise BadPrimeError(f"bad prime {ell} for {curve.label} -- use bad_ap")
-    if ell > bound:
-        raise BoundExceeded(f"prime {ell} exceeds the enumeration bound {bound}")
+        if curve.discriminant() % ell:
+            raise CatalogError(
+                f"curve {curve.label} is smooth mod {ell}; conductor datum is wrong"
+            )
+    elif ell > DEFAULT_COUNT_BOUND:
+        raise BoundExceeded(
+            f"prime {ell} exceeds the enumeration bound {DEFAULT_COUNT_BOUND}"
+        )
     if ell in curve.ap_cache:
         return curve.ap_cache[ell]
     a1, a2, a3, a4, a6 = (c % ell for c in curve.a_invariants)
@@ -168,12 +171,9 @@ def count_points(curve: CurveData, ell: int, bound: int = DEFAULT_COUNT_BOUND) -
             == 0
         )
     else:
-        chi = [0] * ell
+        chi = [-1] * ell
         for y in range(1, ell):
             chi[y * y % ell] = 1
-        for v in range(1, ell):
-            if not chi[v]:
-                chi[v] = -1
         chi[0] = 0
         affine = 0
         for x in range(ell):
@@ -183,52 +183,6 @@ def count_points(curve: CurveData, ell: int, bound: int = DEFAULT_COUNT_BOUND) -
             affine += 1 + chi[disc]
     a = ell + 1 - (affine + 1)
     assert a * a <= 4 * ell, "Hasse bound"
-    curve.ap_cache[ell] = a
-    return a
-
-
-def bad_ap(curve: CurveData, ell: int) -> int:
-    """Reduction type at ell | N: 1 split, -1 nonsplit, 0 additive.
-
-    The reduced curve has a unique singular point; the type is decided by
-    whether the tangent cone v^2 + a1 uv - (3 x0 + a2) u^2 there splits
-    over F_ell.
-    """
-    if curve.conductor % ell != 0:
-        raise BadPrimeError(f"{ell} is a good prime for {curve.label}")
-    a1, a2, a3, a4, a6 = (c % ell for c in curve.a_invariants)
-    if ell in curve.ap_cache:
-        return curve.ap_cache[ell]
-    sing = None
-    for x in range(ell):
-        for y in range(ell):
-            f = (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % ell
-            if f:
-                continue
-            fx = (a1 * y - (3 * x * x + 2 * a2 * x + a4)) % ell
-            fy = (2 * y + a1 * x + a3) % ell
-            if fx == 0 and fy == 0:
-                sing = (x, y)
-                break
-        if sing:
-            break
-    if sing is None:
-        raise BadPrimeError(
-            f"curve {curve.label} is smooth mod {ell}; conductor datum is wrong"
-        )
-    x0, _ = sing
-    if ell == 2:
-        # char 2: v^2 + a1 uv + c u^2 with c = x0 + a2
-        if a1 % 2 == 0:
-            a = 0
-        else:
-            a = 1 if (x0 + a2) % 2 == 0 else -1
-    else:
-        disc = (a1 * a1 + 4 * a2 + 12 * x0) % ell
-        if disc == 0:
-            a = 0
-        else:
-            a = 1 if pow(disc, (ell - 1) // 2, ell) == 1 else -1
     curve.ap_cache[ell] = a
     return a
 
@@ -261,11 +215,12 @@ class EulerFactor(Frozen):
         return " ".join(terms)
 
 
-def euler_factor(curve: CurveData, ell: int, bound: int = DEFAULT_COUNT_BOUND) -> EulerFactor:
+def euler_factor(curve: CurveData, ell: int) -> EulerFactor:
     """1 - a_ell x + ell x^2 at good ell, 1 - a_ell x at bad ell."""
+    a = curve.ap(ell)
     if curve.conductor % ell == 0:
-        return EulerFactor(ell, (1, -bad_ap(curve, ell)))
-    return EulerFactor(ell, (1, -count_points(curve, ell, bound), ell))
+        return EulerFactor(ell, (1, -a))
+    return EulerFactor(ell, (1, -a, ell))
 
 
 # ---------------------------------------------------------------------------

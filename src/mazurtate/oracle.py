@@ -91,15 +91,19 @@ def _cubic_roots(b2: int, b4: int, b6: int) -> list[complex]:
         v = -p / (3 * u)
         w = cmath.exp(2j * cmath.pi / 3)
         roots = [u + v, u * w + v / w, u * w * w + v * w]
-    # one Newton polish pass on the monic cubic
+    # back from t to x = t - a2/3, then a Newton polish on the monic cubic
     out = []
     for r in roots:
+        r -= a2 / 3
         for _ in range(5):
             f = r**3 + a2 * r**2 + a1 * r + a0
             df = 3 * r**2 + 2 * a2 * r + a1
             if abs(df) < 1e-30:
                 break
             r = r - f / df
+        terms = (r**3, a2 * r**2, a1 * r, a0)
+        if abs(sum(terms)) > 1e-9 * sum(map(abs, terms)):
+            raise OracleError(f"cubic root {r} is not a root to 1e-9 relative")
         out.append(r)
     return out
 

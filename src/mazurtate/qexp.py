@@ -493,19 +493,19 @@ def _gamma_core(s: Fraction, b: int, N: int, grid: int, rel_steps: int) -> QSeri
 
 
 def _annulus_shift(e: Fraction) -> tuple[int, Fraction, Fraction]:
-    """(w, s, shift) for gamma(q^e u) with e >= 0: w = floor(e), s = e - w.
+    """(w, s, shift) for gamma(q^e u): w = floor(e), s = e - w.
 
     gamma(q^w u) = (-1)^w q^{-w(w-1)/2} u^{-w} gamma(u) peels off whole
     powers of q from the argument; at u = q^s the q-exponent peeled off is
     shift = -w(w-1)/2 - s w.
     """
-    w = int(e)  # floor; e >= 0
+    w = e.numerator // e.denominator
     s = e - w
     return w, s, Fraction(-w * (w - 1), 2) - s * w
 
 
 def _gamma_pullback(exp: Fraction, b: int, N: int, grid: int, trunc_exp: Fraction) -> QSeries:
-    """gamma(zeta_N^b q^exp) for exp >= 0, reduced into the fundamental annulus."""
+    """gamma(zeta_N^b q^exp), reduced into the fundamental annulus."""
     w, s, shift = _annulus_shift(exp)
     if s == 0 and b % N == 0:
         raise QExpError("gamma vanishes at t = 1: the point hits the c-torsion")

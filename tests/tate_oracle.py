@@ -143,3 +143,30 @@ def theta_numerator_tate(c: int, q_trunc: int) -> TateExpansion:
         {(0, m_exp): CycElt.rational(-1 if m_exp % 2 else 1)}, q_trunc, 1
     )
     return mono * gamma_tate(q_trunc) ** (c * c)
+
+
+
+def theta_pullback_product(a: int, b: int, N: int, c: int, prec: int) -> QSeries:
+    """The c-theta function at t = zeta_N^b q^{a/N} from the product form.
+
+    q^{(c^2-1)/12} (-t)^{(c-c^2)/2} gamma(t)^{c^2} / gamma(t^c), with
+    gamma(t) = prod_{n>=0} (1 - q^n t) prod_{n>=1} (1 - q^n / t) multiplied
+    out one factor at a time: no triple product and no quasi-periodicity,
+    so it holds for every integer c, negative ones included.  The factors
+    are truncated at q^prec; the result carries its own truncation order.
+    """
+
+    def gamma_at(m):
+        e, z = Fraction(a * m, N), CycElt.zeta(N, b * m)
+        factors = [(z, n + e) for n in range(prec + abs(m))]
+        factors += [(z.inverse(), n - e) for n in range(1, prec + abs(m))]
+        out = QSeries.one(N, prec, N)
+        for coeff, exp in factors:
+            if exp < prec:
+                out = out * (QSeries.one(N, prec, N) - QSeries.monomial(coeff, exp, N, prec))
+        return out
+
+    m_exp = (c - c * c) // 2
+    pref = CycElt.rational(-1 if m_exp % 2 else 1, N) * CycElt.zeta(N, b * m_exp)
+    theta = gamma_at(1) ** (c * c) * gamma_at(c).inverse()
+    return theta.scale(pref).shift(Fraction(c * c - 1, 12) + Fraction(a * m_exp, N))

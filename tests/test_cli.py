@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from padic_oracle import unstable_tower
+from tate_oracle import theta_pullback_product
 
 from mazurtate.cli import main
 from mazurtate.padic import stabilize
@@ -280,6 +281,32 @@ def test_qexp_siegel_negative_order_above_lead(capsys):
         "--no-timing",
     )
     assert code == 0
+
+
+def test_qexp_at_negative_c(capsys):
+    # c = -13 = 29 mod 42: the g-unit's unit part does not depend on c, and
+    # the siegel pullback at c = -5 is the product form's
+    units = {}
+    for c in ("-13", "29"):
+        code, out, err = run(
+            capsys, "qexp", "g-unit", "--point", "1/7,2/7", "--c", c, "--prec", "6",
+            "--json", "--no-timing",
+        )
+        assert (code, err) == (0, "")
+        units[c] = json.loads(out)["outputs"]
+    assert units["-13"]["lead_exponent"] == units["29"]["lead_exponent"] == "13/588"
+    assert units["-13"]["unit_series"] == units["29"]["unit_series"]
+    code, out, err = run(
+        capsys, "qexp", "siegel", "--point", "1/7,2/7", "--c", "-5", "--json", "--no-timing"
+    )
+    assert (code, err) == (0, "")
+    outputs = json.loads(out)["outputs"]
+    oracle = theta_pullback_product(1, 2, 7, -5, 9).truncate(8)
+    assert outputs["truncation"] == "8"
+    assert outputs["series"] == [
+        {"exponent": str(e), "coefficient": [str(v) for v in coords]}
+        for e, coords in oracle.serialized_rows()
+    ]
 
 
 def test_qexp_siegel_reports_exact_lead_when_truncated(capsys):

@@ -1,11 +1,12 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mazurtate import curves
 from mazurtate.curves import (
-    BadPrimeError,
     BoundExceeded,
     CatalogError,
-    bad_ap,
+    CurveData,
     count_points,
     curve_by_label,
     euler_factor,
@@ -56,10 +57,17 @@ def test_count_points_32a(c32):
 
 
 def test_count_points_rejects_bad_prime_and_bound(c11):
-    with pytest.raises(BadPrimeError, match="use bad_ap"):
-        count_points(c11, 11)
+    # ell | N is counted, singular point included; a model smooth at a
+    # catalogued bad prime is a wrong conductor
+    assert count_points(c11, 11) == 1
+    with pytest.raises(CatalogError, match="smooth mod 13; conductor datum is wrong"):
+        CurveData("11a1@13", c11.a_invariants, 13).ap(13)
     with pytest.raises(BoundExceeded):
-        count_points(c11, 4007, bound=4000)
+        count_points(c11, 4007)
+    with pytest.raises(ValueError, match="not prime"):
+        count_points(c11, 9)
+    # the enumeration bound holds at good primes only
+    assert curve_by_label("5077a1").ap(5077) == -1
 
 
 @pytest.mark.parametrize(
@@ -68,11 +76,37 @@ def test_count_points_rejects_bad_prime_and_bound(c11):
 )
 def test_bad_ap_against_smooth_count_oracle(label, ell, expected):
     curve = curve_by_label(label)
-    got = bad_ap(curve, ell)
+    got = curve.ap(ell)
     assert got == expected
     smooth = smooth_point_count(curve, ell)
     oracle = 1 if smooth == ell - 1 else (-1 if smooth == ell + 1 else 0)
     assert got == oracle
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]),
+    st.tuples(*[st.integers(-20, 20)] * 4),
+    st.integers(-20, 20),
+)
+def test_count_at_a_bad_prime_counts_the_singular_point(ell, a1_to_a4, a6_start):
+    # a6 is the first value from a6_start on (cyclically in [-20, 20]) that
+    # puts ell | Delta != 0; the nonsingular points form G_m, the norm-one
+    # torus or G_a (AEC III.2.5), so a_ell = ell - #smooth points
+    curve = None
+    for i in range(41):
+        a6 = (a6_start + 20 + i) % 41 - 20
+        try:
+            candidate = CurveData("h", (*a1_to_a4, a6), ell)  # conductor ell
+        except CatalogError:  # Delta = 0
+            continue
+        if candidate.discriminant() % ell == 0:
+            curve = candidate
+            break
+    assume(curve is not None)
+    a = count_points(curve, ell)
+    assert a == ell - smooth_point_count(curve, ell)
+    assert a in (-1, 0, 1)
 
 
 def test_euler_factor_values(c11):
@@ -95,8 +129,8 @@ def test_hasse_bound_all_good_primes_up_to_500():
 
 @pytest.mark.parametrize("ell", [97, 37])
 def test_ap_is_memoized_in_ap_cache(monkeypatch, ell):
-    # count_points (good ell) and bad_ap (ell | N) store into ap_cache, so a
-    # second ap(ell) reads the cache and reaches neither
+    # count_points stores into ap_cache at good and bad ell alike, so a
+    # second ap(ell) reads the cache and does not count again
     curve = curve_by_label("37a1")
     a = curve.ap(ell)
     assert curve.ap_cache[ell] == a
@@ -105,7 +139,6 @@ def test_ap_is_memoized_in_ap_cache(monkeypatch, ell):
         raise AssertionError(f"a_{ell} computed twice")
 
     monkeypatch.setattr(curves, "count_points", refuse)
-    monkeypatch.setattr(curves, "bad_ap", refuse)
     assert curve.ap(ell) == a
 
 

@@ -241,6 +241,14 @@ def test_calibration_11a1(pair11, c11):
     assert lam2 == lam / 2
 
 
+def test_calibration_11a3():
+    # L(E,1)/Omega^+ = 1/25 for 11a3 and [0]^+ = 2, so lambda = 1/50 exactly
+    curve = curve_by_label("11a3")
+    plus = eigen_pair(curve)[0]
+    assert plus.raw_value(0) == 2
+    assert calibrate_periods(plus, curve) == Fraction(1, 50)
+
+
 def test_eigen_symbols_are_frozen(pair11):
     plus, _ = pair11
     for name in ("table", "scale", "scaling_mode"):

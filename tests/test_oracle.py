@@ -1,11 +1,16 @@
+import cmath
 import math
+import types
 
 import pytest
 
 from lvalue_oracle import consistency_check
 
+from mazurtate import oracle
+from mazurtate.curves import curve_by_label
 from mazurtate.oracle import (
     OracleError,
+    _cubic_roots,
     lvalue_and_period,
     real_period,
 )
@@ -29,6 +34,22 @@ def test_period_32a_two_components(c32):
     # lemniscatic value: omega_1 = Gamma(1/4)^2 / (2 sqrt(2 pi)) for y^2 = x^3 - x
     lem = math.gamma(0.25) ** 2 / (2 * math.sqrt(2 * math.pi))
     assert abs(omega - 2 * lem) < 1e-9
+
+
+def test_period_11a3_is_five_times_11a1(c11):
+    # 11a3 -> 11a1 is a 5-isogeny that multiplies the real period by 5
+    # (Cremona's tables: 6.346046521... against 1.269209304...)
+    ratio = real_period(curve_by_label("11a3"))[0] / real_period(c11)[0]
+    assert abs(ratio - 5) < 1e-12
+
+
+def test_cubic_roots_refuse_a_root_newton_cannot_reach(monkeypatch):
+    # a cube root of unity of modulus 1e6 throws two Cardano roots so far
+    # off that five Newton steps leave them far from the cubic
+    fake = types.SimpleNamespace(sqrt=cmath.sqrt, pi=cmath.pi, exp=lambda z: 1e6)
+    monkeypatch.setattr(oracle, "cmath", fake)
+    with pytest.raises(OracleError, match="not a root"):
+        _cubic_roots(-4, -20, -79)
 
 
 def test_oracle_refuses_unknown_sign(c11):

@@ -17,7 +17,7 @@ from qseries_oracle import (
     schoolbook_power,
     termwise_add,
 )
-from tate_oracle import TateExpansion, gamma_tate, theta_numerator_tate
+from tate_oracle import TateExpansion, gamma_tate, theta_numerator_tate, theta_pullback_product
 
 from mazurtate import qexp
 from mazurtate.arith import CycElt, cyc_embed
@@ -574,6 +574,24 @@ def test_c_relation_trivial_and_symmetric():
     r1 = check_c_relation(pt, 7, 11, 6)
     r2 = check_c_relation(pt, 11, 7, 6)
     assert r1.holds and r2.holds
+
+
+@pytest.mark.parametrize("c,d", [(-5, 11), (5, -11), (-5, -11)])
+def test_c_relation_at_negative_c(c, d):
+    assert check_c_relation(TorsionPoint(1, 2, 7), c, d, 6).holds
+
+
+@pytest.mark.parametrize(
+    "a,b,N,c",
+    [(1, 2, 7, 5), (1, 2, 7, -5), (3, 1, 7, -5), (1, 3, 5, -7), (2, 0, 5, -7), (1, 2, 7, -13)],
+)
+def test_siegel_pullback_matches_the_product_form(a, b, N, c):
+    # for c < 0 the argument t^c = zeta^{bc} q^{ac/N} sits below the
+    # fundamental annulus, and quasi-periodicity peels off floor(ac/N) < 0
+    oracle = theta_pullback_product(a, b, N, c, 8)
+    got = siegel_theta_qexp(TorsionPoint(a, b, N), c, oracle.trunc_exponent)
+    assert got.trunc_exponent == oracle.trunc_exponent
+    assert got.agreement(oracle) == (True, None)
 
 
 # ---------------------------------------------------------------------------
