@@ -89,16 +89,28 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     return tuple(int(c) for c in num)
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_tail(L: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(L), the nonzero (i, c) terms of Phi_L below its monic top)."""
+    phi_poly = cyclotomic_polynomial(L)
+    phi = len(phi_poly) - 1
+    return phi, tuple((i, c) for i, c in enumerate(phi_poly[:phi]) if c)
+
+
 def reduce_mod_cyclotomic(poly: list[int], L: int) -> list[int]:
     """Remainder of an integer polynomial (lowest degree first) modulo Phi_L.
 
-    Phi_L is monic with integer coefficients, so the remainder is again
-    integral: each top term is cancelled against the nonzero lower terms
-    of Phi_L.  The input list is consumed; the result has phi(L) entries.
+    Phi_L divides x^L - 1, so x^{L+i} first folds onto x^i, from the top
+    down so that a term past 2L folds twice; the L - phi(L) top terms left
+    are cancelled against the nonzero lower terms of Phi_L (one term for
+    prime L).  Phi_L is monic with integer coefficients, so the remainder
+    is again integral.  The input list is consumed; the result has phi(L)
+    entries.
     """
-    phi_poly = cyclotomic_polynomial(L)
-    phi = len(phi_poly) - 1
-    tail = [(i, c) for i, c in enumerate(phi_poly[:phi]) if c]
+    phi, tail = _cyclotomic_tail(L)
+    for j in range(len(poly) - 1, L - 1, -1):
+        poly[j - L] += poly[j]
+    del poly[L:]
     for j in range(len(poly) - 1, phi - 1, -1):
         top = poly[j]
         if top:

@@ -328,6 +328,9 @@ def _series_rows(series):
 def cmd_qexp(args) -> RunReport:
     if args.weight is None:  # zeta needs 1 <= r <= k-1, so k = 2 with r = 1
         args.weight = 2 if args.target == "zeta" else 1
+    if args.c is None:  # g-unit needs c = 1 mod N
+        g_unit = args.target == "g-unit"
+        args.c = qexp.smallest_unit_scalar(_parse_point(args.point).level) if g_unit else 7
     report = RunReport(
         "qexp",
         {
@@ -496,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["siegel", "g-unit", "eisenstein", "e00", "f", "zeta", "c-relation"],
     )
     p.add_argument("--point", default="0/5,1/5")
-    p.add_argument("--c", type=int, default=7)
+    p.add_argument("--c", type=int, default=None, help="7; for g-unit the least c = 1 mod N")
     p.add_argument("--d", type=int, default=11)
     p.add_argument(
         "--weight", "-k", type=int, default=None, help="default 2 for zeta, 1 otherwise"

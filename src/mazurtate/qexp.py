@@ -16,9 +16,12 @@ c^2(0) - [c-torsion] has the product expansion
     q^{(c^2-1)/12} (-t)^{(c-c^2)/2} gamma(t)^{c^2} gamma(t^c)^{-1},
     gamma(t) = prod_{n>=0} (1 - q^n t) prod_{n>=1} (1 - q^n / t),
 
-and pulls back along t = zeta_N^b q^{a/N}; the quasi-periodicity
-gamma(q t) = -t^{-1} gamma(t) reduces arguments with q-exponent >= 1
-into the fundamental annulus.  Log-derivatives are expanded through
+and pulls back along t = zeta_N^b q^{a/N}.  Jacobi's triple product
+factors gamma(t) = theta(t) / E(q), with theta(t) = sum_k (-1)^k
+q^{k(k-1)/2} t^k on O(sqrt n) nonzero rows and Euler's E = prod_{n>=1}
+(1 - q^n) free of t.  So theta(q t) = -t^{-1} theta(t) reduces arguments
+into the fundamental annulus; theta's powers are taken on the q-grid and
+E's on the integer grid.  Log-derivatives are expanded through
 
     t d/dt log gamma(t) = -t/(1-t) - sum_{n,m>=1} q^{nm} (t^m - t^{-m}),
 
@@ -240,6 +243,7 @@ class QSeries:
             s, me = cyc_embed(scalar, f), self.embed(f)
             rows = [
                 reduce_mod_cyclotomic(poly_mac([0] * (2 * len(r) - 1), s.num, r), f)
+                if any(r) else r  # a zero row stays zero, and rows are shared
                 for r in me.rows
             ]
             return _series(me.grid, me.start, rows, me.den * s.den, me.trunc, f)
@@ -312,13 +316,16 @@ class QSeries:
         w = self.scale(inv)  # rows D, D v_1, D v_2, ... over D
         D = w.den
         E = b * b * D
-        V = [[b * E**k * x for x in r] for k, r in enumerate(w.rows[1:])]  # b^{2k-1} V_k
+        # (k, b^{2k-1} V_k) for the nonzero rows only: theta has O(sqrt n) of them
+        V = [(k, [b * E ** (k - 1) * x for x in r]) for k, r in enumerate(w.rows[1:], 1) if any(r)]
         lead = (u0 if a > 0 else inv) ** abs(a)
         G = [list(lead.num)]
         for j in range(1, n):
             acc = [0] * (2 * len(G[0]) - 1)
-            for k in range(1, min(j, len(V)) + 1):
-                poly_mac(acc, V[k - 1], G[j - k], (a + b) * k - b * j)
+            for k, vk in V:
+                if k > j:
+                    break
+                poly_mac(acc, vk, G[j - k], (a + b) * k - b * j)
             G.append([x // j for x in reduce_mod_cyclotomic(acc, L)])
         rows = [[x * E ** (n - 1 - j) for x in r] for j, r in enumerate(G)]
         s = a * self.start  # b > 1 only at start 0
@@ -461,41 +468,38 @@ def _coefficient_loop(a, b, n: int, L: int) -> list[list[int]]:
 # Theta pullbacks
 
 
-def _partitions(n: int) -> list[int]:
-    """p(0), ..., p(n) by Euler's pentagonal recurrence."""
-    p = [1]
-    for i in range(1, n + 1):
-        total, j = 0, 1
-        while (g := j * (3 * j - 1) // 2) <= i:
-            sign = 1 if j % 2 else -1
-            total += sign * (p[i - g] + (p[i - g - j] if g + j <= i else 0))
-            j += 1
-        p.append(total)
-    return p
+def _theta_core(s: Fraction, b: int, N: int, grid: int, rel_steps: int) -> QSeries:
+    """theta(zeta_N^b q^s) for 0 <= s < 1, truncated rel_steps grid steps.
 
-
-def _gamma_core(s: Fraction, b: int, N: int, grid: int, rel_steps: int) -> QSeries:
-    """gamma(zeta_N^b q^s) for 0 <= s < 1, truncated rel_steps grid steps.
-
-    Jacobi's triple product (Hardy-Wright, Thm 352) gives gamma(t) =
-    sum_k (-1)^k q^{k(k-1)/2} t^k * sum_n p(n) q^n, and t^k = zeta^{bk}
-    q^{sk}: each k adds +-p(n) at column bk of the rows.
+    Jacobi's triple product (Hardy-Wright, Thm 352) factors gamma(t) =
+    theta(t) / E(q) with theta(t) = sum_k (-1)^k q^{k(k-1)/2} t^k, and t^k =
+    zeta^{bk} q^{sk}: each k adds +-1 at column bk of one of O(sqrt n) rows.
     """
     e = _to_idx(s, grid)
-    p = _partitions((rel_steps - 1) // grid)
     rows = [[0] * N for _ in range(rel_steps)]
     k_max = isqrt(2 * rel_steps // grid) + 2  # beyond it k(k-1)/2 > rel_steps / grid
     for k in range(-k_max, k_max + 1):
-        sign, col = (-1 if k % 2 else 1), b * k % N
-        for n, i in enumerate(range(grid * k * (k - 1) // 2 + e * k, rel_steps, grid)):
-            rows[i][col] += sign * p[n]
+        if (i := grid * k * (k - 1) // 2 + e * k) < rel_steps:
+            rows[i][b * k % N] += -1 if k % 2 else 1
     return _series(grid, 0, [reduce_mod_cyclotomic(r, N) for r in rows], 1, rel_steps, N)
 
 
-def _annulus_shift(e: Fraction) -> tuple[int, Fraction, Fraction]:
-    """(w, s, shift) for gamma(q^e u): w = floor(e), s = e - w.
+def _euler_power(m: int, grid: int, rel_steps: int) -> QSeries:
+    """E(q)^m, E = prod_{n>=1} (1 - q^n), truncated rel_steps 1/grid steps.
 
-    gamma(q^w u) = (-1)^w q^{-w(w-1)/2} u^{-w} gamma(u) peels off whole
+    E is the triple product at q^3 and t = q, Euler's pentagonal series
+    sum_k (-1)^k q^{k(3k-1)/2}: theta's rows at s = 1/3 on the grid 3, read
+    on the integer grid.  Miller's recurrence powers it there.
+    """
+    n = -(-rel_steps // grid)
+    power = _series(1, 0, _theta_core(Fraction(1, 3), 0, 1, 3, n).rows, 1, n, 1)._miller_power(m)
+    return power.refine(grid).truncate(Fraction(rel_steps, grid))
+
+
+def _annulus_shift(e: Fraction) -> tuple[int, Fraction, Fraction]:
+    """(w, s, shift) for theta(q^e u): w = floor(e), s = e - w.
+
+    theta(q^w u) = (-1)^w q^{-w(w-1)/2} u^{-w} theta(u) peels off whole
     powers of q from the argument; at u = q^s the q-exponent peeled off is
     shift = -w(w-1)/2 - s w.
     """
@@ -504,18 +508,13 @@ def _annulus_shift(e: Fraction) -> tuple[int, Fraction, Fraction]:
     return w, s, Fraction(-w * (w - 1), 2) - s * w
 
 
-def _gamma_pullback(exp: Fraction, b: int, N: int, grid: int, trunc_exp: Fraction) -> QSeries:
-    """gamma(zeta_N^b q^exp), reduced into the fundamental annulus."""
+def _theta_pullback(exp: Fraction, b: int, N: int, grid: int, rel_steps: int) -> QSeries:
+    """theta(zeta_N^b q^exp), reduced into the fundamental annulus."""
     w, s, shift = _annulus_shift(exp)
     if s == 0 and b % N == 0:
         raise QExpError("gamma vanishes at t = 1: the point hits the c-torsion")
-    rel_steps = _to_idx(trunc_exp - shift, grid)
-    if rel_steps <= 0:
-        return QSeries.zero(grid, trunc_exp, N)
-    core = _gamma_core(s, b, N, grid, rel_steps)
-    sign = CycElt.rational(-1 if w % 2 else 1, N)
-    pref = sign * CycElt.zeta(N, -b * w)
-    return core.scale(pref).shift(shift)
+    pref = CycElt.rational(-1 if w % 2 else 1, N) * CycElt.zeta(N, -b * w)
+    return _theta_core(s, b, N, grid, rel_steps).scale(pref).shift(shift)
 
 
 def _check_c(pt: TorsionPoint, c: int):
@@ -525,17 +524,15 @@ def _check_c(pt: TorsionPoint, c: int):
         raise QExpError(f"c = {c} must be prime to 6 N = {6 * pt.level}")
 
 
-def _theta_gamma_shift(pt: TorsionPoint, c: int) -> Fraction:
-    """The q-exponent peeled off gamma(t^c) by quasi-periodicity."""
+def _theta_shift(pt: TorsionPoint, c: int) -> Fraction:
+    """The q-exponent peeled off theta(t^c) by quasi-periodicity."""
     return _annulus_shift(Fraction(pt.a * c, pt.level))[2]
 
 
 def theta_lead_exponent(pt: TorsionPoint, c: int) -> Fraction:
     """Exact leading exponent of the c-theta pullback at pt."""
-    N = pt.level
-    e12 = (c * c - 1) // 12
     m_exp = (c - c * c) // 2
-    return e12 + Fraction(pt.a * m_exp, N) - _theta_gamma_shift(pt, c)
+    return (c * c - 1) // 12 + Fraction(pt.a * m_exp, pt.level) - _theta_shift(pt, c)
 
 
 def siegel_theta_qexp(pt: TorsionPoint, c: int, prec) -> QSeries:
@@ -544,23 +541,26 @@ def siegel_theta_qexp(pt: TorsionPoint, c: int, prec) -> QSeries:
     ``prec`` is the absolute truncation order.  Exponents live on the
     1/N grid ((c^2-1)/12 and (c-c^2)/2 are integral because (c, 6) = 1);
     coefficients in Q(zeta_N).  Points with a = 0 produce integral
-    exponents and use the unit grid.
+    exponents and use the unit grid.  As gamma = theta / E, the core is
+    theta(t)^{c^2} theta(t^c)^{-1} E^{1-c^2}, three Miller powers: theta's
+    over its O(sqrt n) nonzero rows, E's on the integer grid.
     """
     _check_c(pt, c)
     N = pt.level
     prec = Fraction(prec)
     grid = 1 if pt.a == 0 and prec.denominator == 1 else N
     m_exp = (c - c * c) // 2
-    b_shift = _theta_gamma_shift(pt, c)
+    b_shift = _theta_shift(pt, c)
     lead = theta_lead_exponent(pt, c)
     rel = prec - lead
     if rel <= 0:
         return QSeries.zero(grid, prec, N)
-    part_a = _gamma_pullback(Fraction(pt.a, N), pt.b, N, grid, rel) ** (c * c)
-    part_b = _gamma_pullback(Fraction(pt.a * c, N), pt.b * c, N, grid, rel + b_shift)
+    n = _to_idx(rel, grid)
+    part_a = _theta_pullback(Fraction(pt.a, N), pt.b, N, grid, n)._miller_power(c * c)
+    part_b = _theta_pullback(Fraction(pt.a * c, N), pt.b * c, N, grid, n)._miller_power(-1)
     sign = CycElt.rational(-1 if m_exp % 2 else 1, N)
     pref = sign * CycElt.zeta(N, pt.b * m_exp)
-    out = (part_a * part_b.inverse()).scale(pref).shift(lead + b_shift)
+    out = (part_a * _euler_power(1 - c * c, grid, n) * part_b).scale(pref).shift(lead + b_shift)
     return out.truncate(min(out.trunc_exponent, prec))
 
 
@@ -768,7 +768,7 @@ def eisenstein_00(k: int, c: int, a: int, prec) -> QSeries:
     return _series(1, ceil(total.lead_exponent), rows, total.den, t, 1)
 
 
-def _smallest_unit_scalar(N: int) -> int:
+def smallest_unit_scalar(N: int) -> int:
     """Smallest c > 1 with c = 1 mod N and (c, 6) = 1."""
     c = N + 1
     while gcd(c, 6) != 1:
@@ -794,7 +794,7 @@ def rationalized_eisenstein(pt: TorsionPoint, k: int, prec, c: int | None = None
         base = eisenstein_00(k, cc, aux, prec)
         return base.scale(Fraction(1, cc * cc - cc**k))
     if c is None:
-        c = _smallest_unit_scalar(pt.level)
+        c = smallest_unit_scalar(pt.level)
     if c % pt.level != 1 % pt.level:
         raise QExpError("c must be 1 mod the level to eliminate the c-twist")
     denom = c * c - c**k

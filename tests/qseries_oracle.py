@@ -7,9 +7,10 @@ terms past its lead as the input.  The fast paths of ``mazurtate.qexp``
 are checked against them: sums of integer rows against CycElt sums, the
 Kronecker product and the Newton inverse against the schoolbook ones,
 Miller's power recurrence against repeated schoolbook products and its
-rational powers against exp(m log u), the triple-product gamma against
-the product of binomials, and the integer-row dlog sums against a dict of
-``CycElt`` terms.
+rational powers against exp(m log u), the triple product's theta times
+E^{-1} against the product of binomials, the powers of Euler's E against
+schoolbook powers of its binomial product and E^{-1} against the partition
+numbers, and the integer-row dlog sums against a dict of ``CycElt`` terms.
 """
 
 from __future__ import annotations
@@ -109,6 +110,35 @@ def mul_binomial(x: QSeries, exp_idx: int, coeff: CycElt) -> QSeries:
         if 0 <= j < len(x.coeffs):
             coeffs[i] = coeffs[i] + coeff * x.coeffs[j]
     return QSeries(x.grid, x.start, coeffs, x.trunc, x.conductor)
+
+
+def partitions(n: int) -> list[int]:
+    """p(0), ..., p(n) by Euler's pentagonal recurrence."""
+    p = [1]
+    for i in range(1, n + 1):
+        total, j = 0, 1
+        while (g := j * (3 * j - 1) // 2) <= i:
+            sign = 1 if j % 2 else -1
+            total += sign * (p[i - g] + (p[i - g - j] if g + j <= i else 0))
+            j += 1
+        p.append(total)
+    return p
+
+
+def partition_series(grid: int, rel_steps: int) -> QSeries:
+    """P = sum_n p(n) q^n = 1/E on the 1/grid grid, known to rel_steps steps."""
+    coeffs = [CycElt.zero(1)] * rel_steps
+    for n, p in enumerate(partitions((rel_steps - 1) // grid)):
+        coeffs[n * grid] = CycElt.rational(p)
+    return QSeries(grid, 0, coeffs, rel_steps, 1)
+
+
+def euler_product(n: int) -> QSeries:
+    """E = prod_{k>=1} (1 - q^k) on the integer grid, known to n steps."""
+    out = QSeries.one(1, n)
+    for k in range(1, n):
+        out = mul_binomial(out, k, CycElt.rational(-1))
+    return out
 
 
 def gamma_core_product(s: Fraction, b: int, N: int, grid: int, rel_steps: int) -> QSeries:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -14,6 +15,7 @@ from mazurtate.arith import (
     cyc_embed,
     cyclotomic_polynomial,
     hensel_unit_root,
+    reduce_mod_cyclotomic,
 )
 from mazurtate.nt import euler_phi
 
@@ -181,6 +183,28 @@ def same_field(draw, conductors=(1, 2, 6, 9, 10, 12, 18, 25)):
         max_size=euler_phi(L),
     )
     return tuple(CycElt(L, draw(coords)) for _ in range(3))
+
+
+def generic_remainder(poly: list[int], L: int) -> list[int]:
+    """The remainder modulo Phi_L by cancelling every term past phi(L), top down."""
+    phi_poly = cyclotomic_polynomial(L)
+    phi = len(phi_poly) - 1
+    poly = list(poly)
+    for j in range(len(poly) - 1, phi - 1, -1):
+        top = poly[j]
+        for i, c in enumerate(phi_poly[:phi]):
+            poly[j - phi + i] -= top * c
+    return (poly + [0] * phi)[:phi]
+
+
+@pytest.mark.parametrize("L", range(1, 41))
+def test_folded_reduction_matches_generic_remainder(L):
+    # every length 0..3L: past 2L a term folds twice, which an upward fold
+    # onto already folded terms would lose
+    rng = random.Random(L)
+    for n in range(3 * L + 1):
+        poly = [rng.randint(-(2**40), 2**40) for _ in range(n)]
+        assert reduce_mod_cyclotomic(list(poly), L) == generic_remainder(poly, L)
 
 
 @given(xs=same_field(), j=st.integers(1, 10**6), m=st.sampled_from([2, 3]))

@@ -266,6 +266,17 @@ def test_qexp_g_unit_refuses_zero_precision(capsys):
     assert code == 0
 
 
+def test_qexp_g_unit_default_c_is_one_mod_the_level(capsys):
+    # c = 7, the other targets' default, is not 1 mod 5: g-unit takes the
+    # least c > 1 with c = 1 mod N and (c, 6) = 1, 11 at the default 0/5,1/5
+    code, out, err = run(capsys, "qexp", "g-unit", "--json", "--no-timing")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["inputs"]["c"] == "11"
+    assert run(capsys, "qexp", "g-unit", "--c", "11", "--json", "--no-timing")[1] == out
+    code, out, _ = run(capsys, "qexp", "siegel", "--json", "--no-timing")
+    assert code == 0 and json.loads(out)["inputs"]["c"] == "7"
+
+
 def test_qexp_siegel_negative_order_above_lead(capsys):
     # at 1/2 with c = 11 the lead exponent is -5, so order -4 knows two terms
     code, out, _ = run(
@@ -480,6 +491,24 @@ PINNED_QEXP = {
             "--prec", "3",
         ),
         "b31368a93ba5f7ad05dd1f1b4ff96ea942d922b0c08cb8e01cf90eff97fe20f5",
+    ),
+    # at a = 0 theta's constant term is 1 - zeta^b, so the powers run with
+    # a non-unit lead and denominators; the README example
+    "siegel-a0": (
+        ("siegel", "--point", "0/5,1/5", "--c", "7", "--prec", "8"),
+        "4017063d8c3561946f63eebfcc444552d2f36286e2aa7ca4999ff3de382c1e6a",
+    ),
+    "siegel-level11": (
+        ("siegel", "--point", "3/11,5/11", "--c", "13", "--prec", "6"),
+        "4377df980d781bd68c59b0fcb4bd6816f7981e914d90792990feb072f2b517e8",
+    ),
+    "siegel-level3": (
+        ("siegel", "--point", "2/3,1/3", "--c", "7", "--prec", "10"),
+        "c49f0a5d5443f17ab9833a4206820e3c577e9510d4da8d46814fae759cb98e83",
+    ),
+    "c-relation-level7": (
+        ("c-relation", "--point", "1/7,2/7", "--c", "5", "--d", "11", "--prec", "8"),
+        "a3714bc43817d98266f51e20a4e8744bb2d507079c49643268adb0a4b703e7c3",
     ),
     # the dual series at level 1: zeta_1 is 1, a conductor-1 field value
     "f-level1": (

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from qseries_oracle import (
     canonical,
     dlog_gamma_terms,
+    euler_product,
     exp_positive,
     gamma_core_product,
     log_unit,
+    partition_series,
     schoolbook_inverse,
     schoolbook_mul,
     schoolbook_power,
@@ -351,18 +353,34 @@ def test_power_selection_rule(monkeypatch, bits, terms, m, wide):
 
 
 def test_power_paths_inside_siegel_workload(monkeypatch):
-    # siegel's ** 25 stays packed, all six powers of c-relation (** 49,
-    # ** 121) take the recurrence, and no inverse of either is wide
+    # each Siegel pullback takes three recurrences, theta^{c^2}, theta^{-1}
+    # and E^{1-c^2}; c-relation's two outer powers (** 49, ** 121) take it
+    # too, and no inverse of c-relation is wide
     calls = _spy(monkeypatch, "_miller_power")
     siegel_theta_qexp(TorsionPoint(1, 2, 7), 5, 16)
-    assert not calls
+    assert [m for _, m in calls] == [25, -1, -24]
+    calls.clear()
     assert check_c_relation(TorsionPoint(0, 1, 5), 7, 11, 12).holds
-    assert sorted(m for _, m in calls) == [49, 49, 49, 121, 121, 121]
+    assert sorted(m for _, m in calls) == [
+        -120, -120, -48, -48, -1, -1, -1, -1, 49, 49, 49, 121, 121, 121
+    ]
+
+
+def test_siegel_pullback_takes_no_inverse_and_two_packed_products(monkeypatch):
+    inverses = _spy(monkeypatch, "inverse")
+    packed, powers = [], []
+    kronecker, power = qexp._kronecker, qexp.binary_power
+    monkeypatch.setattr(qexp, "_kronecker", lambda *a: packed.append(1) or kronecker(*a))
+    monkeypatch.setattr(qexp, "binary_power", lambda *a: powers.append(1) or power(*a))
+    siegel_theta_qexp(TorsionPoint(1, 2, 7), 5, 16)
+    assert not inverses and not powers
+    assert len(packed) <= 2
 
 
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_triple_product_gamma_matches_binomial_product(data):
+    # gamma = theta / E: the O(sqrt n) theta rows times E^{-1}
     N = data.draw(st.sampled_from([1, 2, 3, 5, 7, 12, 35]))
     grid = data.draw(st.sampled_from([1, N]))
     b = data.draw(st.integers(0, N - 1))
@@ -371,8 +389,62 @@ def test_triple_product_gamma_matches_binomial_product(data):
         if a == 0 and b % N == 0:  # gamma(1) = 0, refused by the pullback
             continue
         s = F(a, grid)
-        got = qexp._gamma_core(s, b, N, grid, rel)
+        got = qexp._theta_core(s, b, N, grid, rel) * qexp._euler_power(-1, grid, rel)
         assert canonical(got) == canonical(gamma_core_product(s, b, N, grid, rel))
+
+
+@given(grid=st.sampled_from([1, 2, 5, 7]), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_euler_power_matches_schoolbook_power_of_binomial_product(grid, data):
+    rel = data.draw(st.integers(1, 12 * grid))
+    m = data.draw(st.integers(-130, 130))
+    n = -(-rel // grid)
+    want = schoolbook_power(euler_product(n), m).refine(grid).truncate(F(rel, grid))
+    assert canonical(qexp._euler_power(m, grid, rel)) == canonical(want)
+
+
+@pytest.mark.parametrize("grid", [1, 3, 7])
+def test_euler_inverse_is_the_partition_series(grid):
+    for rel in range(1, 20 * grid + 1):
+        got = qexp._euler_power(-1, grid, rel)
+        assert canonical(got) == canonical(partition_series(grid, rel))
+
+
+def _sparse_series(data, L: int, unit_lead: bool) -> QSeries:
+    """8-30 terms, 5-30 % of them nonzero past the lead, v_1 = 0 half the time."""
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    n, density = data.draw(st.integers(8, 30)), data.draw(st.integers(5, 30)) / 100
+
+    def coeff():
+        nums = [F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3])) for _ in range(euler_phi(L))]
+        return CycElt(L, nums) if rng.random() < density else CycElt.zero(L)
+
+    coeffs = [coeff() for _ in range(n)]
+    if data.draw(st.booleans()):
+        coeffs[1] = CycElt.zero(L)
+    if unit_lead:
+        coeffs[0], start = CycElt.one(L), 0
+    else:
+        # a monomial lead keeps the inverse's height down, as in _draw_series
+        lead = F(rng.choice([1, -2, 3]), rng.choice([1, 5]))
+        coeffs[0] = CycElt.zeta(L, rng.randrange(L)) * lead
+        start = data.draw(st.integers(-2, 2))
+    grid = data.draw(st.sampled_from([1, 3]))
+    return QSeries(grid, start, coeffs, start + n + data.draw(st.integers(0, 3)), L)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_miller_over_sparse_rows_matches_schoolbook_power(data):
+    L = data.draw(st.sampled_from([1, 5, 7, 12]))
+    x = _sparse_series(data, L, unit_lead=False)
+    m = data.draw(st.sampled_from([-1, -1, -2, -3, 2, 3, 4, 7]))
+    assert canonical(x._miller_power(m)) == canonical(schoolbook_power(x, m))
+    u = _sparse_series(data, L, unit_lead=True)
+    b = data.draw(st.sampled_from([2, 3, 4, 9]))
+    root = u._miller_power(F(1, b))
+    assert root.start == 0 and root.lead_coefficient() == CycElt.one(L)
+    assert canonical(schoolbook_power(root, b)) == canonical(u)
 
 
 @given(data=st.data())
