@@ -184,6 +184,10 @@ def cmd_msym(args) -> RunReport:
     N = curve.conductor if curve else args.level
     if N is None:
         raise UsageError("msym needs --level or a curve label")
+    if curve and args.level not in (None, N):
+        raise UsageError(f"--level {args.level} is not the conductor {N} of {curve.label}")
+    if args.calibrate and not curve:
+        raise UsageError("--calibrate needs a curve label")
     space = modsym.build_space(N)
     report = RunReport("msym", {"level": N, "label": args.label})
     report.outputs["dimension"] = space.dimension

@@ -20,6 +20,7 @@ the sign of the - functional by its first nonzero coordinate.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .curves import CurveData
@@ -92,49 +93,43 @@ def _exact(v):
     return v.numerator if v.denominator == 1 else v
 
 
-def _reduce_row(row: dict, pivots: dict) -> dict:
-    while True:
-        hit = [c for c in row if c in pivots]
-        if not hit:
-            return row
-        for c in hit:
-            coeff = row.pop(c)
-            for j, v in pivots[c].items():
-                if j == c:
-                    continue
-                row[j] = row.get(j, 0) - coeff * v
-                if row[j] == 0:
-                    del row[j]
+def _eliminate(row: dict, c: int, pivot_row: dict) -> None:
+    """row -= row[c] * pivot_row, in place; pivot_row holds 1 at c."""
+    coeff = row.pop(c)
+    for j, v in pivot_row.items():
+        if j != c:
+            if x := row.get(j, 0) - coeff * v:
+                row[j] = x
+            else:
+                del row[j]
 
 
-def sparse_rref(rows: list[dict]) -> dict[int, dict]:
-    """Reduced row echelon form; returns {pivot column: normalized row}.
+def sparse_rref(rows: list[dict], reduced: bool = True) -> dict[int, dict]:
+    """Row echelon form; returns {pivot column: row with 1 there}.
 
-    Entries stay ints while every pivot is +-1 and become Fractions only
-    where a division needs one.  A pivot row's columns are never below
-    its pivot, so the result is the unique RREF of the row space.
+    Forward elimination reduces each row at its leading column only, until
+    no pivot is there: an echelon form, with the RREF's pivot set.  If
+    ``reduced``, back-substitution in decreasing pivot order, each row
+    against the later pivot rows (reduced by then), gives the unique RREF.
+    Entries stay ints while every lead is +-1 and become Fractions only
+    where a division needs one.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
-        row = _reduce_row(dict(row), pivots)
-        if not row:
-            continue
-        c = min(row)
-        lead = row[c]
-        if lead == -1:
-            row = {j: -v for j, v in row.items()}
-        elif lead != 1:
-            row = {j: _exact(Fraction(v) / lead) for j, v in row.items()}
-        for prow in pivots.values():
-            if c in prow:
-                coeff = prow.pop(c)
-                for j, v in row.items():
-                    if j == c:
-                        continue
-                    prow[j] = prow.get(j, 0) - coeff * v
-                    if prow[j] == 0:
-                        del prow[j]
-        pivots[c] = row
+        row = dict(row)
+        while row and (c := min(row)) in pivots:
+            _eliminate(row, c, pivots[c])
+        if row:
+            lead = row[c]
+            if lead == -1:
+                row = {j: -v for j, v in row.items()}
+            elif lead != 1:
+                row = {j: _exact(Fraction(v) / lead) for j, v in row.items()}
+            pivots[c] = row
+    for c in sorted(pivots, reverse=True) if reduced else ():
+        row = pivots[c]
+        for j in [j for j in row if j != c and j in pivots]:
+            _eliminate(row, j, pivots[j])
     return pivots
 
 
@@ -218,11 +213,13 @@ class ModularSymbolSpace:
     """Manin-symbol presentation of H_1(X_0(N), cusps; Q).
 
     ``p1_reps`` lists P^1(Z/N) in lexicographic order, each point by the
-    least element (g : x) of its unit orbit; then g = gcd(c, N).
-    ``reduction[i]`` is the class of the i-th Manin symbol in the basis
-    of free generators ``free_indices``, as a sparse row of (coordinate,
-    coefficient) pairs; coefficients are ints unless a level needs a
-    denominator.
+    least element (g : x) of its unit orbit; then g = gcd(c, N).  The free
+    generators ``free_indices`` are the kept points that hold no pivot of
+    one forward elimination of the 3-term rows.  ``reduction[i]``, built on
+    first read from the RREF, is the class of the i-th Manin symbol in that
+    basis, as a sparse row of (coordinate, coefficient) pairs; coefficients
+    are ints unless a level needs a denominator.  No command reads it: the
+    eigen-symbols are built on the sign quotients.
     """
 
     def __init__(self, N: int):
@@ -230,7 +227,7 @@ class ModularSymbolSpace:
             raise ValueError("level must be >= 1")
         self.N = N
         self._build_p1()
-        self.free_indices, self.reduction = self._quotient(None)
+        self.free_indices = self._quotient(None, reduced=False)[0]
         self.dimension = len(self.free_indices)
         self._signed: dict[int, tuple[list[int], list[tuple]]] = {}
 
@@ -273,12 +270,17 @@ class ModularSymbolSpace:
         m = N // g
         return self._blocks[g][d * pow(c // g % m, -1, m) % m]
 
-    def _quotient(self, sign):
+    @cached_property
+    def reduction(self) -> list[tuple]:
+        return self._quotient(None)[1]
+
+    def _quotient(self, sign, reduced=True):
         """(free generators, reduction rows) of the quotient by the Manin relations
         and, for sign = +-1, by x_i = sign x_{star i}.  With x_{S i} = -x_i and
         x_{star i} = sign x_i, each point is written through the largest of its
         orbit under <S> or <S, star>, or is 0 if the orbit forces x = -x; those
-        and the 3-term rows' pivots are the pivots of the RREF of all relations."""
+        and the 3-term rows' pivots are the pivots of the RREF of all relations.
+        Unless ``reduced``, the rows are None and the pivots an echelon form's."""
         index = self.p1_index
         n = len(self.p1_reps)
         kept: list = [None] * n  # i -> (its orbit's largest point, sign), () when zero
@@ -306,8 +308,10 @@ class ModularSymbolSpace:
             if key and key not in seen:
                 seen.add(key)
                 rows.append(dict(key))
-        pivots = sparse_rref(rows)
+        pivots = sparse_rref(rows, reduced)
         free = [j for j in range(n) if kept[j] and kept[j][0] == j and j not in pivots]
+        if not reduced:
+            return free, None
         pos_of = {j: k for k, j in enumerate(free)}
         reduction: list[tuple] = []  # generator index -> sparse quotient coordinates
         for i in range(n):
@@ -409,6 +413,27 @@ def merel_matrices(n: int):
                 for b in range((bc - 1) // (d - 1) + 1, a):
                     if bc % b == 0:
                         yield (a, b, bc // b, d)
+
+
+def heilbronn_matrices(ell: int) -> list[tuple[int, int, int, int]]:
+    """Cremona's Heilbronn matrices of prime determinant ell: on Manin symbols
+    they give T_ell as ``merel_matrices(ell)`` does, from fewer matrices
+    (Cremona 1997, 2.4).  For |r| <= ell/2, one matrix per step of the
+    nearest-integer continued fraction of -ell/r, ties rounded away from 0;
+    ell = 2 has its own four."""
+    if ell == 2:
+        return [(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2)]
+    mats = [(1, 0, 0, ell)]
+    for r in range(-(ell // 2), ell // 2 + 1):
+        x1, x2, y1, y2, a, b = ell, -r, 0, 1, -ell, r
+        mats.append((x1, x2, y1, y2))
+        while b:
+            q = (2 * abs(a) + abs(b)) // (2 * abs(b))
+            q = q if (a < 0) == (b < 0) else -q
+            a, b = -b, a - b * q
+            x1, x2, y1, y2 = x2, q * x2 - x1, y2, q * y2 - y1
+            mats.append((x1, x2, y1, y2))
+    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +561,7 @@ def _kernel_mod_q(space, free, reduction, eigenvalues) -> list[list[int]] | None
     d, basis = len(free), None
     for ell, a in eigenvalues:
         rows = [1 << 8 * _SLOT * (d + t) for t in range(d)]
-        for k, col in enumerate(space._images(list(merel_matrices(ell)), free, reduction, a)):
+        for k, col in enumerate(space._images(heilbronn_matrices(ell), free, reduction, a)):
             for t, v in col.items():
                 rows[t] += v % _Q << 8 * _SLOT * k
         if basis is not None:
@@ -557,7 +582,7 @@ def _exact_kernel(space, curve, free, reduction, eigenvalues):
         if ell > GOOD_HECKE_BOUND and len(basis) <= 1:
             break
         bound, a = max(bound, ell), (read[ell] if ell in read else curve.ap(ell))
-        images = space._images(list(merel_matrices(ell)), free, reduction, a)
+        images = space._images(heilbronn_matrices(ell), free, reduction, a)
         image = [[sum(v[t] * x for t, x in col.items()) for col in images] for v in basis]
         basis = [_combine(ys, basis, [0] * d) for ys in left_kernel(image)]
     return basis, bound
@@ -579,10 +604,11 @@ def _lift(vec: list[int]) -> list[int] | None:
 
 
 def _certified(space, free, table, eigenvalues) -> bool:
-    """Whether sum_M table[x M] = a_ell table[x] for every free x and (ell, a_ell)."""
+    """Whether sum_M table[x M] = a_ell table[x] for every free x and (ell, a_ell),
+    M over ``heilbronn_matrices(ell)``."""
     N, inv, index, reps = space.N, space._inv, space.p1_index, space.p1_reps
     for ell, a in eigenvalues:
-        mats = list(merel_matrices(ell))
+        mats = heilbronn_matrices(ell)
         for c, d in (reps[gen] for gen in free):
             total = 0
             for p, q, r, s in mats:

@@ -417,6 +417,20 @@ def test_msym_states_hecke_bound(capsys):
     assert code == 0 and "hecke_bound" not in json.loads(out)["outputs"]
 
 
+def test_msym_refuses_a_level_other_than_the_conductor(capsys):
+    code, out, err = run(capsys, "msym", "11a1", "--level", "37", "--no-timing")
+    assert code == 2 and not out
+    assert "--level 37" in err and "conductor 11" in err and "11a1" in err
+    code, out, _ = run(capsys, "msym", "11a1", "--level", "11", "--json", "--no-timing")
+    assert code == 0 and json.loads(out)["inputs"]["level"] == "11"
+
+
+def test_msym_calibrate_needs_a_label(capsys):
+    code, out, err = run(capsys, "msym", "--level", "11", "--calibrate", "--no-timing")
+    assert code == 2 and not out
+    assert "--calibrate" in err and "label" in err
+
+
 def test_msym_reports_the_hecke_bound_it_used(capsys, monkeypatch, tmp_path):
     # with the cut-off at 2, 57a1's eigenspaces need T_5 (Sturm bound 13)
     from mazurtate import modsym

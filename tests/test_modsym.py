@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from modsym_oracle import (
     OracleSpace,
     dense,
+    fraction_rref,
     mat_mul,
     oracle_eigen_symbol,
     orbit_min,
@@ -27,6 +28,7 @@ from mazurtate.modsym import (
     cusp_count,
     eigen_symbol,
     genus_x0,
+    heilbronn_matrices,
     index_gamma0,
     left_kernel,
     left_kernel_mod_q,
@@ -83,6 +85,34 @@ def test_hecke_rejects_bad_prime():
 
 def test_merel_identity():
     assert list(merel_matrices(1)) == [(1, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("N", [11, 32, 36, 37, 49, 64, 99, 121, 143, 389])
+def test_heilbronn_matrices_give_merels_hecke_operator(N):
+    space = build_space(N)
+    for ell in primes_up_to(50):
+        if N % ell:
+            assert space._right_action_matrix(heilbronn_matrices(ell)) == space.hecke_matrix(ell)
+
+
+def test_heilbronn_matrix_counts_and_determinants():
+    counts = [len(heilbronn_matrices(ell)) for ell in (2, 3, 5, 7, 11, 13, 17, 19)]
+    assert counts == [4, 6, 12, 18, 30, 38, 52, 58]
+    for ell in primes_up_to(50):
+        assert all(p * s - q * r == ell for p, q, r, s in heilbronn_matrices(ell))
+
+
+@pytest.mark.parametrize("label", ["11a1", "37a1", "389a1"])
+def test_certificate_rejects_a_wrong_eigenvalue(label):
+    curve = curve_by_label(label)
+    space = build_space(curve.conductor)
+    read = [(ell, curve.ap(ell)) for ell in primes_up_to(20) if curve.conductor % ell]
+    for sign in (1, -1):
+        free, _ = space.sign_quotient(sign)
+        table = eigen_symbol(space, curve, sign).table
+        assert modsym._certified(space, free, table, read)
+        for ell, a in read:
+            assert not modsym._certified(space, free, table, [(ell, a + 1)])
 
 
 def test_eigenvalue_on_cuspidal_part(c11):
@@ -342,6 +372,61 @@ def test_exact_path_keeps_denominators():
     basis = left_kernel(mat)
     assert len(basis) == 1 and basis[0] in ([2, -1, 0], [-2, 1, 0])
     assert left_kernel([[1, 0], [0, 1]]) == []
+
+
+# ---------------------------------------------------------------------------
+# Free generators from the echelon pivots; the full reduction rows on demand
+
+_sparse_rows = st.lists(
+    st.dictionaries(st.integers(0, 7), st.integers(-3, 3).filter(bool), max_size=4), max_size=8
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_rows)
+@example([{0: 2, 1: 1}, {1: 3, 2: -1}])
+@example([{1: 1, 2: 1}, {0: 1, 1: 1}, {0: 1, 2: -1}])
+def test_echelon_pivots_are_the_rref_pivots(rows):
+    echelon = sparse_rref(rows, reduced=False)
+    assert all(row[c] == 1 and min(row) == c for c, row in echelon.items())
+    rref = sparse_rref(rows)
+    assert rref == fraction_rref([{j: Fraction(v) for j, v in row.items()} for row in rows])
+    assert echelon.keys() == rref.keys()
+
+
+@pytest.mark.parametrize("N", [*range(1, 401), 997, 5077])
+def test_echelon_free_generators_match_the_rref(N):
+    space = ModularSymbolSpace(N)
+    assert "reduction" not in vars(space)
+    assert space.free_indices == space._quotient(None)[0]
+
+
+def test_cli_and_eigen_pair_leave_the_reduction_rows_unbuilt(monkeypatch, capsys):
+    from mazurtate.cli import main
+
+    monkeypatch.setattr(modsym, "_space_cache", {})
+    monkeypatch.setattr(modsym, "_eigen_cache", {})
+    assert main(["--json", "--no-timing", "msym", "--level", "997"]) == 0
+    modsym.eigen_pair(curve_by_label("389a1"))
+    spaces = modsym._space_cache
+    assert sorted(spaces) == [389, 997]
+    assert not any("reduction" in vars(space) for space in spaces.values())
+    assert len(spaces[389].reduction) == len(spaces[389].p1_reps)  # built on first read
+    assert "reduction" in vars(spaces[389])
+
+
+def test_space_build_peak_memory_at_9973():
+    # the full RREF and a reduction row per point peaked near 25 MB here
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert ModularSymbolSpace(9973).dimension == 1661
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_level_4999_passes_dimension_check(capsys):
