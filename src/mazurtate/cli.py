@@ -210,6 +210,9 @@ def cmd_msym(args) -> RunReport:
                 lam = modsym.calibrate_periods(plus, curve)
                 report.outputs["calibration_scalar"] = lam
                 report.checks.append(Check("period calibration", "pass"))
+            except modsym.CalibrationUndetermined as exc:
+                wit = f"L(E,1) = 0 and [0]^+ = 0: {exc}"
+                report.checks.append(Check("period calibration", "vacuous", wit))
             except Exception as exc:  # noqa: BLE001 - reported, not raised
                 report.checks.append(Check("period calibration", "fail", str(exc)))
     return report

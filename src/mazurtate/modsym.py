@@ -24,7 +24,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .curves import CurveData
-from .nt import divisors, euler_phi, factorize, primes_up_to
+from .nt import divisors, euler_phi, factorize, is_prime, primes_up_to
 from .records import Frozen
 
 
@@ -34,6 +34,10 @@ class NotNewformError(ValueError):
 
 class CalibrationError(ValueError):
     pass
+
+
+class CalibrationUndetermined(CalibrationError):
+    """L(E,1) = 0 and [0]^+ = 0 agree, but pin no scalar."""
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +374,14 @@ class ModularSymbolSpace:
         cols = self._images(mats, self.free_indices, self.reduction)
         return [[col.get(t, 0) for col in cols] for t in range(self.dimension)]
 
-    def hecke_matrix(self, n: int) -> list[list]:
-        """T_n in the quotient basis (acting on column vectors).
-
-        Primes dividing the level are unsupported (U_ell is out of
-        scope); composite n prime to the level is allowed.
-        """
-        if gcd(n, self.N) != 1:
-            raise ValueError(
-                f"T_{n} unsupported: {n} shares a factor with the level {self.N}"
-            )
-        return self._right_action_matrix(list(merel_matrices(n)))
+    def hecke_matrix(self, ell: int) -> list[list]:
+        """T_ell in the quotient basis (acting on column vectors), for a
+        prime ell not dividing the level (U_ell is out of scope)."""
+        if not is_prime(ell):
+            raise ValueError(f"T_{ell} unsupported: {ell} is not prime")
+        if self.N % ell == 0:
+            raise ValueError(f"T_{ell} unsupported: {ell} divides the level {self.N}")
+        return self._right_action_matrix(heilbronn_matrices(ell))
 
     def star_matrix(self) -> list[list]:
         """Involution induced by z |-> -z_bar: (c:d) |-> (-c:d)."""
@@ -399,26 +400,10 @@ def build_space(N: int) -> ModularSymbolSpace:
     return _space_cache[N]
 
 
-def merel_matrices(n: int):
-    """Merel's right-coset matrices of determinant n acting on Manin symbols."""
-    for a in range(1, n + 1):
-        for d in range((n + a - 1) // a, n + 2 - a):
-            bc = a * d - n
-            if bc == 0:
-                for b in range(a):
-                    yield (a, b, 0, d)
-                for c in range(1, d):
-                    yield (a, 0, c, d)
-            else:
-                for b in range((bc - 1) // (d - 1) + 1, a):
-                    if bc % b == 0:
-                        yield (a, b, bc // b, d)
-
-
 def heilbronn_matrices(ell: int) -> list[tuple[int, int, int, int]]:
     """Cremona's Heilbronn matrices of prime determinant ell: on Manin symbols
-    they give T_ell as ``merel_matrices(ell)`` does, from fewer matrices
-    (Cremona 1997, 2.4).  For |r| <= ell/2, one matrix per step of the
+    they give T_ell as Merel's matrices do, from fewer of them (Cremona
+    1997, 2.4; Merel 1994).  For |r| <= ell/2, one matrix per step of the
     nearest-integer continued fraction of -ell/r, ties rounded away from 0;
     ell = 2 has its own four."""
     if ell == 2:
@@ -690,7 +675,8 @@ def calibrate_periods(eigen: EigenSymbol, curve: CurveData, oracle=None) -> Frac
     Returns lambda with lambda * [0]^+_integral = L(E,1)/Omega^+ to
     relative 1e-6, as a ratio of integers below 1e6; nothing is mutated,
     and ``eigen.calibrated(lambda)`` gives the period-calibrated symbol.
-    A curve with L(E,1) = 0 leaves the scalar undetermined at r = 0.
+    A curve with L(E,1) = 0 leaves the scalar undetermined at r = 0 and
+    raises ``CalibrationUndetermined``.
     """
     if eigen.sign != 1:
         raise CalibrationError("period calibration uses the + eigen-symbol")
@@ -707,7 +693,7 @@ def calibrate_periods(eigen: EigenSymbol, curve: CurveData, oracle=None) -> Frac
             raise CalibrationError(
                 f"numeric L-value vanishes but [0]^+ = {base} != 0 for {curve.label}"
             )
-        raise CalibrationError("calibration undetermined at r=0")
+        raise CalibrationUndetermined("calibration undetermined at r=0")
     if base == 0:
         raise CalibrationError(
             f"[0]^+ = 0 but numeric L(E,1)/Omega^+ = {ratio} for {curve.label}"

@@ -2,8 +2,8 @@
 
 A tower packages theta^alpha_n = alpha^{-n} (theta_{p^n} -
 alpha^{-1} nu(theta_{p^{n-1}})) for n = 1..n_max, reduced mod p^k, with
-theta_{p^0} taken to be theta_Q in the trivial group ring.  With the
-certified three-term relation these layers form a projective system
+theta_{p^0} taken to be theta_Q in the trivial group ring.  By the
+Mazur-Tate three-term relation these layers form a projective system
 under the natural projections, which is verified coefficientwise.
 
 Finite layers only: nothing here materializes a power series.  The
@@ -31,7 +31,7 @@ from .groupring import (
 )
 from .nt import is_prime, valuation
 from .records import Record
-from .theta import adjudicated_variant, eigen_pair, theta_element
+from .theta import theta_element
 
 
 class PrecisionError(ValueError):
@@ -46,6 +46,7 @@ class PadicThetaTower(Record):
     # alpha: the unit root mod p^k
     # layers: n -> theta^alpha_n at modulus p^n, int coefficients in [0, p^k)
     # theta_q: theta_Q reduced mod p^k
+    # variant: the three-term relation the layers come from ("A" for stabilize)
     __slots__ = ("curve_label", "p", "k", "alpha", "layers", "theta_q", "n_max", "variant")
     _defaults = {"variant": "A"}
 
@@ -73,28 +74,13 @@ class PadicThetaTower(Record):
         return out
 
 
-def _integral_theta(curve, M, pair) -> GroupRingElement:
-    """theta_M with the integer values of integral-normalized symbols."""
-    if any(sym.scaling_mode != "integral-normalized" for sym in pair):
-        raise ValueError("p-adic towers use integral-normalized symbols")
-    return theta_element(curve, M, pair).element
-
-
-def stabilize(
-    curve: CurveData,
-    p: int,
-    k: int,
-    n_max: int,
-    variant: str | None = None,
-    pair=None,
-) -> PadicThetaTower:
+def stabilize(curve: CurveData, p: int, k: int, n_max: int) -> PadicThetaTower:
     """Build the p-stabilized tower mod p^k up to layer n_max.
 
     Requires p odd with good ordinary reduction (p does not divide
-    N * a_p).  ``variant`` selects the three-term relation shape feeding
-    the stabilization; by default the variant certified by the norm
-    relation sweep is consumed.  Only that variant yields a projective
-    tower.
+    N * a_p).  The layers come from the integral-normalized eigen-symbols
+    of the curve and the Mazur-Tate relation (variant A); the tower's
+    projectivity check certifies that relation on every layer it builds.
     """
     if p == 2 or not is_prime(p):
         raise NonOrdinaryPrime(f"{p} must be an odd prime")
@@ -105,18 +91,14 @@ def stabilize(
         raise NonOrdinaryPrime(f"{curve.label} is non-ordinary at {p} (p | a_p)")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if pair is None:
-        pair = eigen_pair(curve)
-    if variant is None:
-        variant = adjudicated_variant(curve)
     pk = p**k
     alpha = hensel_unit_root(a_p, p, k)
-    nu = pow(alpha, -1, pk) * (1 if variant == "A" else p)
-    prev = _integral_theta(curve, 1, pair)
+    nu = pow(alpha, -1, pk)
+    prev = theta_element(curve, 1).element
     theta_q = prev.coeffs[0] % pk
     layers: dict[int, GroupRingElement] = {}
     for n in range(1, n_max + 1):
-        cur = _integral_theta(curve, p**n, pair)
+        cur = theta_element(curve, p**n).element
         lift = norm_map(prev, p**n).coeffs
         scale = pow(alpha, -n, pk)
         layers[n] = GroupRingElement(
@@ -131,7 +113,6 @@ def stabilize(
         layers=layers,
         theta_q=theta_q,
         n_max=n_max,
-        variant=variant,
     )
 
 
@@ -187,7 +168,7 @@ def interpolate_character(
         raise ValueError(f"conductor {chi.modulus} is not a power of {p}")
     if not 1 <= n <= tower.n_max:
         raise ValueError(f"conductor exponent {n} outside tower range")
-    raw = _integral_theta(curve, p**n, eigen_pair(curve))
+    raw = theta_element(curve, p**n).element
     lhs = eval_character(tower.layers[n], chi)
     rhs = eval_character(raw.map_coeffs(lambda v: v % pk), chi) * pow(tower.alpha, -n, pk)
     holds = ((lhs - rhs) / pk).den == 1
@@ -306,7 +287,7 @@ class IwasawaInvariants(Record):
         stable: bool,  # the reading agrees with the layer below
         component_invariants: dict[int, tuple[int, int]] | None = None,
         unstable_components: tuple[int, ...] = (),  # components that disagree with the layer below
-        normalization: str = "integral-normalized",  # _integral_theta refuses other symbols
+        normalization: str = "integral-normalized",  # stabilize reads eigen_pair's symbols
     ):
         self.lambda_ = lambda_
         self.mu = mu

@@ -16,7 +16,9 @@ coefficientwise:
               1 - a_ell x + ell x^2.
 
 ``adjudicate_norm_relations`` sweeps a range of (M, ell) and reports
-which variant holds; downstream p-stabilization consumes the verdict.
+which variant holds: variant A, the Mazur-Tate relation (Mazur and
+Tate 1987), on every non-vacuous case.  ``padic.stabilize`` builds on
+variant A, and each tower's projectivity check certifies it there.
 """
 
 from __future__ import annotations
@@ -161,22 +163,6 @@ def adjudicate_norm_relations(curves, max_product: int = 150) -> AdjudicationSum
     return AdjudicationSummary(
         tuple(c.label for c in curves), max_product, reports, variant, consistent
     )
-
-
-_adjudicated_variant: dict[tuple[tuple[int, ...], int], str] = {}
-
-
-def adjudicated_variant(curve: CurveData) -> str:
-    """The relation variant certified for this curve model (cached small sweep)."""
-    key = (curve.a_invariants, curve.conductor)
-    if key not in _adjudicated_variant:
-        summary = adjudicate_norm_relations([curve], max_product=30)
-        if not summary.consistent:
-            raise AssertionError(
-                f"no single relation variant certified for {curve.label}"
-            )
-        _adjudicated_variant[key] = summary.variant
-    return _adjudicated_variant[key]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The orbit enumeration of P^1(Z/N), the elimination of all 2- and 3-term
 Manin relations at once over ``Fraction``, and dense Hecke matrices built
-from dense reduction vectors.  They are quadratic in N and slow, and they
-are the oracles ``ModularSymbolSpace`` is checked against.  The eigen
+from dense reduction vectors, acting through Merel's matrices of any
+determinant.  They are quadratic in N and slow, and they are the oracles
+``ModularSymbolSpace`` is checked against.  The eigen
 kernel by exact successive restriction on the full space, with dense star
 and Hecke matrices, is the oracle for ``eigen_symbol``.
 """
@@ -130,6 +131,23 @@ class OracleSpace:
                     col[t] += v
             cols.append(col)
         return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+
+
+def merel_matrices(n: int):
+    """Merel's right-coset matrices of determinant n acting on Manin symbols
+    (Merel 1994); for a prime n they give T_n as ``heilbronn_matrices`` does."""
+    for a in range(1, n + 1):
+        for d in range((n + a - 1) // a, n + 2 - a):
+            bc = a * d - n
+            if bc == 0:
+                for b in range(a):
+                    yield (a, b, 0, d)
+                for c in range(1, d):
+                    yield (a, 0, c, d)
+            else:
+                for b in range((bc - 1) // (d - 1) + 1, a):
+                    if bc % b == 0:
+                        yield (a, b, bc // b, d)
 
 
 def dense(row, dim: int) -> tuple:

@@ -76,3 +76,23 @@ def modint_chain_layers(curve, p, k, n_max, variant):
         layers[n] = diff.map_coeffs(lambda v: v * alpha_pow_inv % pk)
         prev = cur
     return layers
+
+
+def variant_b_tower(curve, p, k, n_max):
+    """The tower ``stabilize`` would build from variant B of the relation.
+
+    nu = p alpha^-1 mirrors the Euler factor 1 - a_p x + p x^2; the
+    Mazur-Tate relation is variant A, so this tower is not projective,
+    and its check witnesses are what a wrong relation prints.
+    """
+    pk = p**k
+    return PadicThetaTower(
+        curve_label=curve.label,
+        p=p,
+        k=k,
+        alpha=hensel_unit_root(curve.ap(p), p, k),
+        layers=modint_chain_layers(curve, p, k, n_max, "B"),
+        theta_q=theta_element(curve, 1).element.coeffs[0] % pk,
+        n_max=n_max,
+        variant="B",
+    )

@@ -3,18 +3,14 @@ import json
 import os
 import subprocess
 import sys
-from functools import partial
 from importlib import import_module
 from pathlib import Path
 
 import pytest
-from padic_oracle import unstable_tower
+from padic_oracle import unstable_tower, variant_b_tower
 from tate_oracle import theta_pullback_product
 
 from mazurtate.cli import main
-from mazurtate.padic import stabilize
-
-_variant_b = partial(stabilize, variant="B")
 
 
 def run(capsys, *argv):
@@ -96,7 +92,7 @@ def test_plfunc_prints_residue_witnesses(capsys, monkeypatch):
     # when the tower's residues were ModInt values printed as "x mod m"
     import mazurtate.padic as padic
 
-    monkeypatch.setattr(padic, "stabilize", _variant_b)
+    monkeypatch.setattr(padic, "stabilize", variant_b_tower)
     argv = ("plfunc", "11a1", "-p", "3", "-k", "4", "-n", "3", "--no-timing")
     code, out, _ = run(capsys, *argv)
     assert code == 1
@@ -116,7 +112,7 @@ def test_plfunc_prints_residue_witnesses(capsys, monkeypatch):
 def test_verify_projectivity_prints_residue_witnesses(capsys, monkeypatch):
     import mazurtate.padic as padic
 
-    monkeypatch.setattr(padic, "stabilize", _variant_b)
+    monkeypatch.setattr(padic, "stabilize", variant_b_tower)
     code, out, _ = run(capsys, "verify", "projectivity", "-k", "2", "--no-timing")
     assert code == 1
     assert out.splitlines()[2:4] == [
@@ -429,6 +425,38 @@ def test_msym_calibrate_needs_a_label(capsys):
     code, out, err = run(capsys, "msym", "--level", "11", "--calibrate", "--no-timing")
     assert code == 2 and not out
     assert "--calibrate" in err and "label" in err
+
+
+@pytest.mark.parametrize("label", ["37a1", "389a1"])
+def test_msym_calibrate_is_vacuous_when_the_l_value_vanishes(capsys, label):
+    # at rank >= 1, [0]^+ = 0 = L(E,1)/Omega^+ agree and pin no scalar
+    code, out, _ = run(capsys, "msym", label, "--calibrate", "--json", "--no-timing")
+    assert code == 0
+    report = json.loads(out)
+    assert "calibration_scalar" not in report["outputs"]
+    (check,) = [c for c in report["checks"] if c["name"] == "period calibration"]
+    assert check["status"] == "vacuous" and "L(E,1) = 0" in check["witness"]
+
+
+def test_msym_calibrate_fails_without_a_fricke_sign(capsys, tmp_path):
+    catalog = tmp_path / "curves.cat"
+    catalog.write_text("11a1 [0,-1,1,-10,-20] 11 ?\n")
+    code, out, _ = run(capsys, "--catalog", str(catalog), "msym", "11a1", "--calibrate", "--no-timing")
+    assert code == 1
+    assert "[FAIL] period calibration  [calibration needs the Fricke sign" in out
+
+
+def test_plfunc_reads_no_a_ell_off_its_tower(capsys, tmp_path):
+    # a_23 = 0 passes the Hasse bound but is wrong (11a1 has a_23 = -1);
+    # the 3-adic tower never reads a_23, so nothing may fail over it
+    catalog = tmp_path / "curves.cat"
+    catalog.write_text("11a1 [0,-1,1,-10,-20] 11 - rank=0 ap=23:0\n")
+    argv = ("plfunc", "11a1", "-p", "3", "-k", "4", "-n", "3", "--json", "--no-timing")
+    code, out, _ = run(capsys, "--catalog", str(catalog), *argv)
+    assert code == 0
+    code, real, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["outputs"]["layers"] == json.loads(real)["outputs"]["layers"]
 
 
 def test_msym_reports_the_hecke_bound_it_used(capsys, monkeypatch, tmp_path):

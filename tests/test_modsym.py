@@ -9,6 +9,7 @@ from modsym_oracle import (
     dense,
     fraction_rref,
     mat_mul,
+    merel_matrices,
     oracle_eigen_symbol,
     orbit_min,
     orbit_p1,
@@ -32,7 +33,6 @@ from mazurtate.modsym import (
     index_gamma0,
     left_kernel,
     left_kernel_mod_q,
-    merel_matrices,
     sparse_rref,
     unimodular_path,
 )
@@ -81,6 +81,9 @@ def test_hecke_commutativity(N):
 def test_hecke_rejects_bad_prime():
     with pytest.raises(ValueError, match="unsupported"):
         build_space(11).hecke_matrix(11)
+    # composite T_n come from Merel's matrices in the test oracle
+    with pytest.raises(ValueError, match="not prime"):
+        build_space(11).hecke_matrix(4)
 
 
 def test_merel_identity():
@@ -92,7 +95,8 @@ def test_heilbronn_matrices_give_merels_hecke_operator(N):
     space = build_space(N)
     for ell in primes_up_to(50):
         if N % ell:
-            assert space._right_action_matrix(heilbronn_matrices(ell)) == space.hecke_matrix(ell)
+            heilbronn = space._right_action_matrix(heilbronn_matrices(ell))
+            assert heilbronn == space._right_action_matrix(list(merel_matrices(ell)))
 
 
 def test_heilbronn_matrix_counts_and_determinants():
@@ -170,7 +174,7 @@ def test_an_multiplicativity_against_hecke_eigenvalues(label):
     for n in range(1, 21):
         if __import__("math").gcd(n, curve.conductor) != 1:
             continue
-        tn = space.hecke_matrix(n)
+        tn = space._right_action_matrix(list(merel_matrices(n)))
         assert vec_mat(list(plus.vector), tn) == [
             curve.an(n) * v for v in plus.vector
         ]

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -12,6 +11,7 @@ from padic_oracle import (
     synthetic_tower,
     taylor_shift_oracle,
     unstable_tower,
+    variant_b_tower,
 )
 
 from mazurtate.arith import NonOrdinaryPrime
@@ -70,27 +70,8 @@ def test_stabilize_rejects_bad_and_nonordinary(c11):
         stabilize(curve_by_label("37a1"), 3, 2, 2)
 
 
-def test_stabilize_refuses_calibrated_symbols_before_precision(c11, pair11):
-    # lambda = 1/10 puts 5 in a denominator: the refusal is the one about
-    # the normalization, not a precision error about the missing p-power
-    plus, minus = pair11
-    pair = (plus.calibrated(Fraction(1, 10)), minus)
-    with pytest.raises(ValueError, match="p-adic towers use integral-normalized symbols"):
-        stabilize(c11, 5, 2, 2, pair=pair)
-
-
-def test_stabilize_refuses_calibrated_symbols(c11, pair11):
-    # lambda = 1/10 is 3-integral, so only the normalization check stops a
-    # tower that would reduce Fractions as if they were integers
-    from mazurtate.modsym import calibrate_periods
-
-    plus, minus = pair11
-    calibrated = (plus.calibrated(calibrate_periods(plus, c11)), minus)
-    with pytest.raises(ValueError, match="integral-normalized"):
-        stabilize(c11, 3, 4, 2, variant="A", pair=calibrated)
-
-
-@pytest.mark.parametrize("variant", ["A", "B"])
+# stabilize builds variant A only; the B chain feeds variant_b_tower
+@pytest.mark.parametrize("variant", ["A"])
 @pytest.mark.parametrize(
     "label, p, k, n_max",
     [
@@ -103,7 +84,7 @@ def test_stabilize_refuses_calibrated_symbols(c11, pair11):
 )
 def test_stabilize_matches_modint_chain(label, p, k, n_max, variant):
     curve = curve_by_label(label)
-    tower = stabilize(curve, p, k, n_max, variant=variant)
+    tower = stabilize(curve, p, k, n_max)
     oracle = modint_chain_layers(curve, p, k, n_max, variant)
     assert tower.layers.keys() == oracle.keys()
     for n, layer in tower.layers.items():
@@ -121,8 +102,21 @@ def test_towers_projective_for_random_k(c11, k):
 
 
 def test_wrong_variant_is_not_projective(c11):
-    tower_b = stabilize(c11, 3, 4, 3, variant="B")
+    tower_b = variant_b_tower(c11, 3, 4, 3)
     assert not is_projective(tower_b)
+
+
+def test_stabilize_runs_no_norm_relation_sweep(c11, monkeypatch):
+    # the tower takes the Mazur-Tate relation as given: its projectivity
+    # check certifies it, so no (M, ell) relation is evaluated on the way
+    import mazurtate.theta as theta
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stabilize evaluated a norm relation")
+
+    monkeypatch.setattr(theta, "check_norm_relation", refuse)
+    tower = stabilize(c11, 3, 4, 3)
+    assert tower.variant == "A" and is_projective(tower)
 
 
 def test_interpolate_trivial(c11):
