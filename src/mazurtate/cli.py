@@ -220,28 +220,28 @@ def cmd_msym(args) -> RunReport:
 
 def cmd_theta(args) -> RunReport:
     curve = _get_curve(args.label, args)
-    plus, minus = modsym.eigen_pair(curve)
+    lam = 1
     if args.mode == "calibrated":
-        # only Omega^+ is calibrated; the minus part stays integral
-        plus = plus.calibrated(modsym.calibrate_periods(plus, curve))
-    theta_m = theta.theta_element(curve, args.modulus, (plus, minus))
+        # the engine's theta is integral; the period scalar is applied here, to
+        # the + part only (no Omega^- calibration exists): lam theta^+ + theta^-
+        lam = modsym.calibrate_periods(modsym.eigen_pair(curve)[0], curve)
+    theta_m = theta.theta_element(curve, args.modulus)
+    plus, minus = theta_m.plus.scale(lam), theta_m.minus
+    element = plus + minus
     report = RunReport(
         "theta", {"label": args.label, "M": args.modulus, "mode": args.mode}
     )
     report.outputs["coefficients"] = {
-        f"sigma_{a}": v for a, v in sorted(theta_m.element.coeffs.items())
+        f"sigma_{a}": v for a, v in sorted(element.coeffs.items())
     }
     if args.mode == "calibrated":
         report.outputs["normalization"] = {
-            "plus": plus.scaling_mode,
-            "minus": minus.scaling_mode,
+            "plus": "period-calibrated",
+            "minus": modsym.EigenSymbol.scaling_mode,
         }
-    report.outputs["augmentation"] = theta_m.augmentation()
-    flip = theta_m.element.conjugation_flip()
-    cov = all(
-        flip.coeffs[a] == theta_m.plus.coeffs[a] - theta_m.minus.coeffs[a]
-        for a in theta_m.element.coeffs
-    )
+    report.outputs["augmentation"] = element.augmentation()
+    flip = element.conjugation_flip()
+    cov = all(flip.coeffs[a] == plus.coeffs[a] - minus.coeffs[a] for a in element.coeffs)
     report.checks.append(Check.of("conjugation covariance", cov))
     return report
 
@@ -279,7 +279,7 @@ def cmd_plfunc(args) -> RunReport:
                 "stable": inv.stable,
             }
             report.outputs["normalization"] = {"iwasawa": inv.normalization}
-        except Exception as exc:  # noqa: BLE001
+        except padic.PrecisionError as exc:
             report.outputs["iwasawa"] = f"unavailable: {exc}"
     return report
 

@@ -146,8 +146,6 @@ def kurihara_number(
                 )
     if plus_symbol is None:
         plus_symbol = eigen_symbol(build_space(curve.conductor), curve, +1)
-    if plus_symbol.scaling_mode != "integral-normalized":
-        raise AdmissibilityError("Kurihara numbers use integral-normalized symbols")
     if n == 1:
         return KuriharaNumber(n=1, p=p, k=k, value=plus_symbol.walk(1, 0) % pk, ideal_valuation=0)
     # per-prime log tables reduced into Z/p^k, each repeated so that

@@ -428,23 +428,24 @@ GOOD_HECKE_BOUND = 20
 
 
 class EigenSymbol(Frozen):
-    """Hecke-eigen functional on a symbol space, one sign at a time.
+    """Hecke-eigen functional on a symbol space, one sign at a time, as an integer table.
 
-    ``vector`` is a left eigenvector of the Hecke matrices (a functional
-    on the homology space).  ``table`` holds its integer value on each
-    P^1(Z/N) element, with content 1, so [r] is the sum of table entries
-    along a unimodular path to r.  ``scale`` multiplies every value and
-    is fixed with ``scaling_mode`` when the symbol is built: 1 for
-    "integral-normalized", the period scalar for "period-calibrated".
+    ``table`` holds its value on each P^1(Z/N) element, with content 1, so
+    [r] is the sum of table entries along a unimodular path to r.  That is
+    the type's one normalization, ``scaling_mode``: a caller that needs the
+    period normalization multiplies by ``calibrate_periods``'s scalar.
+    ``vector``, the table on the free generators, is the same functional on
+    the quotient basis, a left eigenvector of the Hecke matrices.
     ``hecke_bound`` is the largest ell whose T_ell cut the kernel, if above 20.
     """
 
-    __slots__ = (
-        "space", "curve_label", "sign", "vector", "table", "scale", "scaling_mode", "hecke_bound"
-    )
-    _defaults = {
-        "scale": Fraction(1), "scaling_mode": "integral-normalized", "hecke_bound": GOOD_HECKE_BOUND
-    }
+    __slots__ = ("space", "curve_label", "sign", "table", "hecke_bound")
+    _defaults = {"hecke_bound": GOOD_HECKE_BOUND}
+    scaling_mode = "integral-normalized"
+
+    @property
+    def vector(self) -> tuple[int, ...]:
+        return tuple(self.table[j] for j in self.space.free_indices)
 
     def half_value(self, a: int, M: int) -> int:
         """[a/M] for 0 <= a <= M/2 prime to M, in the integral normalization.
@@ -478,11 +479,8 @@ class EigenSymbol(Frozen):
             x, y = y, x % y
         return self.sign * (odd + table[1]) + even
 
-    def raw_value(self, r) -> int:
-        """[r] in the integral normalization, whatever the symbol's scale.
-
-        [r + 1] = [r] and [-r] = sign [r] bring r to a/M with a <= M/2.
-        """
+    def value(self, r) -> int:
+        """[r], brought to a/M with a <= M/2 by [r + 1] = [r] and [-r] = sign [r]."""
         if r is None:
             return 0
         r = Fraction(r)
@@ -490,11 +488,7 @@ class EigenSymbol(Frozen):
         a = r.numerator % M
         return self.half_value(a, M) if 2 * a <= M else self.sign * self.half_value(M - a, M)
 
-    def value(self, r) -> int | Fraction:
-        v = self.raw_value(r)
-        return v if self.scale == 1 else self.scale * v
-
-    def values_mod(self, M: int) -> dict[int, int | Fraction]:
+    def values_mod(self, M: int) -> dict[int, int]:
         """[a/M] for all units a mod M, in increasing order, in a new dict.
 
         Only a < M/2 is walked: [(M - a)/M] = [-a/M] = sign [a/M].
@@ -505,13 +499,7 @@ class EigenSymbol(Frozen):
         walk = self.walk
         half = [walk(M, min(b := pow(a, -1, M), M - b)) for a in low]
         vals = half + [self.sign * v for v in reversed(half)]
-        if self.scale != 1:
-            vals = [self.scale * v for v in vals]
         return dict(zip(low + [M - a for a in reversed(low)], vals))
-
-    def calibrated(self, lam: Fraction) -> "EigenSymbol":
-        """The period-calibrated symbol lam * [r], as a new value."""
-        return self._replace(scale=Fraction(lam), scaling_mode="period-calibrated")
 
 
 _Q = 2**31 - 1  # the eigen kernel's prime
@@ -652,13 +640,11 @@ def eigen_symbol(space: ModularSymbolSpace, curve: CurveData, sign: int) -> Eige
             )
         table = [sum(basis[0][t] * v for t, v in row) for row in reduction]
     content = gcd(*table)
-    table = tuple(v // content for v in table)
-    vec = tuple(table[j] for j in space.free_indices)  # generator k's row is ((k, 1),)
-    sym = EigenSymbol(space, curve.label, sign, vec, table, hecke_bound=bound)
+    sym = EigenSymbol(space, curve.label, sign, tuple(v // content for v in table), bound)
     # sign normalization
-    anchor = sym.raw_value(0) if sign == 1 else 0
-    if anchor < 0 or (anchor == 0 and next((v for v in vec if v != 0), 1) < 0):
-        sym = sym._replace(vector=tuple(-v for v in vec), table=tuple(-v for v in table))
+    anchor = sym.value(0) if sign == 1 else 0
+    if anchor < 0 or (anchor == 0 and next((v for v in sym.vector if v != 0), 1) < 0):
+        sym = sym._replace(table=tuple(-v for v in sym.table))
     if bound == GOOD_HECKE_BOUND:  # the a_ell read past it are not in the key
         _eigen_cache[key] = sym
     return sym
@@ -673,8 +659,8 @@ def calibrate_periods(eigen: EigenSymbol, curve: CurveData, oracle=None) -> Frac
     """Pin the rational scalar matching [0]^+ to the numeric L(E,1)/Omega^+.
 
     Returns lambda with lambda * [0]^+_integral = L(E,1)/Omega^+ to
-    relative 1e-6, as a ratio of integers below 1e6; nothing is mutated,
-    and ``eigen.calibrated(lambda)`` gives the period-calibrated symbol.
+    relative 1e-6, as a ratio of integers below 1e6; the caller applies it
+    (``cli theta --mode calibrated`` prints lambda theta^+ + theta^-).
     A curve with L(E,1) = 0 leaves the scalar undetermined at r = 0 and
     raises ``CalibrationUndetermined``.
     """
@@ -687,7 +673,7 @@ def calibrate_periods(eigen: EigenSymbol, curve: CurveData, oracle=None) -> Frac
 
         oracle = lvalue_and_period(curve)
     ratio = oracle.lvalue / oracle.omega_plus
-    base = eigen.raw_value(0)
+    base = eigen.value(0)
     if abs(ratio) <= 1e-9:
         if base != 0:
             raise CalibrationError(

@@ -517,11 +517,11 @@ def _theta_pullback(exp: Fraction, b: int, N: int, grid: int, rel_steps: int) ->
     return _theta_core(s, b, N, grid, rel_steps).scale(pref).shift(shift)
 
 
-def _check_c(pt: TorsionPoint, c: int):
+def _check_c(pt: TorsionPoint, c: int, name: str = "c"):
     if pt.is_zero():
         raise QExpError("the torsion point (0, 0) is excluded")
     if gcd(c, 6 * pt.level) != 1:
-        raise QExpError(f"c = {c} must be prime to 6 N = {6 * pt.level}")
+        raise QExpError(f"{name} = {c} must be prime to 6 N = {6 * pt.level}")
 
 
 def _theta_shift(pt: TorsionPoint, c: int) -> Fraction:
@@ -618,7 +618,7 @@ def check_c_relation(pt: TorsionPoint, c: int, d: int, prec) -> CRelationReport:
     (c-unit at d pt), as truncated series.
     """
     _check_c(pt, c)
-    _check_c(pt, d)
+    _check_c(pt, d, "d")
     prec = Fraction(prec)  # relative: known steps past the (equal) leads
     lhs = siegel_theta_relative(pt, d, prec) ** (c * c) * siegel_theta_relative(
         pt.scaled(c), d, prec

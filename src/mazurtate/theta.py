@@ -1,9 +1,13 @@
 """Mazur-Tate theta elements and their exact identities.
 
 theta_M = sum over units a mod M of [a/M] sigma_a, where [r] = [r]^+ +
-[r]^- is the sum of the two normalized modular-symbol values.  For
+[r]^- is the sum of the curve's two integral-normalized eigen-symbol
+values, so theta_M lies in the integral group ring Z[(Z/M)^x].  For
 M = 1 the element is the singleton [0] = [0]^+ (the minus part of r = 0
-vanishes by isotypy).
+vanishes by isotypy).  The period normalization is the one rational
+scalar lambda of ``modsym.calibrate_periods`` on the + part; it is applied
+only where a value is reported in it: ``integrality_report(..., lam)``
+and ``theta --mode calibrated``, which print lambda theta^+ + theta^-.
 
 The projection of theta_{M ell} down one prime level satisfies a
 three-term relation.  Two candidate shapes are implemented and checked
@@ -23,8 +27,6 @@ variant A, and each tower's projectivity check certifies it there.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .curves import CurveData
 from .groupring import (
     DirichletCharacter,
@@ -40,12 +42,12 @@ from .records import Record
 
 
 class ThetaElement(Record):
-    __slots__ = ("curve_label", "modulus", "element", "plus", "minus", "scaling_mode")
+    __slots__ = ("curve_label", "modulus", "element", "plus", "minus")
 
-    def coefficient(self, a: int) -> int | Fraction:
+    def coefficient(self, a: int) -> int:
         return self.element.coeffs[a % self.modulus]
 
-    def augmentation(self) -> int | Fraction:
+    def augmentation(self) -> int:
         return self.element.augmentation()
 
     def is_zero(self) -> bool:
@@ -55,33 +57,22 @@ class ThetaElement(Record):
 _theta_cache: dict[tuple, ThetaElement] = {}
 
 
-def theta_element(curve: CurveData, M: int, pair=None) -> ThetaElement:
+def theta_element(curve: CurveData, M: int) -> ThetaElement:
     """The group-ring element sum_a [a/M] sigma_a over (Z/M)^x.
 
-    Cached by the curve model, M and the symbol pair, which carries its
-    own normalization; a pair in two normalizations reports both.
+    Cached by the curve model, M and the symbol pair ``eigen_pair`` reads,
+    which also keys on the curve's a_ell.
     """
     if M < 1:
         raise ValueError("modulus must be >= 1")
-    if pair is None:
-        pair = eigen_pair(curve)
-    plus_sym, minus_sym = pair
+    plus_sym, minus_sym = eigen_pair(curve)
     key = (curve.a_invariants, curve.conductor, M, plus_sym, minus_sym)
     if key in _theta_cache:
         return _theta_cache[key]
     plus = GroupRingElement(M, plus_sym.values_mod(M))
     minus = GroupRingElement(M, minus_sym.values_mod(M))
-    if plus_sym.scaling_mode == minus_sym.scaling_mode:
-        mode = plus_sym.scaling_mode
-    else:
-        mode = f"plus {plus_sym.scaling_mode}, minus {minus_sym.scaling_mode}"
     theta = ThetaElement(
-        curve_label=curve.label,
-        modulus=M,
-        element=plus + minus,
-        plus=plus,
-        minus=minus,
-        scaling_mode=mode,
+        curve_label=curve.label, modulus=M, element=plus + minus, plus=plus, minus=minus
     )
     _theta_cache[key] = theta
     return theta
@@ -100,20 +91,18 @@ class NormRelationReport(Record):
     )
 
 
-def check_norm_relation(curve: CurveData, M: int, ell: int, pair=None) -> NormRelationReport:
+def check_norm_relation(curve: CurveData, M: int, ell: int) -> NormRelationReport:
     """Evaluate both three-term relation variants at (M, ell), exactly."""
     if not is_prime(ell):
         raise ValueError(f"{ell} must be prime")
     if curve.conductor % ell == 0:
         raise ValueError(f"{ell} divides the conductor; the relation needs good ell")
-    if pair is None:
-        pair = eigen_pair(curve)
-    lhs = project(theta_element(curve, M * ell, pair).element, M)
-    theta_m = theta_element(curve, M, pair).element
+    lhs = project(theta_element(curve, M * ell).element, M)
+    theta_m = theta_element(curve, M).element
     head = theta_m.scale(curve.ap(ell))
     if M % ell == 0:
         branch = "ell | M"
-        tail = norm_map(theta_element(curve, M // ell, pair).element, M)
+        tail = norm_map(theta_element(curve, M // ell).element, M)
     else:
         branch = "ell good"
         # sigma_shift is the identity at M = 1, where pow(ell, -1, 1) is 0
@@ -149,12 +138,11 @@ def adjudicate_norm_relations(curves, max_product: int = 150) -> AdjudicationSum
     reports = []
     statuses = set()
     for curve in curves:
-        pair = eigen_pair(curve)
         for ell in primes_up_to(max_product):
             if curve.conductor % ell == 0:
                 continue
             for M in range(1, max_product // ell + 1):
-                rep = check_norm_relation(curve, M, ell, pair)
+                rep = check_norm_relation(curve, M, ell)
                 reports.append(rep)
                 if rep.status != "indeterminate":
                     statuses.add(rep.status)
@@ -174,10 +162,10 @@ class TwistedValue(Record):
     __slots__ = ("curve_label", "character_modulus", "parity", "value")
 
 
-def twisted_lvalue_avatar(curve: CurveData, chi: DirichletCharacter, pair=None) -> TwistedValue:
+def twisted_lvalue_avatar(curve: CurveData, chi: DirichletCharacter) -> TwistedValue:
     """chi(theta_d): the exact avatar of tau(chi) L(E, chi_bar, 1) / Omega^{chi(-1)}."""
     d = chi.modulus
-    theta = theta_element(curve, d, pair)
+    theta = theta_element(curve, d)
     value = eval_character(theta.element, chi)
     return TwistedValue(curve.label, d, chi.parity(), value)
 
@@ -198,18 +186,24 @@ class IntegralityReport(Record):
         )
 
 
-def integrality_report(curve: CurveData, p: int, n: int, pair=None) -> IntegralityReport:
-    """p-integrality of theta at modulus p^n in the current scaling mode."""
+def integrality_report(curve: CurveData, p: int, n: int, lam=None) -> IntegralityReport:
+    """p-integrality of theta at modulus p^n, or of lam theta^+ + theta^- given
+    the period scalar lam of the + part."""
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
-    theta = theta_element(curve, p**n, pair)
+    theta = theta_element(curve, p**n)
+    if lam is None:
+        element, mode = theta.element, "integral-normalized"
+    else:
+        element = theta.plus.scale(lam) + theta.minus
+        mode = "plus period-calibrated, minus integral-normalized"
     # an all-zero theta is p-integral, with clearing exponent 0
-    worst = min((valuation(v, p) for v in theta.element.coeffs.values() if v), default=0)
+    worst = min((valuation(v, p) for v in element.coeffs.values() if v), default=0)
     return IntegralityReport(
         curve_label=curve.label,
         prime=p,
         level_exponent=n,
-        scaling_mode=theta.scaling_mode,
+        scaling_mode=mode,
         p_integral=worst >= 0,
         clearing_exponent=max(0, -worst),
     )

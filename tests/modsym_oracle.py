@@ -235,7 +235,7 @@ def oracle_eigen_symbol(space, curve, sign) -> tuple[tuple, tuple]:
     content = gcd(*ints)
     vec = tuple(Fraction(v * den, content) for v in vec)
     table = tuple(v // content for v in ints)
-    anchor = EigenSymbol(space, curve.label, sign, vec, table).raw_value(0) if sign == 1 else 0
+    anchor = EigenSymbol(space, curve.label, sign, table).value(0) if sign == 1 else 0
     if anchor < 0 or (anchor == 0 and next(v for v in vec if v) < 0):
         vec, table = tuple(-v for v in vec), tuple(-v for v in table)
     return vec, table

@@ -86,6 +86,28 @@ def test_plfunc_reports_an_unstable_reading(capsys, monkeypatch):
     assert outputs["iwasawa"] == {"lambda": "0", "mu": "1", "layer": "3", "stable": False}
 
 
+def test_plfunc_reports_insufficient_precision(capsys):
+    # mu >= k leaves lambda unread at this precision, and the output says so
+    code, out, _ = run(
+        capsys, "plfunc", "11a1", "-p", "5", "-k", "1", "-n", "3", "--json", "--no-timing"
+    )
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["iwasawa"] == "unavailable: precision insufficient: mu >= k = 1 at layer 3"
+
+
+def test_plfunc_lets_a_bug_in_the_invariants_propagate(capsys, monkeypatch):
+    # only a PrecisionError reads as "unavailable"; any other error is a bug
+    import mazurtate.padic as padic
+
+    def broken(tower):
+        raise RuntimeError("broken reading")
+
+    monkeypatch.setattr(padic, "iwasawa_invariants", broken)
+    with pytest.raises(RuntimeError, match="broken reading"):
+        main(["plfunc", "11a1", "-p", "3", "-k", "4", "-n", "3", "--no-timing"])
+
+
 def test_plfunc_prints_residue_witnesses(capsys, monkeypatch):
     # the variant-B tower is neither projective nor interpolating (see
     # test_wrong_variant_is_not_projective); the lines below were recorded
@@ -194,6 +216,33 @@ def test_theta_calibrated_states_normalization(capsys):
     assert "normalization" not in outputs
 
 
+# SHA-256 of `theta <label> <M> --mode calibrated --json --no-timing`,
+# recorded when a calibrated EigenSymbol carried the period scalar into
+# theta_element; lam theta^+ + theta^- from the integral element must print
+# the same bytes
+PINNED_THETA_CALIBRATED = {
+    ("11a1", "25"): "ab0ad07058453935493598329c9e99dbed4ebf6359f46ba4d3366a660c75fea3",
+    ("11a3", "7"): "393ab91ec4c3371bbff581a74534cee4bffd5846fef92701ac54ed89e93cba8d",
+    ("32a", "9"): "f9fbe1a32c8a7bd575e160ff530219edd8719283288f94b6765e4ec83b9b5631",
+}
+
+
+@pytest.mark.parametrize("label, modulus", list(PINNED_THETA_CALIBRATED))
+def test_theta_calibrated_output_pinned(capsys, label, modulus):
+    argv = ("theta", label, modulus, "--mode", "calibrated", "--json", "--no-timing")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == PINNED_THETA_CALIBRATED[label, modulus]
+
+
+def test_theta_calibrated_undetermined_at_rank_one(capsys):
+    # L(37a1, 1) = 0 pins no period scalar, so there is no calibrated theta
+    code, out, err = run(capsys, "theta", "37a1", "5", "--mode", "calibrated", "--no-timing")
+    assert (code, out) == (2, "")
+    assert err == "error: calibration undetermined at r=0\n"
+
+
 def test_qexp_gated_weight_two(capsys):
     code, _, err = run(
         capsys, "qexp", "f", "--point", "1/5,0/5", "--weight", "2", "--no-timing"
@@ -217,6 +266,14 @@ def test_qexp_c_relation(capsys):
         "--no-timing",
     )
     assert code == 0 and "[  ok]" in out
+
+
+@pytest.mark.parametrize("flag", ["--c", "--d"])
+def test_qexp_c_relation_names_the_bad_parameter(capsys, flag):
+    # c and d must each be prime to 6 N = 30 at the default point 0/5,1/5
+    code, out, err = run(capsys, "qexp", "c-relation", flag, "5", "--no-timing")
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag[2:]} = 5 must be prime to 6 N = 30\n"
 
 
 @pytest.mark.parametrize(

@@ -186,8 +186,6 @@ class _ShiftedValues:
     so delta_ell must not see it.
     """
 
-    scaling_mode = "integral-normalized"
-
     def __init__(self, base, shift):
         self.base = base
         self.shift = shift

@@ -22,6 +22,7 @@ from mazurtate import modsym
 from mazurtate.curves import CurveData, curve_by_label
 from mazurtate.modsym import (
     CalibrationError,
+    EigenSymbol,
     ModularSymbolSpace,
     NotNewformError,
     build_space,
@@ -217,7 +218,7 @@ def test_table_values_match_homology_classes(label, part, a, b):
     for decomp in (unimodular_path, unimodular_path_hj):
         dense = sum(v * w for v, w in zip(sym.vector, space.path_vector(r, decomp)))
         assert sum(sym.table[space.p1_index(c, d)] for c, d in decomp(r)) == dense
-        assert sym.raw_value(r) == dense
+        assert sym.value(r) == dense
 
 
 def test_unimodular_paths_are_unimodular():
@@ -261,16 +262,11 @@ def test_eigen_cache_keyed_by_the_eigenvalues_it_reads():
 def test_calibration_11a1(pair11, c11):
     plus, _ = pair11
     lam = calibrate_periods(plus, c11)
-    assert lam * plus.raw_value(0) == Fraction(1, 5)
-    calibrated = plus.calibrated(lam)
-    assert calibrated.scaling_mode == "period-calibrated"
-    assert calibrated.value(0) == Fraction(1, 5)
+    assert lam * plus.value(0) == Fraction(1, 5)
     assert plus.scaling_mode == "integral-normalized" and plus.value(0) == 2
-    # covariance: scaling the integral vector by 2 halves lambda
-    doubled = plus._replace(
-        vector=tuple(2 * v for v in plus.vector),
-        table=tuple(2 * v for v in plus.table),
-    )
+    # covariance: scaling the integral table by 2 halves lambda
+    doubled = plus._replace(table=tuple(2 * v for v in plus.table))
+    assert doubled.vector == tuple(2 * v for v in plus.vector)
     lam2 = calibrate_periods(doubled, c11)
     assert lam2 == lam / 2
 
@@ -279,26 +275,29 @@ def test_calibration_11a3():
     # L(E,1)/Omega^+ = 1/25 for 11a3 and [0]^+ = 2, so lambda = 1/50 exactly
     curve = curve_by_label("11a3")
     plus = eigen_pair(curve)[0]
-    assert plus.raw_value(0) == 2
+    assert plus.value(0) == 2
     assert calibrate_periods(plus, curve) == Fraction(1, 50)
 
 
 def test_eigen_symbols_are_frozen(pair11):
     plus, _ = pair11
-    for name in ("table", "scale", "scaling_mode"):
+    for name in ("table", "vector", "scaling_mode"):
         with pytest.raises(AttributeError):
             setattr(plus, name, None)
+    assert EigenSymbol.__slots__ == ("space", "curve_label", "sign", "table", "hecke_bound")
 
 
-def test_calibration_leaves_shared_symbols_alone(c11):
-    # calibration makes a new symbol; the cached one that every later
-    # caller shares stays integral-normalized
+def test_calibration_leaves_shared_symbols_alone(c11, capsys):
+    # the period scalar is applied at the CLI edge; the cached symbols and
+    # theta elements that every later caller shares stay integral-normalized
+    from mazurtate.cli import main
     from mazurtate.kurihara import kurihara_number, sieve_admissible
 
-    plus = eigen_pair(c11)[0]
-    plus.calibrated(calibrate_periods(plus, c11))
+    calibrate_periods(eigen_pair(c11)[0], c11)
+    assert main(["theta", "11a1", "1", "--mode", "calibrated", "--no-timing"]) == 0
+    assert "sigma_0 = 1/5" in capsys.readouterr().out
     fresh = curve_by_label("11a1")
-    assert eigen_pair(fresh)[0].scaling_mode == "integral-normalized"
+    assert eigen_pair(fresh)[0].value(0) == 2
     assert theta_element(fresh, 1).element.coeffs[0] == 2
     aset = sieve_admissible(fresh, 3, 1, 200)
     assert kurihara_number(fresh, 1, 3, 1, aset).value == 2
@@ -448,7 +447,7 @@ def test_level_4999_passes_dimension_check(capsys):
 
 
 # ---------------------------------------------------------------------------
-# The Euclid-chain walk behind raw_value and values_mod
+# The Euclid-chain walk behind value and values_mod
 
 def _symbol(label, part):
     return eigen_pair(curve_by_label(label))[part]
@@ -491,7 +490,7 @@ def test_table_star_identity(label, part):
 @example("389a1", 1, Fraction(999_999, 1_000_000))
 def test_walk_matches_unimodular_path(label, part, r):
     sym = _symbol(label, part)
-    assert sym.raw_value(r) == _path_sum(sym, r)
+    assert sym.value(r) == _path_sum(sym, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -522,13 +521,12 @@ def test_values_mod_examples(label, M):
 
 
 @pytest.mark.parametrize("M", [1, 2, 35, 1393])
-def test_calibrated_values_mod_scales_every_value(pair11, M):
-    plus = pair11[0]
-    lam = Fraction(3, 7)
-    scaled = plus.calibrated(lam).values_mod(M)
-    assert scaled == {a: lam * v for a, v in plus.values_mod(M).items()}
-    assert list(scaled) == list(units_mod(M))
-    assert all(isinstance(v, Fraction) for v in scaled.values())
+def test_values_mod_holds_only_ints(pair11, M):
+    # the engine has one normalization: every symbol value is an int
+    for sym in pair11:
+        values = sym.values_mod(M)
+        assert list(values) == list(units_mod(M))
+        assert all(type(v) is int for v in values.values())
 
 
 # ---------------------------------------------------------------------------
