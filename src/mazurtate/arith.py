@@ -10,9 +10,10 @@ Conventions
   integer coordinates over one common denominator; Phi_L is monic, so
   every reduction stays in the integers.  Products require equal
   conductors; use ``cyc_embed`` to move into a joint field first.
-* ``poly_mac``, ``cyc_scatter`` and ``binary_power`` are the one kernel on
-  those integer rows: ``CycElt`` and ``qexp.QSeries`` both multiply, embed,
-  conjugate and power through them.
+* ``poly_mac`` and ``cyc_scatter`` are the one kernel on those integer
+  rows: ``CycElt`` and ``qexp.QSeries`` both multiply, embed and conjugate
+  through them.  ``binary_power`` powers ``CycElt`` only; a series is
+  powered by Miller's recurrence in ``qexp``.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, gcd, isqrt, lcm
 
-from .arith import CycElt, binary_power, cyc_embed, cyc_scatter, poly_mac, reduce_mod_cyclotomic
+from .arith import CycElt, cyc_embed, cyc_scatter, poly_mac, reduce_mod_cyclotomic
 from .nt import euler_phi
 from .records import Frozen, Record
 
@@ -81,13 +81,15 @@ class QSeries:
     canonical (den > 0, gcd(den, every entry) = 1, no zero row at either
     end), so den is the lcm of the coefficients' own denominators and
     equal series have equal fields.  The constructor takes ``CycElt``
-    coefficients; ``coeffs`` is their read-only view, built on first use.
+    coefficients and embeds each into Q(zeta_L), refusing one whose
+    conductor does not divide L; ``coeffs`` is their read-only view,
+    built on first use.
     """
 
     __slots__ = ("grid", "start", "rows", "den", "trunc", "conductor", "_coeffs")
 
     def __init__(self, grid: int, start: int, coeffs, trunc: int, conductor: int):
-        coeffs = list(coeffs)
+        coeffs = [cyc_embed(c, conductor) for c in coeffs]
         den = lcm(1, *(c.den for c in coeffs))
         rows = [[v * (den // c.den) for v in c.num] for c in coeffs]
         self._set(grid, start, rows, den, trunc, conductor)
@@ -284,22 +286,13 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def _wide(self, m: int) -> bool:
-        """Whether u^m outgrows the packed product: |m| width(u) > 32 n.
-
-        width(u) is the bit length of the largest numerator over the common
-        denominator plus that of the denominator.
-        """
-        top = max(max(map(abs, r)) for r in self.rows)
-        width = top.bit_length() + self.den.bit_length()
-        return abs(m) * width > _KRONECKER_BITS_PER_TERM * (self.trunc - self.start)
-
-    def _miller_power(self, m) -> "QSeries":
+    def __pow__(self, m) -> "QSeries":
         """u^m for a rational m = a/b by J. C. P. Miller's recurrence (Knuth, TAOCP 2, 4.7).
 
         For u = u0 q^s (1 + v), g = u^m / q^{ms} has g_0 = u0^m and
         j g_j = sum_{k=1..j} ((m + 1) k - j) v_k g_{j-k}.  A root (b > 1) is
-        taken only of a series with constant term 1 (u0 = 1, s = 0).  With
+        taken only of a series with constant term 1 (u0 = 1, s = 0), and the
+        zero series has only its powers m >= 1, zero to the order m t.  With
         v_k = V_k / D^k and u0^m = P/Q over integers, G_j = (b^2 D)^j Q g_j is
         integral: g_j / u0^m = sum_i C(m, i) [q^j] v^i over i <= j, where
         D^j [q^j] v^i is an integer polynomial in the V_k and b^{2i} C(a/b, i)
@@ -309,7 +302,12 @@ class QSeries:
         rows.  For b = 1 this is D^j Q g_j and ((m + 1) k - j) V_k G_{j-k}.
         """
         a, b = m.numerator, m.denominator
-        L, n, u0 = self.conductor, self.trunc - self.start, self.lead_coefficient()
+        L, n = self.conductor, self.trunc - self.start
+        if self.is_zero():
+            if b > 1 or a < 1:
+                raise QExpError(f"the zero series has no power {m}")
+            return _series(self.grid, a * self.trunc, [], 1, a * self.trunc, L)
+        u0 = self.lead_coefficient()
         if b > 1 and (self.start or u0 != CycElt.one(L)):
             raise QExpError(f"the power {m} needs a series with constant term 1")
         inv = u0.inverse()
@@ -331,40 +329,9 @@ class QSeries:
         s = a * self.start  # b > 1 only at start 0
         return _series(self.grid, s, rows, E ** (n - 1) * lead.den, s + n, L)
 
-    def __pow__(self, m):
-        """u^m for an integer m, or a rational m when u has constant term 1."""
-        if m.denominator > 1 or (m and not self.is_zero() and self._wide(m)):
-            return self._miller_power(m)
-        if m < 0:
-            return self.inverse() ** (-m)
-        if m == 0:
-            return QSeries.one(
-                self.grid, Fraction(self.trunc - self.start, self.grid), self.conductor
-            )
-        return binary_power(self, int(m))
-
     def inverse(self) -> "QSeries":
-        """Reciprocal series; the leading coefficient must be invertible.
-
-        Newton's y <- y (2 - u y) = y + y (1 - u y) doubles the known terms
-        per step; y is exact as a polynomial, so it is read at the new order.
-        A wide series, whose Newton products would run the coefficient loop,
-        takes Miller's recurrence with m = -1, the schoolbook recursion.
-        """
-        if self.is_zero():
-            raise QExpError("cannot invert a series that is zero to its precision")
-        if self._wide(-1):
-            return self._miller_power(-1)
-        g, L = self.grid, self.conductor
-        n = self.trunc - self.start
-        y = QSeries(g, 0, [self.lead_coefficient().inverse()], 1, L)
-        k = 1
-        while k < n:
-            k = min(2 * k, n)
-            u = _series(g, 0, self.rows[:k], self.den, k, L)
-            yk = _series(g, 0, y.rows, y.den, k, L)
-            y = yk + yk * (QSeries.one(g, Fraction(k, g), L) - u * yk)
-        return _series(g, -self.start, y.rows, y.den, n - self.start, L)
+        """Reciprocal series; the leading coefficient must be invertible."""
+        return self ** -1
 
     # -- comparisons -----------------------------------------------------------
 
@@ -492,7 +459,7 @@ def _euler_power(m: int, grid: int, rel_steps: int) -> QSeries:
     on the integer grid.  Miller's recurrence powers it there.
     """
     n = -(-rel_steps // grid)
-    power = _series(1, 0, _theta_core(Fraction(1, 3), 0, 1, 3, n).rows, 1, n, 1)._miller_power(m)
+    power = _series(1, 0, _theta_core(Fraction(1, 3), 0, 1, 3, n).rows, 1, n, 1) ** m
     return power.refine(grid).truncate(Fraction(rel_steps, grid))
 
 
@@ -556,8 +523,8 @@ def siegel_theta_qexp(pt: TorsionPoint, c: int, prec) -> QSeries:
     if rel <= 0:
         return QSeries.zero(grid, prec, N)
     n = _to_idx(rel, grid)
-    part_a = _theta_pullback(Fraction(pt.a, N), pt.b, N, grid, n)._miller_power(c * c)
-    part_b = _theta_pullback(Fraction(pt.a * c, N), pt.b * c, N, grid, n)._miller_power(-1)
+    part_a = _theta_pullback(Fraction(pt.a, N), pt.b, N, grid, n) ** (c * c)
+    part_b = _theta_pullback(Fraction(pt.a * c, N), pt.b * c, N, grid, n) ** -1
     sign = CycElt.rational(-1 if m_exp % 2 else 1, N)
     pref = sign * CycElt.zeta(N, pt.b * m_exp)
     out = (part_a * _euler_power(1 - c * c, grid, n) * part_b).scale(pref).shift(lead + b_shift)

@@ -54,27 +54,29 @@ class ThetaElement(Record):
         return self.element.is_zero()
 
 
-_theta_cache: dict[tuple, ThetaElement] = {}
+_theta_cache: dict[tuple, tuple] = {}
 
 
 def theta_element(curve: CurveData, M: int) -> ThetaElement:
     """The group-ring element sum_a [a/M] sigma_a over (Z/M)^x.
 
-    Cached by the curve model, M and the symbol pair ``eigen_pair`` reads,
-    which also keys on the curve's a_ell.
+    Cached by the curve model and M next to the symbol pair it was read
+    from; a hit needs that very pair (``is``) from ``eigen_pair``, which
+    keys on the curve's a_ell, so no lookup hashes a symbol table.
     """
     if M < 1:
         raise ValueError("modulus must be >= 1")
     plus_sym, minus_sym = eigen_pair(curve)
-    key = (curve.a_invariants, curve.conductor, M, plus_sym, minus_sym)
-    if key in _theta_cache:
-        return _theta_cache[key]
+    key = (curve.a_invariants, curve.conductor, M)
+    cached = _theta_cache.get(key)
+    if cached and cached[0] is plus_sym and cached[1] is minus_sym:
+        return cached[2]
     plus = GroupRingElement(M, plus_sym.values_mod(M))
     minus = GroupRingElement(M, minus_sym.values_mod(M))
     theta = ThetaElement(
         curve_label=curve.label, modulus=M, element=plus + minus, plus=plus, minus=minus
     )
-    _theta_cache[key] = theta
+    _theta_cache[key] = plus_sym, minus_sym, theta
     return theta
 
 

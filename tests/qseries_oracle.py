@@ -5,8 +5,8 @@ truncation rules of ``QSeries``: a sum is known to the smaller order, a
 product to min(t1 + lead2, t2 + lead1), an inverse or power to as many
 terms past its lead as the input.  The fast paths of ``mazurtate.qexp``
 are checked against them: sums of integer rows against CycElt sums, the
-Kronecker product and the Newton inverse against the schoolbook ones,
-Miller's power recurrence against repeated schoolbook products and its
+Kronecker product against the schoolbook one, Miller's power recurrence
+against the schoolbook inverse and repeated schoolbook products and its
 rational powers against exp(m log u), the triple product's theta times
 E^{-1} against the product of binomials, the powers of Euler's E against
 schoolbook powers of its binomial product and E^{-1} against the partition

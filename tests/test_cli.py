@@ -543,8 +543,8 @@ def test_msym_5077a1_output_pinned(capsys):
 
 # SHA-256 of the --json --no-timing output, recorded with the schoolbook
 # series product and inverse, the product of binomials for gamma and a
-# dict of CycElt terms for the dlog sums; the packed product, the Newton
-# inverse, Miller's power recurrence, the triple-product gamma and the
+# dict of CycElt terms for the dlog sums; the packed product, Miller's
+# recurrence for every power and inverse, the triple-product gamma and the
 # integer-row dlog sums must print the same bytes
 PINNED_QEXP = {
     "siegel": (

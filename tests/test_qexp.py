@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qseries_oracle import (
@@ -22,7 +22,7 @@ from qseries_oracle import (
 from tate_oracle import TateExpansion, gamma_tate, theta_numerator_tate, theta_pullback_product
 
 from mazurtate import qexp
-from mazurtate.arith import CycElt, cyc_embed
+from mazurtate.arith import ConductorMismatch, CycElt, cyc_embed
 from mazurtate.nt import euler_phi
 from mazurtate.qexp import (
     GatedFeatureError,
@@ -154,7 +154,7 @@ def test_product_matches_schoolbook_oracle(data):
 
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_newton_inverse_matches_schoolbook_oracle(data):
+def test_inverse_matches_schoolbook_oracle(data):
     L = data.draw(st.sampled_from([1, 5, 7, 12, 35]))
     # a dense lead in Q(zeta_35) has an inverse of 24 times its height,
     # which both inverses read the same way; keep it a monomial there
@@ -281,18 +281,14 @@ def test_product_wide_and_narrow_inside_siegel_workload(monkeypatch):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_power_matches_repeated_schoolbook_products(data):
-    wide = data.draw(st.booleans())
     L = data.draw(st.sampled_from([1, 5, 7, 12]))
     x = _draw_series(data, L, data.draw(st.sampled_from([1, 2])), max_terms=8)
-    # Miller's recurrence iff |m| width(x) > 32 n; m = 0 is always narrow
-    ms = [m for m in range(-3, 131) if (m != 0 and x._wide(m)) == wide]
-    assume(ms)
-    m = data.draw(st.sampled_from(ms))
+    m = data.draw(st.integers(-3, 130))
     assert canonical(x**m) == canonical(schoolbook_power(x, m))
 
 
 @given(data=st.data())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 def test_rational_power_matches_exp_of_scaled_log(data):
     L = data.draw(st.sampled_from([1, 5, 7, 12]))
     x = _draw_series(data, L, data.draw(st.sampled_from([1, 2])), max_terms=8)
@@ -315,13 +311,24 @@ def test_rational_power_refuses_constant_term_other_than_1(start, lead):
     assert canonical(x ** F(4, 2)) == canonical(x**2)  # an integral exponent is a power
 
 
-def test_rational_power_takes_miller_recurrence(monkeypatch):
-    calls = _spy(monkeypatch, "_miller_power")
-    u = _series(1, 0, [1, 1], 6)  # narrow, so u ** 3 stays packed
-    u**3
-    assert not calls
-    u ** F(1, 3)
-    assert calls == [(u, F(1, 3))]
+def test_constructor_embeds_coefficients_into_its_field():
+    # a rational lead takes a full Q(zeta_5) row, so the series inverts
+    x = QSeries(1, 0, [CycElt.rational(2), CycElt.one(5)], 4, 5)
+    assert x.rows[0] == [2, 0, 0, 0] and x.coeffs[0] == CycElt.rational(2, 5)
+    assert canonical(x.inverse()) == canonical(schoolbook_inverse(x))
+    with pytest.raises(ConductorMismatch):
+        QSeries(1, 0, [CycElt.zeta(7)], 3, 5)
+
+
+@pytest.mark.parametrize("m", [0, 3, -1, F(1, 2)])
+def test_zero_series_powers(m):
+    zero = QSeries.zero(2, F(3, 2), 5)  # zero to the order 3 steps of 1/2
+    if m == 3:  # the product rule's order m t, as for zero * zero * zero
+        assert (zero**3).is_zero() and (zero**3).trunc == 9
+        assert (zero**3).trunc == (zero * zero * zero).trunc
+    else:
+        with pytest.raises(QExpError):
+            zero**m
 
 
 def _spy(monkeypatch, name):
@@ -343,37 +350,34 @@ def _spy(monkeypatch, name):
         (8, 12, -49, True),
     ],
 )
-def test_power_selection_rule(monkeypatch, bits, terms, m, wide):
-    # Miller's recurrence iff |m| (bits(max|num|) + bits(den)) > 32 n
-    calls = _spy(monkeypatch, "_miller_power")
+def test_power_selection_rule(bits, terms, m, wide):
+    # wide marks |m| (bits(max|num|) + bits(den)) > 32 n, where the packed
+    # product stops paying for a square; the recurrence takes both sides
     x = _dense_series(bits, terms)
     got = x.inverse() if m == -1 else x**m
     assert canonical(got) == canonical(schoolbook_power(x, m))
-    assert bool(calls) == wide
 
 
 def test_power_paths_inside_siegel_workload(monkeypatch):
-    # each Siegel pullback takes three recurrences, theta^{c^2}, theta^{-1}
-    # and E^{1-c^2}; c-relation's two outer powers (** 49, ** 121) take it
-    # too, and no inverse of c-relation is wide
-    calls = _spy(monkeypatch, "_miller_power")
+    # each Siegel pullback takes three powers, theta^{c^2}, theta^{-1} and
+    # E^{1-c^2}; c-relation adds two outer powers (** 49, ** 121) and two
+    # inverses, each one ** -1
+    calls = _spy(monkeypatch, "__pow__")
     siegel_theta_qexp(TorsionPoint(1, 2, 7), 5, 16)
     assert [m for _, m in calls] == [25, -1, -24]
     calls.clear()
     assert check_c_relation(TorsionPoint(0, 1, 5), 7, 11, 12).holds
     assert sorted(m for _, m in calls) == [
-        -120, -120, -48, -48, -1, -1, -1, -1, 49, 49, 49, 121, 121, 121
+        -120, -120, -48, -48, -1, -1, -1, -1, -1, -1, 49, 49, 49, 121, 121, 121
     ]
 
 
 def test_siegel_pullback_takes_no_inverse_and_two_packed_products(monkeypatch):
     inverses = _spy(monkeypatch, "inverse")
-    packed, powers = [], []
-    kronecker, power = qexp._kronecker, qexp.binary_power
+    packed, kronecker = [], qexp._kronecker
     monkeypatch.setattr(qexp, "_kronecker", lambda *a: packed.append(1) or kronecker(*a))
-    monkeypatch.setattr(qexp, "binary_power", lambda *a: powers.append(1) or power(*a))
     siegel_theta_qexp(TorsionPoint(1, 2, 7), 5, 16)
-    assert not inverses and not powers
+    assert not inverses
     assert len(packed) <= 2
 
 
@@ -439,10 +443,10 @@ def test_miller_over_sparse_rows_matches_schoolbook_power(data):
     L = data.draw(st.sampled_from([1, 5, 7, 12]))
     x = _sparse_series(data, L, unit_lead=False)
     m = data.draw(st.sampled_from([-1, -1, -2, -3, 2, 3, 4, 7]))
-    assert canonical(x._miller_power(m)) == canonical(schoolbook_power(x, m))
+    assert canonical(x**m) == canonical(schoolbook_power(x, m))
     u = _sparse_series(data, L, unit_lead=True)
     b = data.draw(st.sampled_from([2, 3, 4, 9]))
-    root = u._miller_power(F(1, b))
+    root = u ** F(1, b)
     assert root.start == 0 and root.lead_coefficient() == CycElt.one(L)
     assert canonical(schoolbook_power(root, b)) == canonical(u)
 

@@ -160,6 +160,18 @@ def test_caches_keyed_by_curve_model_not_label(tmp_path, c11, c37):
     assert theta_element(impostor, 7).element == theta_element(c37, 7).element
 
 
+def test_theta_cache_hit_hashes_no_symbol_table(monkeypatch, c11):
+    # a hit compares the symbol pair by identity, so it never hashes a table
+    from mazurtate.modsym import EigenSymbol
+
+    def unhashable(self):
+        raise AssertionError("a theta cache hit hashed an eigen-symbol")
+
+    first = theta_element(c11, 13)
+    monkeypatch.setattr(EigenSymbol, "__hash__", unhashable)
+    assert theta_element(c11, 13) is first
+
+
 @pytest.mark.parametrize("M, ell, witness_b", [(2, 2, (1, 14, 12)), (3, 2, (1, 12, 14))])
 def test_norm_relation_sides_stay_integral(c11, M, ell, witness_b):
     # a_ell and ell scale the integer theta elements as ints, not Fractions
