@@ -226,22 +226,20 @@ def cmd_theta(args) -> RunReport:
         # the + part only (no Omega^- calibration exists): lam theta^+ + theta^-
         lam = modsym.calibrate_periods(modsym.eigen_pair(curve)[0], curve)
     theta_m = theta.theta_element(curve, args.modulus)
-    plus, minus = theta_m.plus.scale(lam), theta_m.minus
-    element = plus + minus
+    coeffs = theta_m.calibrated(lam)
     report = RunReport(
         "theta", {"label": args.label, "M": args.modulus, "mode": args.mode}
     )
-    report.outputs["coefficients"] = {
-        f"sigma_{a}": v for a, v in sorted(element.coeffs.items())
-    }
+    report.outputs["coefficients"] = {f"sigma_{a}": v for a, v in sorted(coeffs.items())}
     if args.mode == "calibrated":
         report.outputs["normalization"] = {
             "plus": "period-calibrated",
             "minus": modsym.EigenSymbol.scaling_mode,
         }
-    report.outputs["augmentation"] = element.augmentation()
-    flip = element.conjugation_flip()
-    cov = all(flip.coeffs[a] == plus.coeffs[a] - minus.coeffs[a] for a in element.coeffs)
+    report.outputs["augmentation"] = sum(coeffs.values())
+    # complex conjugation a |-> -a fixes the + part and negates the - part
+    plus, minus, M = theta_m.plus.coeffs, theta_m.minus.coeffs, args.modulus
+    cov = all(coeffs[-a % M] == lam * plus[a] - minus[a] for a in coeffs)
     report.checks.append(Check.of("conjugation covariance", cov))
     return report
 

@@ -1,24 +1,23 @@
-"""Arithmetic in R[(Z/mZ)^x]: projections, norms, characters, derivatives.
+"""Arithmetic in Z[(Z/mZ)^x]: projections, norms, characters, derivatives.
 
 Group elements sigma_a are indexed by the unit residues a of Z/mZ under
 the fixed identification a <-> (zeta_m |-> zeta_m^a); for m = 1 the
-single residue 0 stands for the identity.  Coefficients are stored
-densely (one entry per unit) and may be int, Fraction or CycElt (a
-p-adic tower layer holds ints read mod p^k); binary operations require
-equal moduli.
+single residue 0 stands for the identity.  Coefficients are ints, stored
+densely (one entry per unit): theta values, p-adic tower residues read
+mod p^k, Kolyvagin derivatives.  Binary operations require equal moduli.
 
 Dirichlet characters are stored by their images on an internally
 computed generating set of (Z/dZ)^x, as exponents of a fixed root of
 unity of order the group exponent; values are exact ``CycElt`` roots of
-unity in the field of the character's order.
+unity in the field of the character's order; a character sum adds the
+integer coefficients on one row of Z[x]/(x^L - 1), reduced once.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import CycElt, ModulusMismatch, cyc_embed
+from .arith import CycElt, ModulusMismatch, reduce_mod_cyclotomic
 from .nt import (
     divisors,
     is_prime,
@@ -31,16 +30,20 @@ from .records import Frozen
 
 
 class GroupRingElement:
-    """Element of R[(Z/mZ)^x] with dense unit-indexed coefficients."""
+    """Element of Z[(Z/mZ)^x] with dense unit-indexed integer coefficients."""
 
     __slots__ = ("modulus", "coeffs")
 
     def __init__(self, modulus: int, coeffs: dict):
+        if modulus < 1:
+            raise ValueError("modulus must be >= 1")
         normalized = {}
         for a, v in coeffs.items():
             key = a % modulus
             if gcd(key, modulus) != 1:
                 raise ValueError(f"{a} is not a unit mod {modulus}")
+            if not isinstance(v, int):
+                raise TypeError(f"coefficient of sigma_{a} is a {type(v).__name__}, not an int")
             normalized[key] = v
         # the keys are distinct units, so the counts match only when all are present
         units = units_mod(modulus)
@@ -53,22 +56,16 @@ class GroupRingElement:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(modulus: int, zero_coeff=Fraction(0)) -> "GroupRingElement":
-        return GroupRingElement(
-            modulus, {a: zero_coeff for a in units_mod(modulus)}
-        )
-
-    @staticmethod
-    def delta(modulus: int, a: int, one_coeff=Fraction(1), zero_coeff=Fraction(0)):
-        """The basis element sigma_a."""
-        out = {u: zero_coeff for u in units_mod(modulus)}
-        out[a % modulus] = one_coeff
+    def delta(modulus: int, a: int) -> "GroupRingElement":
+        """The basis element sigma_a; a must be a unit mod modulus."""
+        out = dict.fromkeys(units_mod(modulus), 0)
+        out[a % modulus] = 1
         return GroupRingElement(modulus, out)
 
     @staticmethod
-    def group_sum(modulus: int, one_coeff=Fraction(1)) -> "GroupRingElement":
+    def group_sum(modulus: int) -> "GroupRingElement":
         """N_m = sum of all sigma_a."""
-        return GroupRingElement(modulus, {a: one_coeff for a in units_mod(modulus)})
+        return GroupRingElement(modulus, dict.fromkeys(units_mod(modulus), 1))
 
     # -- basic structure --------------------------------------------------
 
@@ -92,10 +89,7 @@ class GroupRingElement:
             {a: self.coeffs[a] - other.coeffs[a] for a in self.coeffs},
         )
 
-    def __neg__(self):
-        return GroupRingElement(self.modulus, {a: -v for a, v in self.coeffs.items()})
-
-    def scale(self, scalar) -> "GroupRingElement":
+    def scale(self, scalar: int) -> "GroupRingElement":
         return GroupRingElement(
             self.modulus, {a: scalar * v for a, v in self.coeffs.items()}
         )
@@ -111,46 +105,15 @@ class GroupRingElement:
             m, {(a * s) % m: v for a, v in self.coeffs.items()}
         )
 
-    def convolve(self, other: "GroupRingElement") -> "GroupRingElement":
-        """Full group-ring product."""
-        self._check(other)
-        m = self.modulus
-        out: dict = {}
-        for a, va in self.coeffs.items():
-            for b, vb in other.coeffs.items():
-                key = (a * b) % m
-                term = va * vb
-                out[key] = out.get(key) + term if key in out else term
-        for u in units_mod(m):
-            if u not in out:
-                out[u] = 0 * next(iter(self.coeffs.values()))
-        return GroupRingElement(m, out)
-
-    def __mul__(self, other):
-        if isinstance(other, GroupRingElement):
-            return self.convolve(other)
-        return self.scale(other)
-
-    __rmul__ = scale
-
-    def augmentation(self):
+    def augmentation(self) -> int:
         """Sum of all coefficients (evaluation at the trivial character)."""
-        total = None
-        for a in units_mod(self.modulus):
-            v = self.coeffs[a]
-            total = v if total is None else total + v
-        return total
-
-    def conjugation_flip(self) -> "GroupRingElement":
-        """The coefficient relabeling a |-> -a (effect of complex conjugation)."""
-        m = self.modulus
-        return GroupRingElement(m, {(-a) % m: v for a, v in self.coeffs.items()})
+        return sum(self.coeffs.values())
 
     def map_coeffs(self, fn) -> "GroupRingElement":
         return GroupRingElement(self.modulus, {a: fn(v) for a, v in self.coeffs.items()})
 
     def is_zero(self) -> bool:
-        return all(_is_zero_coeff(v) for v in self.coeffs.values())
+        return not any(self.coeffs.values())
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
@@ -160,16 +123,8 @@ class GroupRingElement:
         )
 
     def __repr__(self):
-        inner = " + ".join(
-            f"({v})s{a}" for a, v in sorted(self.coeffs.items()) if not _is_zero_coeff(v)
-        )
+        inner = " + ".join(f"({v})s{a}" for a, v in sorted(self.coeffs.items()) if v)
         return f"GR({self.modulus}; {inner or '0'})"
-
-
-def _is_zero_coeff(v) -> bool:
-    if hasattr(v, "is_zero"):
-        return v.is_zero()
-    return v == 0
 
 
 def first_mismatch(x: GroupRingElement, y: GroupRingElement):
@@ -186,7 +141,9 @@ def first_mismatch(x: GroupRingElement, y: GroupRingElement):
 
 
 def project(x: GroupRingElement, target: int) -> GroupRingElement:
-    """Natural projection R[(Z/m)^x] -> R[(Z/target)^x] for target | m."""
+    """Natural projection Z[(Z/m)^x] -> Z[(Z/target)^x] for target | m."""
+    if target < 1:
+        raise ValueError("modulus must be >= 1")
     if x.modulus % target != 0:
         raise ModulusMismatch(f"{target} does not divide {x.modulus}")
     out: dict = {}
@@ -338,35 +295,30 @@ def quadratic_character(d: int) -> DirichletCharacter:
 
 
 def eval_character(x: GroupRingElement, chi: DirichletCharacter) -> CycElt:
-    """sum_a coeff(a) chi(a), exactly, in a cyclotomic field.
+    """sum_a coeff(a) chi(a), exactly, in the field of chi's order.
 
     The character is evaluated through its primitive core, which must
-    have conductor dividing the modulus of x; coefficients must be
-    int, Fraction or CycElt.
+    have conductor dividing the modulus of x.
     """
     f = chi.conductor()
     if x.modulus % f != 0:
         raise ModulusMismatch(
             f"character conductor {f} does not divide modulus {x.modulus}"
         )
-    o = chi.order()
-    L = o
-    for v in x.coeffs.values():
-        if isinstance(v, CycElt):
-            L = lcm(L, v.conductor)
-        elif not isinstance(v, (int, Fraction)):
-            raise TypeError(f"coefficients of type {type(v).__name__} not embeddable")
-    total = CycElt.zero(L)
     chi_f = _primitive_core(chi)
-    for a, v in x.coeffs.items():
-        if _is_zero_coeff(v):
-            continue
-        cv = cyc_embed(chi_f(a), L)
-        if isinstance(v, CycElt):
-            total = total + cyc_embed(v, L) * cv
-        else:
-            total = total + cv * v
-    return total
+    o, e = chi_f.order(), chi_f.group_exponent()
+    # chi(a) = zeta_e^j = zeta_o^{j o / e}
+    return _cyclotomic_sum(
+        o, ((chi_f.value_exponent(a) * o // e, v) for a, v in x.coeffs.items())
+    )
+
+
+def _cyclotomic_sum(L: int, terms) -> CycElt:
+    """sum of v zeta_L^j over the (j, v) terms, for integers v: one row, one reduction."""
+    row = [0] * L
+    for j, v in terms:
+        row[j % L] += v
+    return CycElt._make(L, reduce_mod_cyclotomic(row, L), 1)
 
 
 def _primitive_core(chi: DirichletCharacter) -> DirichletCharacter:
@@ -394,14 +346,12 @@ def gauss_sum(chi: DirichletCharacter) -> CycElt:
     d = chi.modulus
     if not chi.is_primitive():
         raise ValueError("gauss_sum needs a primitive character")
-    if d == 1:
-        return CycElt.one(1)
-    o = chi.order()
+    o, e = chi.order(), chi.group_exponent()
     L = lcm(d, o)
-    total = CycElt.zero(L)
-    for a in units_mod(d):
-        total = total + cyc_embed(chi(a), L) * CycElt.zeta(L, a * (L // d))
-    return total
+    # chi(a) zeta_d^a = zeta_L^{j L / e + a L / d}, with chi(a) = zeta_e^j
+    return _cyclotomic_sum(
+        L, ((chi.value_exponent(a) * o // e * (L // o) + a * (L // d), 1) for a in units_mod(d))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +371,7 @@ def kolyvagin_derivative(ell: int, eta: int) -> GroupRingElement:
     coeffs = {}
     acc = 1
     for i in range(ell - 1):
-        coeffs[acc] = Fraction(i)
+        coeffs[acc] = i
         acc = (acc * eta) % ell
     return GroupRingElement(ell, coeffs)
 
@@ -430,5 +380,5 @@ def telescoping_check(ell: int, eta: int) -> bool:
     """(sigma_eta - 1) D_ell == (ell-1) delta_1 - N_ell, exactly."""
     d = kolyvagin_derivative(ell, eta)
     lhs = d.sigma_shift(eta) - d
-    rhs = GroupRingElement.delta(ell, 1).scale(Fraction(ell - 1)) - GroupRingElement.group_sum(ell)
+    rhs = GroupRingElement.delta(ell, 1).scale(ell - 1) - GroupRingElement.group_sum(ell)
     return lhs == rhs

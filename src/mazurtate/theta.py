@@ -6,8 +6,10 @@ values, so theta_M lies in the integral group ring Z[(Z/M)^x].  For
 M = 1 the element is the singleton [0] = [0]^+ (the minus part of r = 0
 vanishes by isotypy).  The period normalization is the one rational
 scalar lambda of ``modsym.calibrate_periods`` on the + part; it is applied
-only where a value is reported in it: ``integrality_report(..., lam)``
-and ``theta --mode calibrated``, which print lambda theta^+ + theta^-.
+only where a value is reported in it, by ``ThetaElement.calibrated``, as
+the plain coefficient table {a: lambda [a/M]^+ + [a/M]^-} that
+``integrality_report(..., lam)`` and ``theta --mode calibrated`` read.  No
+rational group-ring element is built.
 
 The projection of theta_{M ell} down one prime level satisfies a
 three-term relation.  Two candidate shapes are implemented and checked
@@ -52,6 +54,11 @@ class ThetaElement(Record):
 
     def is_zero(self) -> bool:
         return self.element.is_zero()
+
+    def calibrated(self, lam) -> dict:
+        """{a: lam [a/M]^+ + [a/M]^-}: the + part in the period normalization lam."""
+        minus = self.minus.coeffs
+        return {a: lam * v + minus[a] for a, v in self.plus.coeffs.items()}
 
 
 _theta_cache: dict[tuple, tuple] = {}
@@ -195,12 +202,11 @@ def integrality_report(curve: CurveData, p: int, n: int, lam=None) -> Integralit
         raise ValueError("p must be an odd prime")
     theta = theta_element(curve, p**n)
     if lam is None:
-        element, mode = theta.element, "integral-normalized"
+        coeffs, mode = theta.element.coeffs, "integral-normalized"
     else:
-        element = theta.plus.scale(lam) + theta.minus
-        mode = "plus period-calibrated, minus integral-normalized"
+        coeffs, mode = theta.calibrated(lam), "plus period-calibrated, minus integral-normalized"
     # an all-zero theta is p-integral, with clearing exponent 0
-    worst = min((valuation(v, p) for v in element.coeffs.values() if v), default=0)
+    worst = min((valuation(v, p) for v in coeffs.values() if v), default=0)
     return IntegralityReport(
         curve_label=curve.label,
         prime=p,

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazurtate.arith import CycElt, ModulusMismatch
+from mazurtate.arith import CycElt, ModulusMismatch, cyc_embed
 from mazurtate.groupring import (
     GroupRingElement,
+    _primitive_core,
     all_characters,
     eval_character,
     gauss_sum,
@@ -18,7 +20,7 @@ from mazurtate.groupring import (
     telescoping_check,
     trivial_character,
 )
-from mazurtate.nt import euler_phi, is_primitive_root, primes_up_to, units_mod
+from mazurtate.nt import divisors, euler_phi, is_primitive_root, primes_up_to, units_mod
 
 
 def test_project_identity_element():
@@ -28,7 +30,7 @@ def test_project_identity_element():
 
 def test_project_norm_is_degree():
     x = GroupRingElement.delta(5, 1)
-    assert project(norm_map(x, 15), 5) == x.scale(Fraction(2))  # phi(15)/phi(5) = 2
+    assert project(norm_map(x, 15), 5) == x.scale(2)  # phi(15)/phi(5) = 2
 
 
 def test_project_constant_counts_fibers():
@@ -38,7 +40,7 @@ def test_project_constant_counts_fibers():
 
 
 def test_norm_map_from_trivial_level():
-    nu = norm_map(GroupRingElement(1, {0: Fraction(3)}), 5)
+    nu = norm_map(GroupRingElement(1, {0: 3}), 5)
     assert all(v == 3 for v in nu.coeffs.values())
 
 
@@ -47,14 +49,14 @@ def test_norm_map_from_trivial_level():
 def test_norm_additive_and_degree_property(data):
     m = data.draw(st.sampled_from([2, 3, 4, 5, 6, 7, 9, 10, 12]))
     mult = data.draw(st.sampled_from([2, 3, 5, 7]))
-    coeffs_x = {a: Fraction(data.draw(st.integers(-9, 9))) for a in units_mod(m)}
-    coeffs_y = {a: Fraction(data.draw(st.integers(-9, 9))) for a in units_mod(m)}
+    coeffs_x = {a: data.draw(st.integers(-9, 9)) for a in units_mod(m)}
+    coeffs_y = {a: data.draw(st.integers(-9, 9)) for a in units_mod(m)}
     x = GroupRingElement(m, coeffs_x)
     y = GroupRingElement(m, coeffs_y)
     target = m * mult
     assert norm_map(x + y, target) == norm_map(x, target) + norm_map(y, target)
     degree = euler_phi(target) // euler_phi(m)
-    assert project(norm_map(x, target), m) == x.scale(Fraction(degree))
+    assert project(norm_map(x, target), m) == x.scale(degree)
 
 
 @pytest.mark.parametrize(
@@ -78,6 +80,33 @@ def test_constructor_reduces_keys_mod_m():
     assert x.coeffs == {1: 1, 2: 0, 3: 0, 4: 7}
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GroupRingElement(0, {}),
+        lambda: GroupRingElement(-5, {1: 1, 2: 1, 3: 1, 4: 1}),
+        lambda: norm_map(GroupRingElement.delta(5, 1), 0),
+        lambda: project(GroupRingElement.delta(5, 1), 0),
+    ],
+    ids=["zero", "negative", "norm-to-zero", "project-to-zero"],
+)
+def test_modulus_below_one_refused(build):
+    with pytest.raises(ValueError, match="^modulus must be >= 1$"):
+        build()
+
+
+def test_coefficients_are_ints():
+    with pytest.raises(TypeError, match="sigma_2"):
+        GroupRingElement(5, {1: 0, 2: Fraction(1, 2), 3: 0, 4: 0})
+    with pytest.raises(TypeError):
+        GroupRingElement.group_sum(5).scale(Fraction(1, 2))
+
+
+def test_delta_refuses_non_unit():
+    with pytest.raises(ValueError, match="not a unit"):
+        GroupRingElement.delta(6, 2)
+
+
 def test_modulus_mismatch_raises():
     with pytest.raises(ModulusMismatch):
         project(GroupRingElement.delta(15, 1), 4)
@@ -89,7 +118,7 @@ def test_modulus_mismatch_raises():
 
 
 def test_eval_trivial_character_is_augmentation():
-    x = GroupRingElement(5, {1: Fraction(2), 2: Fraction(-1), 3: Fraction(7), 4: Fraction(1)})
+    x = GroupRingElement(5, {1: 2, 2: -1, 3: 7, 4: 1})
     assert eval_character(x, trivial_character(5)) == CycElt.rational(9)
     assert x.augmentation() == 9
 
@@ -108,9 +137,51 @@ def test_quadratic_orthogonality():
 def test_eval_character_commutes_with_projection():
     chi = quadratic_character(5)
     rng = random.Random(7)
-    coeffs = {a: Fraction(rng.randint(-5, 5)) for a in units_mod(15)}
+    coeffs = {a: rng.randint(-5, 5) for a in units_mod(15)}
     x = GroupRingElement(15, coeffs)
     assert eval_character(project(x, 5), chi) == eval_character(x, chi)
+
+
+def _eval_character_oracle(x, chi):
+    """sum_a v_a chi_f(a), one CycElt product and add per unit in a common field."""
+    L = chi.order()
+    chi_f = _primitive_core(chi)
+    total = CycElt.zero(L)
+    for a, v in x.coeffs.items():
+        total = total + cyc_embed(chi_f(a), L) * v
+    return total
+
+
+def _characters_through(m):
+    """Every character whose conductor divides m: mod each divisor of m, and mod 2m."""
+    chars = [chi for d in divisors(m) for chi in all_characters(d)]
+    return chars + [chi for chi in all_characters(2 * m) if m % chi.conductor() == 0]
+
+
+_CHARACTERS_THROUGH = {m: _characters_through(m) for m in (5, 9, 12, 15, 16, 21)}
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_eval_character_matches_cycelt_sum(data):
+    m = data.draw(st.sampled_from(sorted(_CHARACTERS_THROUGH)))
+    x = GroupRingElement(m, {a: data.draw(st.integers(-50, 50)) for a in units_mod(m)})
+    for chi in _CHARACTERS_THROUGH[m]:
+        got, want = eval_character(x, chi), _eval_character_oracle(x, chi)
+        assert got == want and got.conductor == want.conductor
+
+
+def test_gauss_sum_matches_cycelt_sum():
+    for d in range(1, 31):
+        for chi in all_characters(d):
+            if not chi.is_primitive():
+                continue
+            L = math.lcm(d, chi.order())
+            want = CycElt.zero(L)
+            for a in units_mod(d):
+                want = want + cyc_embed(chi(a), L) * CycElt.zeta(L, a * (L // d))
+            got = gauss_sum(chi)
+            assert got == want and got.conductor == want.conductor
 
 
 def test_character_parity_and_conductor():
@@ -161,7 +232,7 @@ def test_kolyvagin_derivative_ell3():
 def test_kolyvagin_derivative_ell5_identity():
     d5 = kolyvagin_derivative(5, 2)
     lhs = d5.sigma_shift(2) - d5
-    rhs = GroupRingElement.delta(5, 1).scale(Fraction(4)) - GroupRingElement.group_sum(5)
+    rhs = GroupRingElement.delta(5, 1).scale(4) - GroupRingElement.group_sum(5)
     assert lhs == rhs
 
 

@@ -363,7 +363,7 @@ def test_scaling_covariance(tower_11_3):
 
 def test_unit_constant_tower_has_zero_invariants():
     p, k = 3, 5
-    layers = {n: GroupRingElement.delta(p**n, 1, 2, 0) for n in range(1, 5)}
+    layers = {n: GroupRingElement.delta(p**n, 1).scale(2) for n in range(1, 5)}
     tower = synthetic_tower(p, k, layers)._replace(theta_q=2)
     assert is_projective(tower)
     inv = iwasawa_invariants(tower)
