@@ -6,15 +6,20 @@ single residue 0 stands for the identity.  Coefficients are ints, stored
 densely (one entry per unit): theta values, p-adic tower residues read
 mod p^k, Kolyvagin derivatives.  Binary operations require equal moduli.
 
-Dirichlet characters are stored by their images on an internally
-computed generating set of (Z/dZ)^x, as exponents of a fixed root of
-unity of order the group exponent; values are exact ``CycElt`` roots of
-unity in the field of the character's order; a character sum adds the
+Dirichlet characters are stored by their images on the generators of
+(Z/dZ)^x from ``nt.unit_group_generators``, as exponents of a fixed root
+of unity of order the group exponent.  One walk of the generator powers
+turns those exponents into a table {a: j} with chi(a) = zeta_e^j, cached
+on the character's two fields; values, parity, conductor, primitive core
+and Gauss sums are all read from it.  Values are exact ``CycElt`` roots
+of unity in the field of the character's order; a character sum adds the
 integer coefficients on one row of Z[x]/(x^L - 1), reduced once.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
 from math import gcd, lcm
 
 from .arith import CycElt, ModulusMismatch, reduce_mod_cyclotomic
@@ -22,7 +27,7 @@ from .nt import (
     divisors,
     is_prime,
     is_primitive_root,
-    unit_decompose,
+    unit_group_exponent,
     unit_group_generators,
     units_mod,
 )
@@ -59,7 +64,7 @@ class GroupRingElement:
     def delta(modulus: int, a: int) -> "GroupRingElement":
         """The basis element sigma_a; a must be a unit mod modulus."""
         out = dict.fromkeys(units_mod(modulus), 0)
-        out[a % modulus] = 1
+        out[a] = 1  # the constructor checks the modulus, then reduces a
         return GroupRingElement(modulus, out)
 
     @staticmethod
@@ -172,11 +177,13 @@ class DirichletCharacter(Frozen):
     ``exponents[i]`` is t_i with chi(g_i) = zeta_e^{t_i}, where e is the
     exponent of the unit group and g_i runs over its generators (each
     t_i is a multiple of e / order(g_i), which construction validates).
+    Every value is read from ``_value_table`` of these two fields.
     """
 
     __slots__ = ("modulus", "exponents")
 
     def __init__(self, modulus: int, exponents: tuple[int, ...]):
+        exponents = tuple(exponents)  # a list would not key the value-table cache
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "exponents", exponents)
         gens = unit_group_generators(modulus)
@@ -192,47 +199,27 @@ class DirichletCharacter(Frozen):
                 )
 
     def group_exponent(self) -> int:
-        orders = [o for _, o in unit_group_generators(self.modulus)]
-        out = 1
-        for o in orders:
-            out = lcm(out, o)
-        return out
+        return unit_group_exponent(self.modulus)
 
     def order(self) -> int:
         e = self.group_exponent()
-        g = e
-        for t in self.exponents:
-            g = gcd(g, t)
-        return e // gcd(e, g) if e > 1 else 1
+        return e // gcd(e, *self.exponents)
 
     def value_exponent(self, a: int) -> int:
-        """j with chi(a) = zeta_e^j."""
-        if self.modulus == 1:
-            return 0
-        xs = unit_decompose(a, self.modulus)
-        e = self.group_exponent()
-        return sum(x * t for x, t in zip(xs, self.exponents)) % e
+        """j with chi(a) = zeta_e^j; a ValueError when a is not a unit."""
+        try:
+            return _value_table(self.modulus, self.exponents)[a % self.modulus]
+        except KeyError:
+            raise ValueError(f"{a} is not a unit mod {self.modulus}") from None
 
     def __call__(self, a: int) -> CycElt:
         """chi(a) as an exact root of unity in Q(zeta_order)."""
         o = self.order()
-        if o == 1:
-            return CycElt.one(1)
-        e = self.group_exponent()
-        j = self.value_exponent(a)
-        assert (j * o) % e == 0
-        return CycElt.zeta(o, j * o // e)
+        return CycElt.zeta(o, self.value_exponent(a) * o // self.group_exponent())
 
     def parity(self) -> int:
         """chi(-1) as +-1."""
-        if self.modulus <= 2:
-            return 1
-        v = self.value_exponent(-1 % self.modulus)
-        e = self.group_exponent()
-        if v == 0:
-            return 1
-        assert 2 * v % e == 0, "chi(-1) must be a square root of 1"
-        return -1
+        return -1 if self.value_exponent(-1) else 1
 
     def conjugate(self) -> "DirichletCharacter":
         e = self.group_exponent()
@@ -243,24 +230,31 @@ class DirichletCharacter(Frozen):
     def is_trivial(self) -> bool:
         return all(t == 0 for t in self.exponents)
 
-    def factors_through(self, d: int) -> bool:
-        """Whether chi is trivial on units congruent to 1 mod d, for d | modulus."""
-        m = self.modulus
-        assert m % d == 0
-        return all(
-            self.value_exponent(a) == 0
-            for a in units_mod(m)
-            if (a - 1) % d == 0
-        )
-
     def conductor(self) -> int:
-        for d in divisors(self.modulus):
-            if self.factors_through(d):
-                return d
-        return self.modulus
+        """The least d | modulus with chi trivial on the units congruent to 1 mod d."""
+        table = _value_table(self.modulus, self.exponents)
+        return next(
+            d for d in divisors(self.modulus)
+            if not any(j for a, j in table.items() if (a - 1) % d == 0)
+        )
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.modulus
+
+
+@lru_cache(maxsize=None)
+def _value_table(m: int, exponents: tuple[int, ...]) -> dict[int, int]:
+    """{a: j} with chi(a) = zeta_e^j for every unit a mod m, one walk of the generator powers.
+
+    Keyed by the character's own fields; ``DirichletCharacter`` reads it and
+    never changes it.
+    """
+    e = unit_group_exponent(m)
+    table = {1 % m: 0}
+    for (g, order), t in zip(unit_group_generators(m), exponents):
+        steps = [(pow(g, k, m), k * t) for k in range(order)]
+        table = {a * h % m: (j + s) % e for a, j in table.items() for h, s in steps}
+    return table
 
 
 def trivial_character(d: int = 1) -> DirichletCharacter:
@@ -269,21 +263,9 @@ def trivial_character(d: int = 1) -> DirichletCharacter:
 
 def all_characters(d: int):
     """All characters mod d, enumerated through generator images."""
-    gens = unit_group_generators(d)
-    e = 1
-    for _, o in gens:
-        e = lcm(e, o)
-
-    def rec(i, acc):
-        if i == len(gens):
-            yield DirichletCharacter(d, tuple(acc))
-            return
-        _, order = gens[i]
-        step = e // order
-        for k in range(order):
-            yield from rec(i + 1, acc + [k * step])
-
-    yield from rec(0, [])
+    e = unit_group_exponent(d)
+    steps = (range(0, e, e // order) for _, order in unit_group_generators(d))
+    return (DirichletCharacter(d, exps) for exps in product(*steps))
 
 
 def quadratic_character(d: int) -> DirichletCharacter:
@@ -300,17 +282,16 @@ def eval_character(x: GroupRingElement, chi: DirichletCharacter) -> CycElt:
     The character is evaluated through its primitive core, which must
     have conductor dividing the modulus of x.
     """
-    f = chi.conductor()
+    chi_f = _primitive_core(chi)
+    f = chi_f.modulus
     if x.modulus % f != 0:
         raise ModulusMismatch(
             f"character conductor {f} does not divide modulus {x.modulus}"
         )
-    chi_f = _primitive_core(chi)
+    table = _value_table(f, chi_f.exponents)
     o, e = chi_f.order(), chi_f.group_exponent()
     # chi(a) = zeta_e^j = zeta_o^{j o / e}
-    return _cyclotomic_sum(
-        o, ((chi_f.value_exponent(a) * o // e, v) for a, v in x.coeffs.items())
-    )
+    return _cyclotomic_sum(o, ((table[a % f] * o // e, v) for a, v in x.coeffs.items()))
 
 
 def _cyclotomic_sum(L: int, terms) -> CycElt:
@@ -327,18 +308,13 @@ def _primitive_core(chi: DirichletCharacter) -> DirichletCharacter:
     m = chi.modulus
     if f == m:
         return chi
-    gens_f = unit_group_generators(f)
-    e_m = chi.group_exponent()
-    e_f = 1
-    for _, o in gens_f:
-        e_f = lcm(e_f, o)
-    exps = []
-    for g, _ in gens_f:
-        lift = next(a for a in range(g, g + m + 1, f) if gcd(a, m) == 1)
-        v = chi.value_exponent(lift % m)
-        assert (v * e_f) % e_m == 0, "character value order exceeds target group"
-        exps.append(v * e_f // e_m)
-    return DirichletCharacter(f, tuple(exps))
+    table = _value_table(m, chi.exponents)
+    e_m, e_f = unit_group_exponent(m), unit_group_exponent(f)
+    # chi is trivial on the units = 1 mod f, so any unit lift of g reads chi(g)
+    lifted = (
+        next(j for a, j in table.items() if a % f == g) for g, _ in unit_group_generators(f)
+    )
+    return DirichletCharacter(f, tuple(j * e_f // e_m for j in lifted))
 
 
 def gauss_sum(chi: DirichletCharacter) -> CycElt:
@@ -349,8 +325,9 @@ def gauss_sum(chi: DirichletCharacter) -> CycElt:
     o, e = chi.order(), chi.group_exponent()
     L = lcm(d, o)
     # chi(a) zeta_d^a = zeta_L^{j L / e + a L / d}, with chi(a) = zeta_e^j
+    table = _value_table(d, chi.exponents)
     return _cyclotomic_sum(
-        L, ((chi.value_exponent(a) * o // e * (L // o) + a * (L // d), 1) for a in units_mod(d))
+        L, ((j * o // e * (L // o) + a * (L // d), 1) for a, j in table.items())
     )
 
 

@@ -1,13 +1,15 @@
 """Elementary number-theory helpers shared across the package.
 
-Trial division, unit groups of Z/mZ, primitive roots.  Moduli stay at
-desk scale (a few thousand), so nothing asymptotically clever lives here.
+Trial division, primitive roots, and the unit group of Z/mZ as a
+product of cyclic factors: its generators and its exponent, from which
+``groupring`` tabulates character values.  Moduli stay at desk scale (a
+few thousand), so nothing asymptotically clever lives here.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 def is_prime(n: int) -> bool:
@@ -162,33 +164,7 @@ def unit_group_generators(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(gens)
 
 
-def unit_decompose(a: int, m: int) -> tuple[int, ...]:
-    """Exponents (x_i) with a = prod g_i^{x_i} mod m over unit_group_generators.
-
-    Component groups are small enough that a per-generator lookup table
-    is the simplest exact method.
-    """
-    if gcd(a, m) != 1:
-        raise ValueError(f"{a} is not a unit mod {m}")
-    gens = unit_group_generators(m)
-    table = _unit_log_table(m)
-    try:
-        return table[a % m]
-    except KeyError:
-        raise AssertionError(f"unit {a} mod {m} missing from log table; gens {gens}")
-
-
 @lru_cache(maxsize=None)
-def _unit_log_table(m: int) -> dict[int, tuple[int, ...]]:
-    gens = unit_group_generators(m)
-    table = {1 % m: (0,) * len(gens)}
-    for i, (g, order) in enumerate(gens):
-        new = dict(table)
-        acc = 1
-        for e in range(1, order):
-            acc = (acc * g) % m
-            for u, exps in table.items():
-                v = (u * acc) % m
-                new[v] = exps[:i] + (e,) + exps[i + 1 :]
-        table = new
-    return table
+def unit_group_exponent(m: int) -> int:
+    """Exponent of (Z/mZ)^x: the lcm of the orders of its generators."""
+    return lcm(*(order for _, order in unit_group_generators(m)))

@@ -273,30 +273,13 @@ def _read_invariants(poly: list[int], p: int, k: int) -> tuple[int, int]:
 
 
 class IwasawaInvariants(Record):
+    # stable: the reading agrees with the layer below; unstable_components:
+    # the Teichmuller components that disagree with the layer below
     __slots__ = (
         "lambda_", "mu", "layer", "precision", "stable", "component_invariants",
-        "unstable_components", "normalization",
+        "unstable_components",
     )
-
-    def __init__(
-        self,
-        lambda_: int,
-        mu: int,
-        layer: int,
-        precision: int,
-        stable: bool,  # the reading agrees with the layer below
-        component_invariants: dict[int, tuple[int, int]] | None = None,
-        unstable_components: tuple[int, ...] = (),  # components that disagree with the layer below
-        normalization: str = "integral-normalized",  # stabilize reads eigen_pair's symbols
-    ):
-        self.lambda_ = lambda_
-        self.mu = mu
-        self.layer = layer
-        self.precision = precision
-        self.stable = stable
-        self.component_invariants = {} if component_invariants is None else component_invariants
-        self.unstable_components = unstable_components
-        self.normalization = normalization
+    normalization = "integral-normalized"  # stabilize reads eigen_pair's symbols
 
 
 def iwasawa_invariants(tower: PadicThetaTower) -> IwasawaInvariants:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from groupring_oracle import unit_decompose
 
 from mazurtate.arith import CycElt, ModulusMismatch, cyc_embed
 from mazurtate.groupring import (
@@ -20,7 +21,14 @@ from mazurtate.groupring import (
     telescoping_check,
     trivial_character,
 )
-from mazurtate.nt import divisors, euler_phi, is_primitive_root, primes_up_to, units_mod
+from mazurtate.nt import (
+    divisors,
+    euler_phi,
+    is_primitive_root,
+    primes_up_to,
+    unit_group_generators,
+    units_mod,
+)
 
 
 def test_project_identity_element():
@@ -87,8 +95,9 @@ def test_constructor_reduces_keys_mod_m():
         lambda: GroupRingElement(-5, {1: 1, 2: 1, 3: 1, 4: 1}),
         lambda: norm_map(GroupRingElement.delta(5, 1), 0),
         lambda: project(GroupRingElement.delta(5, 1), 0),
+        lambda: GroupRingElement.delta(0, 1),
     ],
-    ids=["zero", "negative", "norm-to-zero", "project-to-zero"],
+    ids=["zero", "negative", "norm-to-zero", "project-to-zero", "delta-to-zero"],
 )
 def test_modulus_below_one_refused(build):
     with pytest.raises(ValueError, match="^modulus must be >= 1$"):
@@ -182,6 +191,27 @@ def test_gauss_sum_matches_cycelt_sum():
                 want = want + cyc_embed(chi(a), L) * CycElt.zeta(L, a * (L // d))
             got = gauss_sum(chi)
             assert got == want and got.conductor == want.conductor
+
+
+@pytest.mark.parametrize("m", range(1, 41))
+def test_character_table_matches_unit_decomposition(m):
+    e = math.lcm(*(order for _, order in unit_group_generators(m)))
+    units = units_mod(m)
+    for chi in all_characters(m):
+        values = {
+            a: sum(x * t for x, t in zip(unit_decompose(a, m), chi.exponents)) % e
+            for a in units
+        }
+        assert all(chi.value_exponent(a) == values[a] for a in units)
+        assert chi.conductor() == next(
+            d for d in divisors(m) if all(values[a] == 0 for a in units if (a - 1) % d == 0)
+        )
+        core = _primitive_core(chi)
+        assert all(core(a) == chi(a) for a in units)
+        for a in range(m):
+            if math.gcd(a, m) != 1:
+                with pytest.raises(ValueError, match="not a unit"):
+                    chi(a)
 
 
 def test_character_parity_and_conductor():

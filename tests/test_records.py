@@ -104,10 +104,9 @@ def test_mutable_records_copy_and_pickle_through_init():
 
 def test_repr_names_every_field():
     assert repr(Check("c", "fail", "w")) == "Check(name='c', status='fail', witness='w')"
-    inv = IwasawaInvariants(0, 1, 3, 4, True)
+    inv = IwasawaInvariants(0, 1, 3, 4, True, {}, ())
     assert repr(inv) == (
         "IwasawaInvariants(lambda_=0, mu=1, layer=3, precision=4, stable=True, "
-        "component_invariants={}, unstable_components=(), "
-        "normalization='integral-normalized')"
+        "component_invariants={}, unstable_components=())"
     )
     assert repr(TorsionPoint(1, 2, 5)) == "(1/5, 2/5)"
