@@ -16,6 +16,9 @@ moves each value by a unit only.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import mul
+
 from .curves import CurveData, DEFAULT_COUNT_BOUND
 from .modsym import EigenSymbol, build_space, eigen_symbol
 from .nt import (
@@ -116,7 +119,8 @@ def kurihara_number(
 ) -> KuriharaNumber:
     """delta_n in Z/p^k for a squarefree product n of admissible primes.
 
-    n = 1 gives [0]^+ mod p^k (the empty product of logs is 1).  For
+    ``prime_set`` must be sieved for this curve, at this p and at a level
+    k' >= k.  n = 1 gives [0]^+ mod p^k (the empty product of logs is 1).  For
     n > 1 the sum is indexed by where each walk starts, not by a.  Let
     W(c) = prod_{ell | n} log_ell(c) mod p^k and nu = nu(n).  On an
     admissible ell, p^k is odd and divides ell - 1, so log(-1) =
@@ -129,9 +133,18 @@ def kurihara_number(
         delta_n = (1 + sign) (-1)^nu sum_{units c < n/2} W(c) walk(n, c),
 
     with no modular inverse and one log product per c.  A non-unit c has
-    a zero log, so only the c with W(c) != 0 mod p^k are walked.
+    a zero log, so only the c with W(c) != 0 mod p^k are walked, in one
+    ``EigenSymbol.walks`` call per block: a walk takes Euclid steps only
+    while its larger entry is >= 128 and reads the rest from the symbol's
+    tail table, built once per + symbol.  A - symbol has 1 + sign = 0: it
+    walks nothing and builds no table.
     """
     pk = _precision_modulus(p, k)
+    if (prime_set.curve_label, prime_set.p) != (curve.label, p) or prime_set.k < k:
+        raise AdmissibilityError(
+            f"the prime set was sieved for {prime_set.curve_label} at p = {prime_set.p}, "
+            f"k = {prime_set.k}, not for {curve.label} at p = {p}, k >= {k}"
+        )
     if n == 1:
         factors: list[int] = []
     else:
@@ -159,7 +172,6 @@ def kurihara_number(
             table[cur] = x % pk
             cur = (cur * eta) % ell
         tiles.append((ell, table * (_WEIGHT_BLOCK // ell + 2)))
-    walk = plus_symbol.walk
     scale = (1 + plus_symbol.sign) * (-1) ** len(factors)
     end = (n + 1) // 2 if scale else 1  # 1 + sign = 0: a minus symbol walks nothing
     total = 0
@@ -169,9 +181,8 @@ def kurihara_number(
         for ell, tile in tiles:
             logs = tile[start % ell : start % ell + stop - start]
             weights = logs if weights is None else [w * x % pk for w, x in zip(weights, logs)]
-        for c, w in zip(range(start, stop), weights):
-            if w:
-                total += w * walk(n, c)
+        starts = compress(range(start, stop), weights)
+        total += sum(map(mul, filter(None, weights), plus_symbol.walks(n, starts)))
     return KuriharaNumber(
         n=n, p=p, k=k, value=scale * total % pk, ideal_valuation=ideal_valuation(curve, n, p)
     )

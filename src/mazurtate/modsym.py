@@ -469,15 +469,30 @@ class EigenSymbol(Frozen):
         1997, ch. 2).  (1 : 0) itself is P^1 point 1, as (1 : d) is point
         1 + d for N > 1.
         """
-        space, table = self.space, self.table
-        N, inv = space.N, space._inv
-        x, y = M, b
-        odd = even = 0  # entries at odd / even distance from the latest pair
-        while y:
-            u = inv[x % N]
-            odd, even = even, odd + (table[1 + y * u % N] if u else table[space.p1_index(x, y)])
-            x, y = y, x % y
-        return self.sign * (odd + table[1]) + even
+        return self.walks(M, (b,))[0]
+
+    def walks(self, M: int, starts) -> list[int]:
+        """[walk(M, b) for b in starts], each 1 <= b < M prime to M (or M = 1, b = 0).
+
+        A walk takes Euclid steps only while x >= _TAIL and reads the rest
+        from the symbol's tail table (``_tail_tables``), fetched once per
+        call.  A pair j steps above the last one stepped is d + j + 1 steps
+        above (1 : 0), d that of the pair (x : y) the steps end at, so its
+        factor is sign^(d + j + 2) = sign^d sign^j.
+        """
+        space, table, sign = self.space, self.table, self.sign
+        N, inv, index = space.N, space._inv, space.p1_index
+        tail, odd = _tail_tables(self, M)
+        values = []
+        for b in starts:
+            x, y = M, b
+            acc = 0  # each entry times sign^j, j its distance from the latest pair
+            while x >= _TAIL:
+                u = inv[x % N]
+                acc = sign * acc + (table[1 + y * u % N] if u else table[index(x, y)])
+                x, y = y, x % y
+            values.append(tail[x][y] + (sign * acc if odd[x][y] else acc))
+        return values
 
     def value(self, r) -> int:
         """[r], brought to a/M with a <= M/2 by [r + 1] = [r] and [-r] = sign [r]."""
@@ -496,10 +511,47 @@ class EigenSymbol(Frozen):
         if M <= 2:  # the one unit M - 1 is its own mirror
             return {M - 1: self.value(Fraction(M - 1, M))}
         low = [a for a in range(1, (M + 1) // 2) if gcd(a, M) == 1]
-        walk = self.walk
-        half = [walk(M, min(b := pow(a, -1, M), M - b)) for a in low]
+        half = self.walks(M, [min(b := pow(a, -1, M), M - b) for a in low])
         vals = half + [self.sign * v for v in reversed(half)]
         return dict(zip(low + [M - a for a in reversed(low)], vals))
+
+
+# walks end in a table of walk(x, y) over 1 <= y < x < _TAIL, one per symbol
+_TAIL = 128
+
+# (N, curve label, sign) -> (symbol, tail, odd) of the symbol last walked
+_tail_cache: dict[tuple, tuple] = {}
+
+
+def _tail_tables(sym: EigenSymbol, M: int) -> tuple[list, list]:
+    """The symbol's (tail, odd) tables, with rows up to min(M, _TAIL - 1).
+
+    For coprime 1 <= y < x < _TAIL, tail[x][y] = walk(x, y), and
+    odd[x][y] is 1 when (x : y) is an odd number of steps above (1 : 0)
+    (tail[1][0] = sign table[1], odd[1][0] = 0).  (x : y) is one step
+    above (y : x % y), and the pairs at even distance take the factor
+    sign, so tail[x][y] = table[(x : y)] (times sign if not odd[x][y]) +
+    tail[y][x % y].  Rows are added on demand, so walks with small M
+    build little.  A hit needs that very symbol (``is``), so no lookup
+    hashes a table.
+    """
+    key = (sym.space.N, sym.curve_label, sym.sign)
+    cached = _tail_cache.get(key)
+    if not (cached and cached[0] is sym):
+        cached = _tail_cache[key] = sym, [[], [sym.sign * sym.table[1]]], [[], bytearray(1)]
+    _, tail, odd = cached
+    table, sign, index = sym.table, sym.sign, sym.space.p1_index
+    for x in range(len(tail), min(M + 1, _TAIL)):
+        row, odd_row = [0] * x, bytearray(x)
+        for y in range(1, x):
+            if gcd(x, y) == 1:
+                r = x % y
+                odd_row[y] = 1 - odd[y][r]
+                v = table[index(x, y)]
+                row[y] = (v if odd_row[y] else sign * v) + tail[y][r]
+        tail.append(row)
+        odd.append(odd_row)
+    return tail, odd
 
 
 _Q = 2**31 - 1  # the eigen kernel's prime

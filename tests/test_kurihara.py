@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mazurtate import modsym
 from mazurtate.curves import curve_by_label
 from mazurtate.kurihara import (
     AdmissibilityError,
@@ -178,27 +179,10 @@ def test_precision_compatibility(c37):
         assert d2.value % 3 == d1.value
 
 
-class _ShiftedValues:
-    """Symbol stub whose values at denominator ell are shifted by a constant.
-
-    A constant shift is a full sigma-orbit move; it pairs with the logs to
-    c * sum_a log(a) = c (ell-1)(ell-2)/2 = 0 mod p^k on admissible primes,
-    so delta_ell must not see it.
-    """
-
-    def __init__(self, base, shift):
-        self.base = base
-        self.shift = shift
-        self.sign = base.sign
-
-    def half_value(self, a, n):
-        return self.base.half_value(a, n) + self.shift
-
-    def walk(self, n, c):
-        return self.base.walk(n, c) + self.shift
-
-
 def test_well_definedness_under_constant_shift(c11, aset11):
+    # a constant shift of every [a/ell]^+ is a full sigma-orbit move; it
+    # pairs with the logs to shift * sum_a log(a) = shift (ell-1)(ell-2)/2
+    # = 0 mod p^k on admissible primes, so delta_ell must not see it
     from mazurtate.theta import eigen_pair
 
     plus = eigen_pair(c11)[0]
@@ -206,11 +190,10 @@ def test_well_definedness_under_constant_shift(c11, aset11):
         # annihilation witness: the full log-orbit sum vanishes mod p^k
         assert (ell - 1) * (ell - 2) // 2 % 3 == 0
         d_orig = kurihara_number(c11, ell, 3, 1, aset11, plus)
+        logs = {pow(aset11.eta[ell], x, ell): x for x in range(ell - 1)}
         for shift in (1, 7, -4):
-            d_shift = kurihara_number(
-                c11, ell, 3, 1, aset11, _ShiftedValues(plus, shift)
-            )
-            assert d_shift.value == d_orig.value
+            shifted = sum((v + shift) * logs[a] for a, v in plus.values_mod(ell).items())
+            assert shifted % 3 == d_orig.value
 
 
 def test_search_keeps_no_per_modulus_state(c37):
@@ -360,3 +343,59 @@ def test_kurihara_number_memory_is_bounded_by_one_block(c37, aset37):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_a_prime_set_sieved_for_another_curve_p_or_k_is_refused(c11, c37):
+    # 7 is admissible for 37a1 at p = 3, k = 1 only: 5 and 9 do not divide 6
+    aset = sieve_admissible(c37, 3, 1, 170)
+    assert 7 in aset
+    for curve, p, k in (c37, 5, 1), (c37, 3, 2), (c11, 3, 1):
+        with pytest.raises(AdmissibilityError, match="sieved"):
+            kurihara_number(curve, 7, p, k, aset)
+        with pytest.raises(AdmissibilityError, match="sieved"):
+            nonvanishing_search(curve, p, k, 1, 170, aset)
+    # a set sieved at a higher level serves every lower k
+    aset2 = sieve_admissible(c37, 3, 2, 500)
+    high = kurihara_number(c37, 109, 3, 2, aset2).value
+    assert kurihara_number(c37, 109, 3, 1, aset2).value == high % 3
+
+
+def test_kurihara_number_memory_with_a_cold_tail_table(c37, aset37):
+    # the same n as above, with the symbol's tail table built inside the
+    # traced region: an equal + symbol that is a new object misses the cache
+    plus = eigen_pair(c37)[0]
+    cold = plus._replace()
+    n = 43 * 109 * 211
+    kurihara_number(c37, 43 * 109, 3, 1, aset37, plus)  # warm per-curve caches
+    ideal_valuation(c37, n, 3)
+    key = (37, c37.label, 1)
+    assert cold is not plus and modsym._tail_cache[key][0] is plus
+    tracemalloc.start()
+    try:
+        kurihara_number(c37, n, 3, 1, aset37, cold)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert modsym._tail_cache[key][0] is cold
+
+
+def test_tail_cache_holds_one_entry_per_symbol(c37):
+    # a second search reuses the first one's table: no entry per modulus
+    plus = eigen_pair(c37)[0]
+    nonvanishing_search(c37, 3, 1, 2, 170)
+    size = len(modsym._tail_cache)
+    entry = modsym._tail_cache[(37, c37.label, 1)]
+    assert entry[0] is plus and len(entry[1]) == modsym._TAIL
+    nonvanishing_search(c37, 3, 1, 2, 170)
+    assert len(modsym._tail_cache) == size
+    assert modsym._tail_cache[(37, c37.label, 1)] is entry
+
+
+def test_a_minus_symbol_reads_no_tail_table(c37, aset37, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a - symbol walks nothing")
+
+    monkeypatch.setattr(modsym, "_tail_tables", refuse)
+    minus = eigen_pair(c37)[1]
+    assert kurihara_number(c37, 7 * 31, 3, 1, aset37, minus).value == 0

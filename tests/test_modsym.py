@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -491,6 +492,64 @@ def test_table_star_identity(label, part):
 def test_walk_matches_unimodular_path(label, part, r):
     sym = _symbol(label, part)
     assert sym.value(r) == _path_sum(sym, r)
+
+
+def _euclid_walk(sym, x, y):
+    """walk(x, y) pair by pair: table[(x : y)] for each pair down to (1 : 0),
+    times sign on the pairs at even distance from (1 : 0)."""
+    pairs = [(x, y)]
+    while y:
+        x, y = y, x % y
+        pairs.append((x, y))
+    index = sym.space.p1_index
+    return sum(
+        sym.table[index(c, d)] * (sym.sign if i % 2 == 0 else 1)
+        for i, (c, d) in enumerate(reversed(pairs))
+    )
+
+
+@pytest.mark.parametrize("part", [0, 1])
+@pytest.mark.parametrize("label", ["11a1", "32a", "37a1", "389a1"])
+def test_tail_table_holds_every_short_walk(label, part):
+    # on 32a the even x are non-units mod 32, read through p1_index
+    sym = _symbol(label, part)
+    tail, odd = modsym._tail_tables(sym, modsym._TAIL)
+    assert len(tail) == len(odd) == modsym._TAIL
+    assert tail[1][0] == _euclid_walk(sym, 1, 0)
+    for x in range(2, modsym._TAIL):
+        for y in range(1, x):
+            if gcd(x, y) == 1:
+                assert tail[x][y] == _euclid_walk(sym, x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["11a1", "32a", "37a1", "389a1"]),
+    st.sampled_from([0, 1]),
+    st.integers(2, 10**6),
+    st.lists(st.integers(1, 127) | st.integers(128, 10**6), min_size=1, max_size=12),
+)
+@example("32a", 0, 999_983, [5, 127, 128, 499_991])
+@example("37a1", 1, 43 * 109 * 211, [1, 300_001, 494_478])
+@example("389a1", 0, 257, [2, 128, 129])
+@example("11a1", 1, 3, [1])
+def test_walks_match_the_step_by_step_walk(label, part, n, starts):
+    # starts are reduced mod n and kept when prime to n, as kurihara_number's are
+    sym = _symbol(label, part)
+    kept = [c % n for c in starts if gcd(c, n) == 1]
+    assert sym.walks(n, kept) == [_euclid_walk(sym, n, c) for c in kept]
+
+
+def test_short_walks_build_short_tails():
+    # [0] reads row 1 only; rows are added up to the largest modulus walked
+    sym = _symbol("37a1", 0)._replace()
+    assert sym.value(0) == sym.table[1]
+    tail, _ = modsym._tail_tables(sym, 0)
+    assert len(tail) == 2
+    sym.values_mod(35)
+    assert len(tail) == 36
+    sym.walk(10**6 + 3, 5)
+    assert len(tail) == modsym._TAIL
 
 
 @settings(max_examples=60, deadline=None)
