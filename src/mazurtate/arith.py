@@ -51,43 +51,24 @@ def as_rat(x) -> Fraction:
 # Polynomial helpers (dense, exact, lowest degree first)
 
 
-def poly_trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def poly_divmod_exact(num, den):
-    """Quotient and remainder over Q; den need not be monic."""
-    num = [Fraction(x) for x in num]
-    den = [Fraction(x) for x in den]
-    poly_trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    while len(poly_trim(num)) >= len(den):
-        shift = len(num) - len(den)
-        factor = num[-1] / lead
-        quot[shift] = factor
-        for i, b in enumerate(den):
-            num[shift + i] -= factor * b
-    return poly_trim(quot), poly_trim(num)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
-    """Coefficients of Phi_L, computed by exact division of x^L - 1."""
+    """Coefficients of Phi_L: x^L - 1 divided by each Phi_d, d a proper
+    divisor of L.  Phi_d is monic, so integer synthetic division leaves the
+    quotient in the top of the row and the remainder, zero, below it."""
     if L < 1:
         raise ValueError("conductor must be positive")
     num = [-1] + [0] * (L - 1) + [1]
-    for d in divisors(L):
-        if d == L:
-            continue
-        q, r = poly_divmod_exact(num, list(cyclotomic_polynomial(d)))
-        assert not r, f"Phi_{d} should divide x^{L}-1 exactly"
-        num = q
-    return tuple(int(c) for c in num)
+    for d in divisors(L)[:-1]:
+        den = cyclotomic_polynomial(d)
+        m = len(den) - 1
+        for i in range(len(num) - 1, m - 1, -1):
+            if q := num[i]:
+                for j in range(m):
+                    num[i - m + j] -= q * den[j]
+        assert not any(num[:m]), f"Phi_{d} should divide x^{L}-1 exactly"
+        num = num[m:]
+    return tuple(num)
 
 
 @lru_cache(maxsize=None)

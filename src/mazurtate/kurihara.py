@@ -20,7 +20,7 @@ from itertools import compress
 from operator import mul
 
 from .curves import CurveData, DEFAULT_COUNT_BOUND
-from .modsym import EigenSymbol, build_space, eigen_symbol
+from .modsym import build_space, eigen_symbol
 from .nt import (
     factorize, is_prime, is_primitive_root, primes_up_to, smallest_primitive_root, valuation,
 )
@@ -37,9 +37,14 @@ def _precision_modulus(p: int, k: int) -> int:
     return p**k
 
 
+def _model(curve: CurveData) -> tuple:
+    return curve.a_invariants, curve.conductor
+
+
 class AdmissiblePrimeSet(Record):
+    # model: (a-invariants, conductor) of the curve sieved, which fix every a_ell
     # eta: ell -> chosen primitive root
-    __slots__ = ("curve_label", "p", "k", "bound", "primes", "eta")
+    __slots__ = ("curve_label", "model", "p", "k", "bound", "primes", "eta")
 
     def __contains__(self, ell: int) -> bool:
         return ell in self.eta
@@ -48,11 +53,7 @@ class AdmissiblePrimeSet(Record):
         for ell, root in eta.items():
             if not is_primitive_root(root, ell):
                 raise AdmissibilityError(f"{root} is not a primitive root mod {ell}")
-        merged = dict(self.eta)
-        merged.update(eta)
-        return AdmissiblePrimeSet(
-            self.curve_label, self.p, self.k, self.bound, list(self.primes), merged
-        )
+        return self._replace(primes=list(self.primes), eta=self.eta | eta)
 
 
 def sieve_admissible(curve: CurveData, p: int, k: int, bound: int) -> AdmissiblePrimeSet:
@@ -81,7 +82,7 @@ def sieve_admissible(curve: CurveData, p: int, k: int, bound: int) -> Admissible
             continue
         primes.append(ell)
         eta[ell] = smallest_primitive_root(ell)
-    return AdmissiblePrimeSet(curve.label, p, k, bound, primes, eta)
+    return AdmissiblePrimeSet(curve.label, _model(curve), p, k, bound, primes, eta)
 
 
 class KuriharaNumber(Record):
@@ -115,32 +116,30 @@ def kurihara_number(
     p: int,
     k: int,
     prime_set: AdmissiblePrimeSet,
-    plus_symbol: EigenSymbol | None = None,
 ) -> KuriharaNumber:
     """delta_n in Z/p^k for a squarefree product n of admissible primes.
 
-    ``prime_set`` must be sieved for this curve, at this p and at a level
-    k' >= k.  n = 1 gives [0]^+ mod p^k (the empty product of logs is 1).  For
-    n > 1 the sum is indexed by where each walk starts, not by a.  Let
+    ``prime_set`` must be sieved for this curve's model, at this p and at a
+    level k' >= k.  n = 1 gives [0]^+ mod p^k (the empty product of logs is
+    1).  For n > 1 the sum is indexed by where each walk starts, not by a.  Let
     W(c) = prod_{ell | n} log_ell(c) mod p^k and nu = nu(n).  On an
     admissible ell, p^k is odd and divides ell - 1, so log(-1) =
     (ell - 1)/2 = 0 mod p^k and W(n - c) = W(c); and log(c^-1) = -log(c),
     so W(c^-1) = (-1)^nu W(c).  [n - a] = sign [a] pairs a < n/2 with
     n - a, and [a/n] is the Euclid walk from (n : c), where c < n/2 is
-    the one of +-a^-1 (``EigenSymbol.walk``), with W(a) = (-1)^nu W(c);
-    a <-> c permutes the units below n/2.  Hence
+    the one of +-a^-1 (``EigenSymbol.walks``), with W(a) = (-1)^nu W(c);
+    a <-> c permutes the units below n/2.  The + symbol has sign 1, hence
 
-        delta_n = (1 + sign) (-1)^nu sum_{units c < n/2} W(c) walk(n, c),
+        delta_n = 2 (-1)^nu sum_{units c < n/2} W(c) walk(n, c),
 
     with no modular inverse and one log product per c.  A non-unit c has
     a zero log, so only the c with W(c) != 0 mod p^k are walked, in one
     ``EigenSymbol.walks`` call per block: a walk takes Euclid steps only
     while its larger entry is >= 128 and reads the rest from the symbol's
-    tail table, built once per + symbol.  A - symbol has 1 + sign = 0: it
-    walks nothing and builds no table.
+    tail table, built once per symbol.
     """
     pk = _precision_modulus(p, k)
-    if (prime_set.curve_label, prime_set.p) != (curve.label, p) or prime_set.k < k:
+    if (prime_set.model, prime_set.p) != (_model(curve), p) or prime_set.k < k:
         raise AdmissibilityError(
             f"the prime set was sieved for {prime_set.curve_label} at p = {prime_set.p}, "
             f"k = {prime_set.k}, not for {curve.label} at p = {p}, k >= {k}"
@@ -157,10 +156,9 @@ def kurihara_number(
                 raise AdmissibilityError(
                     f"{ell} is not in the admissible set for {curve.label}"
                 )
-    if plus_symbol is None:
-        plus_symbol = eigen_symbol(build_space(curve.conductor), curve, +1)
+    plus = eigen_symbol(build_space(curve.conductor), curve, +1)
     if n == 1:
-        return KuriharaNumber(n=1, p=p, k=k, value=plus_symbol.walk(1, 0) % pk, ideal_valuation=0)
+        return KuriharaNumber(n=1, p=p, k=k, value=plus.value(0) % pk, ideal_valuation=0)
     # per-prime log tables reduced into Z/p^k, each repeated so that
     # tile[c % ell + i] = log_ell(c + i) for i < _WEIGHT_BLOCK
     tiles = []
@@ -172,9 +170,7 @@ def kurihara_number(
             table[cur] = x % pk
             cur = (cur * eta) % ell
         tiles.append((ell, table * (_WEIGHT_BLOCK // ell + 2)))
-    scale = (1 + plus_symbol.sign) * (-1) ** len(factors)
-    end = (n + 1) // 2 if scale else 1  # 1 + sign = 0: a minus symbol walks nothing
-    total = 0
+    total, end = 0, (n + 1) // 2
     for start in range(1, end, _WEIGHT_BLOCK):
         stop = min(start + _WEIGHT_BLOCK, end)
         weights = None
@@ -182,10 +178,9 @@ def kurihara_number(
             logs = tile[start % ell : start % ell + stop - start]
             weights = logs if weights is None else [w * x % pk for w, x in zip(weights, logs)]
         starts = compress(range(start, stop), weights)
-        total += sum(map(mul, filter(None, weights), plus_symbol.walks(n, starts)))
-    return KuriharaNumber(
-        n=n, p=p, k=k, value=scale * total % pk, ideal_valuation=ideal_valuation(curve, n, p)
-    )
+        total += sum(map(mul, filter(None, weights), plus.walks(n, starts)))
+    value = 2 * (-1) ** len(factors) * total % pk
+    return KuriharaNumber(n=n, p=p, k=k, value=value, ideal_valuation=ideal_valuation(curve, n, p))
 
 
 class SearchRow(Record):
@@ -221,11 +216,10 @@ def nonvanishing_search(
         raise AdmissibilityError(f"max_factors must be >= 0, got {max_factors}")
     if prime_set is None:
         prime_set = sieve_admissible(curve, p, k, bound)
-    plus = eigen_symbol(build_space(curve.conductor), curve, +1)
     rows: list[SearchRow] = []
 
     def emit(n: int, factors: tuple[int, ...]):
-        num = kurihara_number(curve, n, p, k, prime_set, plus)
+        num = kurihara_number(curve, n, p, k, prime_set)
         v = valuation(num.value, p) if num.value else None
         unit_class = "0" if v is None else ("unit" if v == 0 else f"p^{v} * unit")
         rows.append(SearchRow(n, factors, num.value, unit_class, num.vanishes))

@@ -341,7 +341,7 @@ class ModularSymbolSpace:
 
     # -- paths ----------------------------------------------------------
 
-    def path_vector(self, r, decomposition=unimodular_path) -> tuple:
+    def path_vector(self, r) -> tuple:
         """Class of {i.infinity -> r} in the quotient basis.
 
         Symbol values never go through this dense vector (``EigenSymbol``
@@ -349,7 +349,7 @@ class ModularSymbolSpace:
         reference those values are checked against.
         """
         vec = [0] * self.dimension
-        for c, d in decomposition(r):
+        for c, d in unimodular_path(r):
             for t, v in self.reduction[self.p1_index(c, d)]:
                 vec[t] += v
         return tuple(vec)
@@ -447,32 +447,18 @@ class EigenSymbol(Frozen):
     def vector(self) -> tuple[int, ...]:
         return tuple(self.table[j] for j in self.space.free_indices)
 
-    def half_value(self, a: int, M: int) -> int:
-        """[a/M] for 0 <= a <= M/2 prime to M, in the integral normalization.
+    def walks(self, M: int, starts) -> list[int]:
+        """[a/M] for each start b, where a <= M/2 and a b = +-1 mod M, given
+        1 <= b < M prime to M (or M = 1, b = 0, which gives [0]).
 
         ``unimodular_path(a/M)`` adds (q_k : (-1)^(k+1) q_{k-1}) over the
         convergent denominators 1 = q_0 < q_1 < ... < q_n = M, and
-        q_{n-1} = b, the one of +-a^-1 mod M that is <= M/2; read from
-        the top, they are the Euclid remainders of (M, b), which ``walk``
-        sums.
-        """
-        b = pow(a, -1, M)
-        return self.walk(M, min(b, M - b))
-
-    def walk(self, M: int, b: int) -> int:
-        """[a/M] for the a <= M/2 with a b = +-1 mod M, given 0 <= b <= M/2
-        prime to M (M = 1, b = 0 gives [0]).
-
-        One walk adds table[(x : y)] and steps x, y = y, x % y from (M : b)
-        down to (1 : 0); the pairs at even distance from (1 : 0) take the
-        factor ``sign``, as table[(c : -d)] = sign table[(c : d)] (Cremona
-        1997, ch. 2).  (1 : 0) itself is P^1 point 1, as (1 : d) is point
-        1 + d for N > 1.
-        """
-        return self.walks(M, (b,))[0]
-
-    def walks(self, M: int, starts) -> list[int]:
-        """[walk(M, b) for b in starts], each 1 <= b < M prime to M (or M = 1, b = 0).
+        q_{n-1} = b; read from the top, they are the Euclid remainders of
+        (M, b).  So one walk adds table[(x : y)] and steps x, y = y, x % y
+        from (M : b) down to (1 : 0); the pairs at even distance from
+        (1 : 0) take the factor ``sign``, as table[(c : -d)] = sign
+        table[(c : d)] (Cremona 1997, ch. 2).  (1 : 0) itself is P^1 point
+        1, as (1 : d) is point 1 + d for N > 1.
 
         A walk takes Euclid steps only while x >= _TAIL and reads the rest
         from the symbol's tail table (``_tail_tables``), fetched once per
@@ -480,6 +466,8 @@ class EigenSymbol(Frozen):
         above (1 : 0), d that of the pair (x : y) the steps end at, so its
         factor is sign^(d + j + 2) = sign^d sign^j.
         """
+        if M < 1:
+            raise ValueError("modulus must be >= 1")
         space, table, sign = self.space, self.table, self.sign
         N, inv, index = space.N, space._inv, space.p1_index
         tail, odd = _tail_tables(self, M)
@@ -495,19 +483,26 @@ class EigenSymbol(Frozen):
         return values
 
     def value(self, r) -> int:
-        """[r], brought to a/M with a <= M/2 by [r + 1] = [r] and [-r] = sign [r]."""
+        """[r], brought to a/M with a <= M/2 by [r + 1] = [r] and [-r] = sign [r].
+
+        a and M - a give the same start: the one of +-a^-1 mod M below M/2.
+        """
         if r is None:
             return 0
         r = Fraction(r)
         M = r.denominator
         a = r.numerator % M
-        return self.half_value(a, M) if 2 * a <= M else self.sign * self.half_value(M - a, M)
+        b = pow(a, -1, M)
+        v = self.walks(M, (min(b, M - b),))[0]
+        return v if 2 * a <= M else self.sign * v
 
     def values_mod(self, M: int) -> dict[int, int]:
         """[a/M] for all units a mod M, in increasing order, in a new dict.
 
         Only a < M/2 is walked: [(M - a)/M] = [-a/M] = sign [a/M].
         """
+        if M < 1:
+            raise ValueError("modulus must be >= 1")
         if M <= 2:  # the one unit M - 1 is its own mirror
             return {M - 1: self.value(Fraction(M - 1, M))}
         low = [a for a in range(1, (M + 1) // 2) if gcd(a, M) == 1]
@@ -516,7 +511,7 @@ class EigenSymbol(Frozen):
         return dict(zip(low + [M - a for a in reversed(low)], vals))
 
 
-# walks end in a table of walk(x, y) over 1 <= y < x < _TAIL, one per symbol
+# walks end in a table of the walks from (x : y), 1 <= y < x < _TAIL, one per symbol
 _TAIL = 128
 
 # (N, curve label, sign) -> (symbol, tail, odd) of the symbol last walked
@@ -526,7 +521,7 @@ _tail_cache: dict[tuple, tuple] = {}
 def _tail_tables(sym: EigenSymbol, M: int) -> tuple[list, list]:
     """The symbol's (tail, odd) tables, with rows up to min(M, _TAIL - 1).
 
-    For coprime 1 <= y < x < _TAIL, tail[x][y] = walk(x, y), and
+    For coprime 1 <= y < x < _TAIL, tail[x][y] is the walk from (x : y), and
     odd[x][y] is 1 when (x : y) is an odd number of steps above (1 : 0)
     (tail[1][0] = sign table[1], odd[1][0] = 0).  (x : y) is one step
     above (y : x % y), and the pairs at even distance take the factor
@@ -692,11 +687,12 @@ def eigen_symbol(space: ModularSymbolSpace, curve: CurveData, sign: int) -> Eige
             )
         table = [sum(basis[0][t] * v for t, v in row) for row in reduction]
     content = gcd(*table)
+    # sign normalization; [0]^+ is the entry at P^1 point 1 = (1 : 0)
+    anchor = table[1] if sign == 1 else 0
+    lead = next((table[j] for j in space.free_indices if table[j]), 1)
+    if anchor < 0 or (anchor == 0 and lead < 0):
+        content = -content
     sym = EigenSymbol(space, curve.label, sign, tuple(v // content for v in table), bound)
-    # sign normalization
-    anchor = sym.value(0) if sign == 1 else 0
-    if anchor < 0 or (anchor == 0 and next((v for v in sym.vector if v != 0), 1) < 0):
-        sym = sym._replace(table=tuple(-v for v in sym.table))
     if bound == GOOD_HECKE_BOUND:  # the a_ell read past it are not in the key
         _eigen_cache[key] = sym
     return sym
@@ -707,7 +703,7 @@ def eigen_pair(curve: CurveData) -> tuple[EigenSymbol, EigenSymbol]:
     return eigen_symbol(space, curve, +1), eigen_symbol(space, curve, -1)
 
 
-def calibrate_periods(eigen: EigenSymbol, curve: CurveData, oracle=None) -> Fraction:
+def calibrate_periods(eigen: EigenSymbol, curve: CurveData) -> Fraction:
     """Pin the rational scalar matching [0]^+ to the numeric L(E,1)/Omega^+.
 
     Returns lambda with lambda * [0]^+_integral = L(E,1)/Omega^+ to
@@ -720,10 +716,9 @@ def calibrate_periods(eigen: EigenSymbol, curve: CurveData, oracle=None) -> Frac
         raise CalibrationError("period calibration uses the + eigen-symbol")
     if curve.fricke_sign is None:
         raise CalibrationError("calibration needs the Fricke sign from the catalog")
-    if oracle is None:
-        from .oracle import lvalue_and_period
+    from .oracle import lvalue_and_period
 
-        oracle = lvalue_and_period(curve)
+    oracle = lvalue_and_period(curve)
     ratio = oracle.lvalue / oracle.omega_plus
     base = eigen.value(0)
     if abs(ratio) <= 1e-9:

@@ -37,15 +37,13 @@ class LValueOracle(Frozen):
 _L_EPS = 1e-12
 
 
-def lseries_at_one(curve: CurveData, fricke: int | None = None):
+def lseries_at_one(curve: CurveData):
     """(value, tail_bound, terms) for L(E,1) by the exponential series."""
-    if fricke is None:
-        fricke = curve.fricke_sign
-    if fricke is None:
+    if curve.fricke_sign is None:
         raise OracleError(
             f"functional equation sign unknown for {curve.label}; refusing"
         )
-    w = -fricke  # sign of the functional equation
+    w = -curve.fricke_sign  # sign of the functional equation
     if w == -1:
         return 0.0, 0.0, 0
     c = 2 * math.pi / math.sqrt(curve.conductor)
@@ -133,8 +131,8 @@ def real_period(curve: CurveData) -> tuple[float, int]:
     return abs(omega1), 1
 
 
-def lvalue_and_period(curve: CurveData, fricke: int | None = None) -> LValueOracle:
-    lval, tail, terms = lseries_at_one(curve, fricke)
+def lvalue_and_period(curve: CurveData) -> LValueOracle:
+    lval, tail, terms = lseries_at_one(curve)
     omega, components = real_period(curve)
     return LValueOracle(
         curve_label=curve.label,

@@ -54,9 +54,6 @@ class PadicThetaTower(Record):
     def pk(self) -> int:
         return self.p**self.k
 
-    def layer(self, n: int) -> GroupRingElement:
-        return self.layers[n]
-
     def check_projectivity(self) -> list[tuple[int, bool, str | None]]:
         """For each 1 <= n < n_max: pi(theta^alpha_{n+1}) == theta^alpha_n mod p^k.
 

@@ -826,12 +826,10 @@ def validate_zeta_parameters(M: int, N: int, k: int, r: int, rp: int):
 
 
 class ZetaModularForm(Record):
-    __slots__ = ("M", "N", "k", "r", "rp", "constant", "branches")
+    __slots__ = ("M", "N", "k", "r", "rp", "branches")
 
 
-def zeta_modular_form(
-    M: int, N: int, k: int, r: int, rp: int, prec, constant=Fraction(1)
-) -> ZetaModularForm:
+def zeta_modular_form(M: int, N: int, k: int, r: int, rp: int, prec) -> ZetaModularForm:
     """The product of an F-type and E-type Eisenstein series, per branch.
 
     When both r = k-1 and r' = k-1 hold, both branch products are
@@ -839,14 +837,13 @@ def zeta_modular_form(
     """
     validate_zeta_parameters(M, N, k, r, rp)
     prec = Fraction(prec)
-    constant = Fraction(constant)
     branches = {}
     if rp == k - 1:
         f_part = f_series(k - r, TorsionPoint(1, 0, M), prec)
         e_part = rationalized_eisenstein(TorsionPoint(0, 1, N), r, prec)
-        branches["r'=k-1"] = (f_part * e_part).scale(constant)
+        branches["r'=k-1"] = f_part * e_part
     if r == k - 1:
         e_left = rationalized_eisenstein(TorsionPoint(1, 0, M), k - rp, prec)
         e_right = rationalized_eisenstein(TorsionPoint(0, 1, N), rp, prec)
-        branches["r=k-1"] = (e_left * e_right).scale(constant)
-    return ZetaModularForm(M, N, k, r, rp, constant, branches)
+        branches["r=k-1"] = e_left * e_right
+    return ZetaModularForm(M, N, k, r, rp, branches)

@@ -142,7 +142,7 @@ class AdjudicationSummary(Record):
         return [r for r in self.reports if r.status in ("A", "B", "neither")]
 
 
-def adjudicate_norm_relations(curves, max_product: int = 150) -> AdjudicationSummary:
+def adjudicate_norm_relations(curves, max_product: int) -> AdjudicationSummary:
     """Sweep all (M, ell) with good prime ell and M*ell <= max_product."""
     reports = []
     statuses = set()

@@ -70,7 +70,7 @@ def test_criterion_2_period_calibration(curves):
     t0 = time.time()
     plus = eigen_pair(curves["11a1"])[0]
     oracle = lvalue_and_period(curves["11a1"])
-    lam = calibrate_periods(plus, curves["11a1"], oracle)
+    lam = calibrate_periods(plus, curves["11a1"])
     value = lam * plus.value(0)
     rel_err = abs(float(value) - oracle.normalized) / abs(oracle.normalized)
     elapsed = time.time() - t0

@@ -189,7 +189,7 @@ def test_well_definedness_under_constant_shift(c11, aset11):
     for ell in aset11.primes[:3]:
         # annihilation witness: the full log-orbit sum vanishes mod p^k
         assert (ell - 1) * (ell - 2) // 2 % 3 == 0
-        d_orig = kurihara_number(c11, ell, 3, 1, aset11, plus)
+        d_orig = kurihara_number(c11, ell, 3, 1, aset11)
         logs = {pow(aset11.eta[ell], x, ell): x for x in range(ell - 1)}
         for shift in (1, 7, -4):
             shifted = sum((v + shift) * logs[a] for a, v in plus.values_mod(ell).items())
@@ -276,8 +276,8 @@ def _prime_set(label, p, k):
 @example("389a1", 3, 2, [0, 1, 2])
 @example("11a1", 5, 2, [0, 1, 2])
 def test_kurihara_number_matches_the_definition(label, p, k, picks):
-    # the sum over walk starts c with weight W(c), and its (1 + sign)
-    # (-1)^nu factor, must not move delta_n; n is 1 or a product of at
+    # the sum over walk starts c with weight W(c), and its 2 (-1)^nu
+    # factor, must not move delta_n; n is 1 or a product of at
     # most three distinct admissible primes, a prime that would take n
     # past 200,000 left out so that the definition's values_mod stays fast
     curve = curve_by_label(label)
@@ -288,7 +288,7 @@ def test_kurihara_number_matches_the_definition(label, p, k, picks):
         if n * ell <= 200_000:
             n *= ell
     plus = eigen_pair(curve)[0]
-    delta = kurihara_number(curve, n, p, k, prime_set, plus)
+    delta = kurihara_number(curve, n, p, k, prime_set)
     assert delta.value == _delta_by_definition(plus, n, p**k, prime_set)
 
 
@@ -314,31 +314,15 @@ def test_log_of_minus_one_vanishes_on_admissible_primes(label, p, k):
             assert discrete_log(ell, chosen.eta[ell], ell - 1) % p**k == 0
 
 
-@pytest.mark.parametrize("label, p, k", [("37a1", 3, 1), ("389a1", 3, 2), ("11a1", 5, 1)])
-def test_kurihara_number_of_a_minus_symbol_vanishes(label, p, k):
-    # [n - a] = -[a] cancels the pairs a, n - a under W(n - c) = W(c):
-    # the (1 + sign) factor, which the definition gives too
-    curve = curve_by_label(label)
-    prime_set = _prime_set(label, p, k)
-    minus = eigen_pair(curve)[1]
-    assert minus.sign == -1
-    first = prime_set.primes[:3]
-    for n in 1, first[0], first[0] * first[1], first[0] * first[1] * first[2]:
-        assert kurihara_number(curve, n, p, k, prime_set, minus).value == 0
-        if n <= 200_000:
-            assert _delta_by_definition(minus, n, p**k, prime_set) == 0
-
-
 def test_kurihara_number_memory_is_bounded_by_one_block(c37, aset37):
     # n = 43 * 109 * 211 = 988,957: a weight list over all c < n/2 would
     # take about 4 MB of pointers; the blocked weights stay far below it
-    plus = eigen_pair(c37)[0]
     n = 43 * 109 * 211
-    kurihara_number(c37, 43 * 109, 3, 1, aset37, plus)  # warm per-curve caches
+    kurihara_number(c37, 43 * 109, 3, 1, aset37)  # warm per-curve caches
     ideal_valuation(c37, n, 3)
     tracemalloc.start()
     try:
-        kurihara_number(c37, n, 3, 1, aset37, plus)
+        kurihara_number(c37, n, 3, 1, aset37)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -354,6 +338,14 @@ def test_a_prime_set_sieved_for_another_curve_p_or_k_is_refused(c11, c37):
             kurihara_number(curve, 7, p, k, aset)
         with pytest.raises(AdmissibilityError, match="sieved"):
             nonvanishing_search(curve, p, k, 1, 170, aset)
+    # a set sieved for 37a1's model under 11a1's label is 37a1's set: a_7
+    # is -1 on 37a1 and -2 on 11a1, where 7 is not admissible at p = 3
+    relabeled = sieve_admissible(c37._replace(label="11a1"), 3, 1, 200)
+    assert 7 in relabeled
+    with pytest.raises(AdmissibilityError, match="sieved"):
+        kurihara_number(c11, 7, 3, 1, relabeled)
+    with pytest.raises(AdmissibilityError, match="sieved"):
+        nonvanishing_search(c11, 3, 1, 1, 200, relabeled)
     # a set sieved at a higher level serves every lower k
     aset2 = sieve_admissible(c37, 3, 2, 500)
     high = kurihara_number(c37, 109, 3, 2, aset2).value
@@ -362,22 +354,20 @@ def test_a_prime_set_sieved_for_another_curve_p_or_k_is_refused(c11, c37):
 
 def test_kurihara_number_memory_with_a_cold_tail_table(c37, aset37):
     # the same n as above, with the symbol's tail table built inside the
-    # traced region: an equal + symbol that is a new object misses the cache
-    plus = eigen_pair(c37)[0]
-    cold = plus._replace()
+    # traced region: the tail cache is cleared after the warm-up
     n = 43 * 109 * 211
-    kurihara_number(c37, 43 * 109, 3, 1, aset37, plus)  # warm per-curve caches
+    kurihara_number(c37, 43 * 109, 3, 1, aset37)  # warm per-curve caches
     ideal_valuation(c37, n, 3)
     key = (37, c37.label, 1)
-    assert cold is not plus and modsym._tail_cache[key][0] is plus
+    modsym._tail_cache.clear()
     tracemalloc.start()
     try:
-        kurihara_number(c37, n, 3, 1, aset37, cold)
+        kurihara_number(c37, n, 3, 1, aset37)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    assert modsym._tail_cache[key][0] is cold
+    assert modsym._tail_cache[key][0] is eigen_pair(c37)[0]
 
 
 def test_tail_cache_holds_one_entry_per_symbol(c37):
@@ -390,12 +380,3 @@ def test_tail_cache_holds_one_entry_per_symbol(c37):
     nonvanishing_search(c37, 3, 1, 2, 170)
     assert len(modsym._tail_cache) == size
     assert modsym._tail_cache[(37, c37.label, 1)] is entry
-
-
-def test_a_minus_symbol_reads_no_tail_table(c37, aset37, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a - symbol walks nothing")
-
-    monkeypatch.setattr(modsym, "_tail_tables", refuse)
-    minus = eigen_pair(c37)[1]
-    assert kurihara_number(c37, 7 * 31, 3, 1, aset37, minus).value == 0

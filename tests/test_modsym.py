@@ -192,15 +192,22 @@ def test_symbol_values(pair11, pair37):
     assert plus11.value(None) == 0  # {i oo -> i oo}
 
 
+def _path_class(space, path):
+    """The class of a list of Manin symbols, summed from ``space.reduction``."""
+    vec = [0] * space.dimension
+    for c, d in path:
+        for t, v in space.reduction[space.p1_index(c, d)]:
+            vec[t] += v
+    return tuple(vec)
+
+
 @pytest.mark.parametrize(
     "r", [Fraction(0), Fraction(1, 2), Fraction(3, 7), Fraction(-5, 11), Fraction(22, 7)]
 )
 def test_path_independence(r, pair11):
     plus, _ = pair11
     space = plus.space
-    v1 = space.path_vector(r, unimodular_path)
-    v2 = space.path_vector(r, unimodular_path_hj)
-    assert v1 == v2
+    assert space.path_vector(r) == _path_class(space, unimodular_path_hj(r))
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,9 +223,10 @@ def test_table_values_match_homology_classes(label, part, a, b):
     sym = eigen_pair(curve_by_label(label))[part]
     space = sym.space
     r = Fraction(a, b)
-    for decomp in (unimodular_path, unimodular_path_hj):
-        dense = sum(v * w for v, w in zip(sym.vector, space.path_vector(r, decomp)))
-        assert sum(sym.table[space.p1_index(c, d)] for c, d in decomp(r)) == dense
+    hj = unimodular_path_hj(r)
+    for path, vec in (unimodular_path(r), space.path_vector(r)), (hj, _path_class(space, hj)):
+        dense = sum(v * w for v, w in zip(sym.vector, vec))
+        assert sum(sym.table[space.p1_index(c, d)] for c, d in path) == dense
         assert sym.value(r) == dense
 
 
@@ -548,8 +556,18 @@ def test_short_walks_build_short_tails():
     assert len(tail) == 2
     sym.values_mod(35)
     assert len(tail) == 36
-    sym.walk(10**6 + 3, 5)
+    sym.walks(10**6 + 3, [5])
     assert len(tail) == modsym._TAIL
+
+
+@pytest.mark.parametrize("M", [0, -1, -5])
+def test_a_modulus_below_one_is_refused(pair11, M):
+    # unchecked, values_mod(-5) gives {-6: 12} and walks(0, [1]) an IndexError
+    plus, _ = pair11
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        plus.values_mod(M)
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        plus.walks(M, [1])
 
 
 @settings(max_examples=60, deadline=None)

@@ -62,7 +62,7 @@ def test_consistency_flags_flipped_sign(c37, pair37):
     plus = pair37[0]
     honest = lvalue_and_period(c37)
     assert consistency_check(c37, plus.value(0), honest) == "consistent"
-    flipped = lvalue_and_period(c37, fricke=-1)
+    flipped = lvalue_and_period(c37._replace(fricke_sign=-1))
     assert "inconsistency" in consistency_check(c37, plus.value(0), flipped)
 
 

@@ -56,8 +56,8 @@ def test_projectivity_defining_instance(tower_11_3):
     from mazurtate.groupring import first_mismatch, project
 
     # project sums the int coefficients; the layers are read mod p^k
-    lhs = project(tower_11_3.layer(2), 3).map_coeffs(lambda v: v % tower_11_3.pk)
-    assert first_mismatch(lhs, tower_11_3.layer(1)) is None
+    lhs = project(tower_11_3.layers[2], 3).map_coeffs(lambda v: v % tower_11_3.pk)
+    assert first_mismatch(lhs, tower_11_3.layers[1]) is None
 
 
 def test_stabilize_rejects_bad_and_nonordinary(c11):
