@@ -17,10 +17,11 @@ moves each value by a unit only.
 from __future__ import annotations
 
 from itertools import compress
+from math import gcd
 from operator import mul
 
 from .curves import CurveData, DEFAULT_COUNT_BOUND
-from .modsym import build_space, eigen_symbol
+from .modsym import NotNewformError, build_space, eigen_symbol
 from .nt import (
     factorize, is_prime, is_primitive_root, primes_up_to, smallest_primitive_root, valuation,
 )
@@ -41,19 +42,41 @@ def _model(curve: CurveData) -> tuple:
     return curve.a_invariants, curve.conductor
 
 
+def _checked_modulus(curve: CurveData, p: int, k: int, prime_set: "AdmissiblePrimeSet") -> int:
+    """p^k, once ``prime_set`` is known to be sieved for this curve's model at p and k' >= k."""
+    pk = _precision_modulus(p, k)
+    if (prime_set.model, prime_set.p) != (_model(curve), p) or prime_set.k < k:
+        raise AdmissibilityError(
+            f"the prime set was sieved for {prime_set.curve_label} at p = {prime_set.p}, "
+            f"k = {prime_set.k}, not for {curve.label} at p = {p}, k >= {k}"
+        )
+    return pk
+
+
 class AdmissiblePrimeSet(Record):
     # model: (a-invariants, conductor) of the curve sieved, which fix every a_ell
     # eta: ell -> chosen primitive root
     __slots__ = ("curve_label", "model", "p", "k", "bound", "primes", "eta")
 
     def __contains__(self, ell: int) -> bool:
-        return ell in self.eta
+        return ell in self.primes
 
     def with_roots(self, eta: dict[int, int]) -> "AdmissiblePrimeSet":
         for ell, root in eta.items():
+            if ell not in self.primes:
+                raise AdmissibilityError(f"{ell} is not in the admissible set")
             if not is_primitive_root(root, ell):
                 raise AdmissibilityError(f"{root} is not a primitive root mod {ell}")
         return self._replace(primes=list(self.primes), eta=self.eta | eta)
+
+
+def _admissible(curve: CurveData, ell: int, p: int, pk: int) -> bool:
+    """For a prime ell: (ell, Np) = 1, ell = 1 mod p^k and a_ell = ell + 1 mod p^k."""
+    return (
+        (curve.conductor * p) % ell != 0
+        and (ell - 1) % pk == 0
+        and (curve.ap(ell) - ell - 1) % pk == 0
+    )
 
 
 def sieve_admissible(curve: CurveData, p: int, k: int, bound: int) -> AdmissiblePrimeSet:
@@ -73,15 +96,9 @@ def sieve_admissible(curve: CurveData, p: int, k: int, bound: int) -> Admissible
     primes = []
     eta = {}
     for ell in primes_up_to(bound):
-        if curve.conductor % ell == 0 or ell == p:
-            continue
-        if (ell - 1) % pk != 0:
-            continue
-        a_ell = curve.ap(ell)
-        if (a_ell - ell - 1) % pk != 0:
-            continue
-        primes.append(ell)
-        eta[ell] = smallest_primitive_root(ell)
+        if _admissible(curve, ell, p, pk):
+            primes.append(ell)
+            eta[ell] = smallest_primitive_root(ell)
     return AdmissiblePrimeSet(curve.label, _model(curve), p, k, bound, primes, eta)
 
 
@@ -138,12 +155,7 @@ def kurihara_number(
     while its larger entry is >= 128 and reads the rest from the symbol's
     tail table, built once per symbol.
     """
-    pk = _precision_modulus(p, k)
-    if (prime_set.model, prime_set.p) != (_model(curve), p) or prime_set.k < k:
-        raise AdmissibilityError(
-            f"the prime set was sieved for {prime_set.curve_label} at p = {prime_set.p}, "
-            f"k = {prime_set.k}, not for {curve.label} at p = {p}, k >= {k}"
-        )
+    pk = _checked_modulus(curve, p, k, prime_set)
     if n == 1:
         factors: list[int] = []
     else:
@@ -203,6 +215,35 @@ class NonvanishingTable(Record):
         )
 
 
+def root_number(curve: CurveData) -> int:
+    """The sign epsilon with [a/M]^+ = epsilon [(N a)^-1/M]^+ for every M prime to N.
+
+    Read from the curve's own + symbol at M = 2, 3, ... prime to N: the
+    first M at which exactly one sign fits every unit fixes it; a symbol
+    that is zero mod M fits both, and one that fits neither is refused.
+    epsilon is the root number of L(E, s), minus the Fricke eigenvalue
+    (Mazur-Tate 1987).  Some M has a nonzero [a/M]^+, since almost every
+    twist L(E, chi, 1) is nonzero (Rohrlich 1984), so the walk ends.
+    """
+    plus = eigen_symbol(build_space(curve.conductor), curve, +1)
+    N, M = curve.conductor, 1
+    while True:
+        M += 1
+        if gcd(M, N) > 1:
+            continue
+        values = plus.values_mod(M)
+        fits = [
+            s for s in (1, -1)
+            if all(v == s * values[pow(N * a, -1, M)] for a, v in values.items())
+        ]
+        if len(fits) == 1:
+            return fits[0]
+        if not fits:
+            raise NotNewformError(
+                f"the + symbol of {curve.label} satisfies no functional equation mod {M}"
+            )
+
+
 def nonvanishing_search(
     curve: CurveData,
     p: int,
@@ -211,18 +252,53 @@ def nonvanishing_search(
     bound: int,
     prime_set: AdmissiblePrimeSet | None = None,
 ) -> NonvanishingTable:
-    """Exhaustive delta_n table over squarefree n with at most max_factors factors."""
+    """Exhaustive delta_n table over squarefree n with at most max_factors factors.
+
+    ``bound`` is the sieve bound when no ``prime_set`` is given; the table
+    reports the bound of the set it read.  A row with (-1)^nu(n) !=
+    epsilon (``root_number``) is written as 0 without evaluating delta_n,
+    because there delta_n = 0 mod p^k.  Write [b/m] for [b/m]^+ and, for a
+    set S of primes dividing m, D_S(m) = sum_{units b mod m} [b/m]
+    prod_{ell in S} log_ell(b), so that delta_n = D_S(n) with S all of
+    primes(n).  Each ell in the set is admissible at (p, k), checked here.
+
+    * log_ell(-1) = (ell - 1)/2 = 0 mod p^k, as p^k is odd and divides
+      ell - 1.
+    * D_S(m) = 0 mod p^k for every S strictly inside primes(m), by
+      induction on m.  Take ell | m outside S.  f = prod_S log depends on
+      b mod m/ell only, and summing [b/m] over the b above c mod m/ell is
+      the norm relation pi(theta_m) = (a_ell - sigma_ell - sigma_ell^-1)
+      theta_{m/ell} (Mazur-Tate 1987).  So D_S(m) = sum_c [c/(m/ell)]
+      (a_ell f(c) - f(ell c) - f(ell^-1 c)).  With a_ell = 2 mod p^k and
+      log(ell^+-1 c) = log c +- log ell, the T = S terms cancel and what
+      is left is a combination of D_T(m/ell), T strictly inside S, which
+      vanish by induction.
+    * b -> (N b)^-1 permutes the units mod n and [(N b)^-1/n] = epsilon
+      [b/n]; log((N b)^-1) = -log b - log N (the sign of the substitution
+      does not matter, as log(-1) = 0).  Expanding the product over ell |
+      n, every term but -log b at every ell is a D_S(n) with S strictly
+      inside primes(n), so delta_n = epsilon (-1)^nu delta_n mod p^k, and
+      p is odd.  For n = 1 this is [0]^+ = epsilon [0]^+.
+    """
     if max_factors < 0:
         raise AdmissibilityError(f"max_factors must be >= 0, got {max_factors}")
     if prime_set is None:
         prime_set = sieve_admissible(curve, p, k, bound)
+    pk = _checked_modulus(curve, p, k, prime_set)
+    for ell in prime_set.primes:
+        if not (is_prime(ell) and _admissible(curve, ell, p, pk)):
+            raise AdmissibilityError(f"{ell} is not admissible for {curve.label} at p = {p}, k = {k}")
+    epsilon = root_number(curve)
     rows: list[SearchRow] = []
 
     def emit(n: int, factors: tuple[int, ...]):
-        num = kurihara_number(curve, n, p, k, prime_set)
-        v = valuation(num.value, p) if num.value else None
+        if (-1) ** len(factors) == epsilon:
+            value = kurihara_number(curve, n, p, k, prime_set).value
+        else:
+            value = 0
+        v = valuation(value, p) if value else None
         unit_class = "0" if v is None else ("unit" if v == 0 else f"p^{v} * unit")
-        rows.append(SearchRow(n, factors, num.value, unit_class, num.vanishes))
+        rows.append(SearchRow(n, factors, value, unit_class, value == 0))
 
     def extend(start: int, n: int, factors: tuple[int, ...], depth: int):
         if depth == 0:
@@ -236,5 +312,5 @@ def nonvanishing_search(
     extend(0, 1, (), max_factors)
     found = any(not r.vanishes for r in rows)
     return NonvanishingTable(
-        curve.label, p, k, bound, max_factors, rows, found
+        curve.label, p, k, prime_set.bound, max_factors, rows, found
     )

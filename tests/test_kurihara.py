@@ -4,16 +4,18 @@ import tracemalloc
 from math import isqrt
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mazurtate import modsym
-from mazurtate.curves import curve_by_label
+from mazurtate import kurihara
+from mazurtate.curves import curve_by_label, load_catalog
 from mazurtate.kurihara import (
     AdmissibilityError,
     ideal_valuation,
     kurihara_number,
     nonvanishing_search,
+    root_number,
     sieve_admissible,
 )
 from mazurtate.nt import is_primitive_root
@@ -145,6 +147,69 @@ def test_vanishing_invariant_under_root_rechoice(c37, aset37):
             c37, 3, 1, 1, 500, aset37.with_roots(eta)
         )
         assert {r.n: r.vanishes for r in redone.rows} == base
+
+
+def test_a_root_for_a_prime_outside_the_set_is_refused(c37):
+    # 11 is not admissible for 37a1 at p = 3 (3 does not divide 10); a root
+    # for it once put 11 "in" the set, and delta_11 then read 2 mod 3
+    aset = sieve_admissible(c37, 3, 1, 100)
+    with pytest.raises(AdmissibilityError, match="not in the admissible set"):
+        aset.with_roots({11: 2})
+    rooted = aset._replace(eta=aset.eta | {11: 2})
+    assert 11 not in rooted
+    with pytest.raises(AdmissibilityError, match="admissible"):
+        kurihara_number(c37, 11, 3, 1, rooted)
+
+
+def test_a_search_refuses_a_prime_that_is_not_admissible(c37, aset37):
+    # a set is a record anyone can build; a row skipped by parity must not
+    # stand for a prime at which the theorem does not hold
+    for extra in 11, 13, 37, 49:
+        padded = aset37._replace(primes=aset37.primes + [extra])
+        with pytest.raises(AdmissibilityError, match=f"{extra} is not admissible"):
+            nonvanishing_search(c37, 3, 1, 1, 500, padded)
+
+
+def test_table_reports_the_bound_of_the_set_it_read(c37, aset37):
+    table = nonvanishing_search(c37, 3, 1, 1, 20, aset37)
+    assert table.bound == 500
+    assert "primes <= 500" in table.summary()
+    assert max(r.n for r in table.rows) == 463
+
+
+def test_root_number_read_from_the_symbols_is_minus_the_fricke_sign():
+    # the first check of the catalog's fricke column against the symbols
+    for curve in load_catalog():
+        assert root_number(curve) == -curve.fricke_sign, curve.label
+
+
+class _NoFunctionalEquation:
+    # zero mod 2, so neither sign is read there; mod 3, with 11 = 2 and
+    # a -> (11 a)^-1 swapping 1 and 2, [1/3] = 1 is neither [2/3] nor -[2/3]
+    def values_mod(self, M):
+        return {2: {1: 0}, 3: {1: 1, 2: 2}}[M]
+
+
+def test_root_number_refuses_a_symbol_with_no_functional_equation(c11, monkeypatch):
+    monkeypatch.setattr(kurihara, "eigen_symbol", lambda space, curve, sign: _NoFunctionalEquation())
+    with pytest.raises(modsym.NotNewformError, match="no functional equation mod 3"):
+        root_number(c11)
+
+
+@pytest.mark.parametrize("label, bound", [("37a1", 170), ("11a1", 300)])
+def test_skipping_table_equals_the_table_row_by_row(label, bound):
+    # rows of the wrong parity are written as 0 unevaluated; every row must
+    # equal kurihara_number, which never skips
+    curve = curve_by_label(label)
+    aset = sieve_admissible(curve, 3, 1, bound)
+    table = nonvanishing_search(curve, 3, 1, 2, bound, aset)
+    m = len(aset.primes)
+    assert len(table.rows) == 1 + m + m * (m - 1) // 2
+    for row in table.rows:
+        delta = kurihara_number(curve, row.n, 3, 1, aset)
+        assert (row.value, row.vanishes) == (delta.value, delta.vanishes), row.n
+        if delta.vanishes:
+            assert row.unit_class == "0"
 
 
 def test_composite_n_two_factors(c37, aset37):
@@ -290,6 +355,33 @@ def test_kurihara_number_matches_the_definition(label, p, k, picks):
     plus = eigen_pair(curve)[0]
     delta = kurihara_number(curve, n, p, k, prime_set)
     assert delta.value == _delta_by_definition(plus, n, p**k, prime_set)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["11a1", "37a1", "389a1"]),
+    st.sampled_from([3, 5]),
+    st.sampled_from([1, 2]),
+    st.lists(st.integers(0, 99), max_size=2, unique=True),
+)
+@example("37a1", 3, 1, [0, 1])
+@example("37a1", 5, 1, [0, 2])
+@example("11a1", 3, 1, [3])
+@example("11a1", 5, 2, [1])
+@example("389a1", 3, 2, [0])
+@example("389a1", 5, 1, [4])
+def test_delta_n_of_the_wrong_parity_vanishes(label, p, k, picks):
+    # delta_n = 0 mod p^k when (-1)^nu(n) is not the root number -fricke;
+    # n = 1 or a product of at most two admissible primes, kept <= 200,000
+    curve = curve_by_label(label)
+    prime_set = _prime_set(label, p, k)
+    primes = prime_set.primes
+    n, nu = 1, 0
+    for ell in sorted({primes[i % len(primes)] for i in picks} if primes else ()):
+        if n * ell <= 200_000:
+            n, nu = n * ell, nu + 1
+    assume((-1) ** nu != -curve.fricke_sign)
+    assert kurihara_number(curve, n, p, k, prime_set).value == 0
 
 
 def _rechosen(prime_set, seed):
