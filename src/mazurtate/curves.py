@@ -192,9 +192,6 @@ class EulerFactor(Frozen):
 
     __slots__ = ("prime", "coefficients")
 
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def evaluate(self, x):
         out = 0
         for c in reversed(self.coefficients):

@@ -268,14 +268,6 @@ def all_characters(d: int):
     return (DirichletCharacter(d, exps) for exps in product(*steps))
 
 
-def quadratic_character(d: int) -> DirichletCharacter:
-    """The unique primitive quadratic character mod d, when it exists."""
-    for chi in all_characters(d):
-        if chi.order() == 2 and chi.is_primitive():
-            return chi
-    raise ValueError(f"no primitive quadratic character mod {d}")
-
-
 def eval_character(x: GroupRingElement, chi: DirichletCharacter) -> CycElt:
     """sum_a coeff(a) chi(a), exactly, in the field of chi's order.
 

@@ -245,22 +245,17 @@ def root_number(curve: CurveData) -> int:
 
 
 def nonvanishing_search(
-    curve: CurveData,
-    p: int,
-    k: int,
-    max_factors: int,
-    bound: int,
-    prime_set: AdmissiblePrimeSet | None = None,
+    curve: CurveData, p: int, k: int, max_factors: int, prime_set: AdmissiblePrimeSet
 ) -> NonvanishingTable:
-    """Exhaustive delta_n table over squarefree n with at most max_factors factors.
+    """Exhaustive delta_n table over squarefree n with at most max_factors
+    factors from ``prime_set``, whose sieve bound the table reports.
 
-    ``bound`` is the sieve bound when no ``prime_set`` is given; the table
-    reports the bound of the set it read.  A row with (-1)^nu(n) !=
-    epsilon (``root_number``) is written as 0 without evaluating delta_n,
-    because there delta_n = 0 mod p^k.  Write [b/m] for [b/m]^+ and, for a
-    set S of primes dividing m, D_S(m) = sum_{units b mod m} [b/m]
-    prod_{ell in S} log_ell(b), so that delta_n = D_S(n) with S all of
-    primes(n).  Each ell in the set is admissible at (p, k), checked here.
+    A row with (-1)^nu(n) != epsilon (``root_number``) is written as 0
+    without evaluating delta_n, because there delta_n = 0 mod p^k.  Write
+    [b/m] for [b/m]^+ and, for a set S of primes dividing m, D_S(m) =
+    sum_{units b mod m} [b/m] prod_{ell in S} log_ell(b), so that delta_n =
+    D_S(n) with S all of primes(n).  Each ell in the set is admissible at
+    (p, k), checked here.
 
     * log_ell(-1) = (ell - 1)/2 = 0 mod p^k, as p^k is odd and divides
       ell - 1.
@@ -282,8 +277,6 @@ def nonvanishing_search(
     """
     if max_factors < 0:
         raise AdmissibilityError(f"max_factors must be >= 0, got {max_factors}")
-    if prime_set is None:
-        prime_set = sieve_admissible(curve, p, k, bound)
     pk = _checked_modulus(curve, p, k, prime_set)
     for ell in prime_set.primes:
         if not (is_prime(ell) and _admissible(curve, ell, p, pk)):

@@ -11,20 +11,17 @@ the plain coefficient table {a: lambda [a/M]^+ + [a/M]^-} that
 ``integrality_report(..., lam)`` and ``theta --mode calibrated`` read.  No
 rational group-ring element is built.
 
-The projection of theta_{M ell} down one prime level satisfies a
-three-term relation.  Two candidate shapes are implemented and checked
-coefficientwise:
+The projection of theta_{M ell} down one prime level satisfies the
+Mazur-Tate relation (Mazur and Tate 1987), which ``check_norm_relation``
+checks coefficientwise, ``adjudicate_norm_relations`` sweeps over (M, ell)
+and ``padic.stabilize`` builds every tower on:
 
-  variant A:  pi(theta_{M ell}) = (a_ell - sigma_ell - sigma_ell^{-1}) theta_M   (ell good, ell not| M)
-              pi(theta_{M ell}) = a_ell theta_M - nu(theta_{M/ell})              (ell | M)
-  variant B:  sigma_ell^{-1} replaced by ell * sigma_ell^{-1}, and the
-              nu-term scaled by ell, mirroring the degree-2 Euler factor
-              1 - a_ell x + ell x^2.
+  pi(theta_{M ell}) = (a_ell - sigma_ell - sigma_ell^{-1}) theta_M   (ell good, ell not| M)
+  pi(theta_{M ell}) = a_ell theta_M - nu(theta_{M/ell})              (ell | M)
 
-``adjudicate_norm_relations`` sweeps a range of (M, ell) and reports
-which variant holds: variant A, the Mazur-Tate relation (Mazur and
-Tate 1987), on every non-vacuous case.  ``padic.stabilize`` builds on
-variant A, and each tower's projectivity check certifies it there.
+Scaling the last term by ell, as in the Euler factor 1 - a_ell x + ell x^2,
+moves the right side by (ell - 1) times that term, so where this relation
+holds the scaled one holds only where the last term is 0 (a vacuous case).
 """
 
 from __future__ import annotations
@@ -92,16 +89,14 @@ def theta_element(curve: CurveData, M: int) -> ThetaElement:
 
 
 class NormRelationReport(Record):
-    # branch: "ell | M" or "ell good"
-    # status: "A", "B", "indeterminate", "neither"
-    __slots__ = (
-        "curve_label", "M", "ell", "branch", "variant_a_holds", "variant_b_holds", "status",
-        "witness_a", "witness_b",
-    )
+    # branch: "ell | M" or "ell good"; vacuous: the last term,
+    # sigma_ell^{-1} theta_M or nu(theta_{M/ell}), is 0
+    # witness: (unit, lhs, rhs) at the first unit where the sides differ, or None
+    __slots__ = ("curve_label", "M", "ell", "branch", "holds", "vacuous", "witness")
 
 
 def check_norm_relation(curve: CurveData, M: int, ell: int) -> NormRelationReport:
-    """Evaluate both three-term relation variants at (M, ell), exactly."""
+    """Compare pi(theta_{M ell}) with the Mazur-Tate right side at (M, ell), exactly."""
     if not is_prime(ell):
         raise ValueError(f"{ell} must be prime")
     if curve.conductor % ell == 0:
@@ -117,48 +112,32 @@ def check_norm_relation(curve: CurveData, M: int, ell: int) -> NormRelationRepor
         # sigma_shift is the identity at M = 1, where pow(ell, -1, 1) is 0
         head = head - theta_m.sigma_shift(ell)
         tail = theta_m.sigma_shift(pow(ell, -1, M))
-    rhs_a, rhs_b = head - tail, head - tail.scale(ell)
-    wit_a = first_mismatch(lhs, rhs_a)
-    wit_b = first_mismatch(lhs, rhs_b)
-    a_holds, b_holds = wit_a is None, wit_b is None
-    if a_holds and b_holds:
-        status = "indeterminate"
-    elif a_holds:
-        status = "A"
-    elif b_holds:
-        status = "B"
-    else:
-        status = "neither"
+    witness = first_mismatch(lhs, head - tail)
     return NormRelationReport(
-        curve.label, M, ell, branch, a_holds, b_holds, status, wit_a, wit_b
+        curve.label, M, ell, branch, witness is None, tail.is_zero(), witness
     )
 
 
 class AdjudicationSummary(Record):
-    # variant: the single variant holding in all non-vacuous cases
-    __slots__ = ("curve_labels", "max_product", "reports", "variant", "consistent")
+    # variant: "A", the Mazur-Tate relation's name in ``padic`` too, when
+    # every case holds and one is not vacuous, else None
+    __slots__ = ("curve_labels", "max_product", "reports", "variant")
 
     def non_vacuous(self):
-        return [r for r in self.reports if r.status in ("A", "B", "neither")]
+        return [r for r in self.reports if not r.vacuous]
 
 
 def adjudicate_norm_relations(curves, max_product: int) -> AdjudicationSummary:
     """Sweep all (M, ell) with good prime ell and M*ell <= max_product."""
-    reports = []
-    statuses = set()
-    for curve in curves:
-        for ell in primes_up_to(max_product):
-            if curve.conductor % ell == 0:
-                continue
-            for M in range(1, max_product // ell + 1):
-                rep = check_norm_relation(curve, M, ell)
-                reports.append(rep)
-                if rep.status != "indeterminate":
-                    statuses.add(rep.status)
-    variant = statuses.pop() if len(statuses) == 1 else None
-    consistent = variant in ("A", "B")
+    reports = [
+        check_norm_relation(curve, M, ell)
+        for curve in curves
+        for ell in primes_up_to(max_product) if curve.conductor % ell
+        for M in range(1, max_product // ell + 1)
+    ]
+    holds = all(r.holds for r in reports) and any(not r.vacuous for r in reports)
     return AdjudicationSummary(
-        tuple(c.label for c in curves), max_product, reports, variant, consistent
+        tuple(c.label for c in curves), max_product, reports, "A" if holds else None
     )
 
 

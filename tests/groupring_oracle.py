@@ -5,6 +5,8 @@ of ``nt.unit_group_generators``: a table of every generator-power product,
 built one generator at a time.  The character values of
 ``mazurtate.groupring``, which walk the same generator powers into one
 value table per character, are checked against sum_i x_i t_i mod e.
+``quadratic_character`` finds the primitive quadratic character mod d
+that the twisted-value and interpolation tests use.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
+from mazurtate.groupring import DirichletCharacter, all_characters
 from mazurtate.nt import unit_group_generators
 
 
@@ -36,3 +39,11 @@ def _unit_log_table(m: int) -> dict[int, tuple[int, ...]]:
                 new[v] = exps[:i] + (e,) + exps[i + 1 :]
         table = new
     return table
+
+
+def quadratic_character(d: int) -> DirichletCharacter:
+    """The unique primitive quadratic character mod d, when it exists."""
+    for chi in all_characters(d):
+        if chi.order() == 2 and chi.is_primitive():
+            return chi
+    raise ValueError(f"no primitive quadratic character mod {d}")

@@ -395,6 +395,23 @@ def test_verify_empty_norm_relation_sweep_is_vacuous(capsys):
     assert "0 non-vacuous cases (of 0)" in check["name"]
 
 
+def test_verify_norm_relations_names_the_first_failing_case(capsys, tmp_path):
+    # a_23 = 0 passes the Hasse bound but 11a1 has a_23 = -1; the sweep runs
+    # curve by curve, then ell and M upward, so 11a1 at M = 1, ell = 23 fails first
+    catalog = tmp_path / "curves.cat"
+    catalog.write_text(
+        "11a1 [0,-1,1,-10,-20] 11 - rank=0 ap=23:0\n37a1 [0,0,1,-1,0] 37 + rank=1\n"
+    )
+    argv = ("verify", "norm-relations", "--max-product", "150", "--json", "--no-timing")
+    code, out, _ = run(capsys, "--catalog", str(catalog), *argv)
+    assert code == 1
+    report = json.loads(out)
+    (check,) = report["checks"]
+    assert check["status"] == "fail"
+    assert check["witness"] == "11a1 M=1 ell=23: (unit, lhs, rhs) = (0, -6, -4)"
+    assert report["outputs"]["norm-relations.variant"] == "None"
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [
@@ -664,6 +681,17 @@ PINNED_RESIDUES = {
     "verify-interpolation": (
         ("verify", "interpolation"),
         "5b4eea7549409df774c431013cae8cc98ad0a4f90f282398d5d0b14220775533",
+    ),
+    # recorded when the sweep also evaluated an ell-scaled second relation
+    # and adjudicated between the two; the Mazur-Tate relation alone must
+    # print the same bytes, and --max-product 0 is vacuous with variant None
+    "verify-norm-relations-150": (
+        ("verify", "norm-relations", "--max-product", "150"),
+        "61e535ba5c90db46775d039132a2eb317355084dff22e37701b40657d0a6b312",
+    ),
+    "verify-norm-relations-0": (
+        ("verify", "norm-relations", "--max-product", "0"),
+        "5b38ba26cfcbaecdefcf7cead9ce7a116e42cb1ba9b0dacd5c4b597ca84b04a8",
     ),
     # recorded when the seven suites were functions in cli.py; the
     # registry in mazurtate/checks.py must print the same bytes

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from groupring_oracle import unit_decompose
+from groupring_oracle import quadratic_character, unit_decompose
 
 from mazurtate.arith import CycElt, ModulusMismatch, cyc_embed
 from mazurtate.groupring import (
@@ -17,7 +17,6 @@ from mazurtate.groupring import (
     kolyvagin_derivative,
     norm_map,
     project,
-    quadratic_character,
     telescoping_check,
     trivial_character,
 )

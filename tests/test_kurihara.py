@@ -68,13 +68,13 @@ def test_precision_exponent_below_one_is_refused(c37, aset37, k):
     with pytest.raises(AdmissibilityError, match="k must be >= 1"):
         kurihara_number(c37, 7, 3, k, aset37)
     with pytest.raises(AdmissibilityError, match="k must be >= 1"):
-        nonvanishing_search(c37, 3, k, 2, 50, aset37)
+        nonvanishing_search(c37, 3, k, 2, aset37)
 
 
-def test_negative_max_factors_is_refused(c37):
+def test_negative_max_factors_is_refused(c37, aset37):
     # a negative depth never reached 0: the search walked every subset
     with pytest.raises(AdmissibilityError, match="max_factors"):
-        nonvanishing_search(c37, 3, 1, -1, 20)
+        nonvanishing_search(c37, 3, 1, -1, aset37)
 
 
 def test_discrete_log_examples():
@@ -121,7 +121,7 @@ def test_ideal_valuation(c37):
 
 
 def test_nonvanishing_table_regression(c37, aset37):
-    table = nonvanishing_search(c37, 3, 1, 1, 500, aset37)
+    table = nonvanishing_search(c37, 3, 1, 1, aset37)
     assert table.found_nonvanishing
     got_vanishing = {r.n for r in table.rows if r.vanishes}
     assert got_vanishing == VANISHING_37A1_P3
@@ -129,7 +129,7 @@ def test_nonvanishing_table_regression(c37, aset37):
     row0 = next(r for r in table.rows if r.n == 1)
     assert row0.value == kurihara_number(c37, 1, 3, 1, aset37).value
     # determinism under a fixed prime set
-    again = nonvanishing_search(c37, 3, 1, 1, 500, aset37)
+    again = nonvanishing_search(c37, 3, 1, 1, aset37)
     assert [(r.n, r.value) for r in again.rows] == [
         (r.n, r.value) for r in table.rows
     ]
@@ -137,15 +137,13 @@ def test_nonvanishing_table_regression(c37, aset37):
 
 def test_vanishing_invariant_under_root_rechoice(c37, aset37):
     rng = random.Random(2024)
-    base = {r.n: r.vanishes for r in nonvanishing_search(c37, 3, 1, 1, 500, aset37).rows}
+    base = {r.n: r.vanishes for r in nonvanishing_search(c37, 3, 1, 1, aset37).rows}
     for _ in range(3):
         eta = {}
         for ell in aset37.primes:
             roots = [x for x in range(2, ell) if is_primitive_root(x, ell)]
             eta[ell] = rng.choice(roots)
-        redone = nonvanishing_search(
-            c37, 3, 1, 1, 500, aset37.with_roots(eta)
-        )
+        redone = nonvanishing_search(c37, 3, 1, 1, aset37.with_roots(eta))
         assert {r.n: r.vanishes for r in redone.rows} == base
 
 
@@ -167,11 +165,11 @@ def test_a_search_refuses_a_prime_that_is_not_admissible(c37, aset37):
     for extra in 11, 13, 37, 49:
         padded = aset37._replace(primes=aset37.primes + [extra])
         with pytest.raises(AdmissibilityError, match=f"{extra} is not admissible"):
-            nonvanishing_search(c37, 3, 1, 1, 500, padded)
+            nonvanishing_search(c37, 3, 1, 1, padded)
 
 
 def test_table_reports_the_bound_of_the_set_it_read(c37, aset37):
-    table = nonvanishing_search(c37, 3, 1, 1, 20, aset37)
+    table = nonvanishing_search(c37, 3, 1, 1, aset37)
     assert table.bound == 500
     assert "primes <= 500" in table.summary()
     assert max(r.n for r in table.rows) == 463
@@ -202,7 +200,7 @@ def test_skipping_table_equals_the_table_row_by_row(label, bound):
     # equal kurihara_number, which never skips
     curve = curve_by_label(label)
     aset = sieve_admissible(curve, 3, 1, bound)
-    table = nonvanishing_search(curve, 3, 1, 2, bound, aset)
+    table = nonvanishing_search(curve, 3, 1, 2, aset)
     m = len(aset.primes)
     assert len(table.rows) == 1 + m + m * (m - 1) // 2
     for row in table.rows:
@@ -268,8 +266,9 @@ def test_search_keeps_no_per_modulus_state(c37):
     from mazurtate.nt import units_mod
     from mazurtate.theta import eigen_pair
 
+    aset = sieve_admissible(c37, 3, 1, 170)
     before = units_mod.cache_info().currsize
-    table = nonvanishing_search(c37, 3, 1, 2, 170)
+    table = nonvanishing_search(c37, 3, 1, 2, aset)
     assert len(table.rows) == 29
     assert units_mod.cache_info().currsize == before
     assert "_values" not in EigenSymbol.__slots__
@@ -429,7 +428,7 @@ def test_a_prime_set_sieved_for_another_curve_p_or_k_is_refused(c11, c37):
         with pytest.raises(AdmissibilityError, match="sieved"):
             kurihara_number(curve, 7, p, k, aset)
         with pytest.raises(AdmissibilityError, match="sieved"):
-            nonvanishing_search(curve, p, k, 1, 170, aset)
+            nonvanishing_search(curve, p, k, 1, aset)
     # a set sieved for 37a1's model under 11a1's label is 37a1's set: a_7
     # is -1 on 37a1 and -2 on 11a1, where 7 is not admissible at p = 3
     relabeled = sieve_admissible(c37._replace(label="11a1"), 3, 1, 200)
@@ -437,7 +436,7 @@ def test_a_prime_set_sieved_for_another_curve_p_or_k_is_refused(c11, c37):
     with pytest.raises(AdmissibilityError, match="sieved"):
         kurihara_number(c11, 7, 3, 1, relabeled)
     with pytest.raises(AdmissibilityError, match="sieved"):
-        nonvanishing_search(c11, 3, 1, 1, 200, relabeled)
+        nonvanishing_search(c11, 3, 1, 1, relabeled)
     # a set sieved at a higher level serves every lower k
     aset2 = sieve_admissible(c37, 3, 2, 500)
     high = kurihara_number(c37, 109, 3, 2, aset2).value
@@ -465,10 +464,11 @@ def test_kurihara_number_memory_with_a_cold_tail_table(c37, aset37):
 def test_tail_cache_holds_one_entry_per_symbol(c37):
     # a second search reuses the first one's table: no entry per modulus
     plus = eigen_pair(c37)[0]
-    nonvanishing_search(c37, 3, 1, 2, 170)
+    aset = sieve_admissible(c37, 3, 1, 170)
+    nonvanishing_search(c37, 3, 1, 2, aset)
     size = len(modsym._tail_cache)
     entry = modsym._tail_cache[(37, c37.label, 1)]
     assert entry[0] is plus and len(entry[1]) == modsym._TAIL
-    nonvanishing_search(c37, 3, 1, 2, 170)
+    nonvanishing_search(c37, 3, 1, 2, aset)
     assert len(modsym._tail_cache) == size
     assert modsym._tail_cache[(37, c37.label, 1)] is entry

@@ -76,7 +76,9 @@ def test_twisted_lvalue_closes_the_loop(m, expect_exact, c11):
     """
     from fractions import Fraction
 
-    from mazurtate.groupring import gauss_sum, quadratic_character
+    from groupring_oracle import quadratic_character
+
+    from mazurtate.groupring import gauss_sum
     from mazurtate.theta import theta_element
 
     lam = Fraction(1, 10)  # 11a1 calibration scalar (criterion 2)

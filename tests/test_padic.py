@@ -161,7 +161,7 @@ def test_interpolate_character_routes_trivial(c11, tower_11_3):
 
 
 def test_interpolate_character_conductor_checks(c11, tower_11_3):
-    from mazurtate.groupring import quadratic_character
+    from groupring_oracle import quadratic_character
 
     with pytest.raises(ValueError, match="not a power"):
         interpolate_character(tower_11_3, quadratic_character(5), c11)
