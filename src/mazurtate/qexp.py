@@ -618,35 +618,29 @@ def _rational_part_derivative(k: int, zeta_val: CycElt) -> CycElt:
     return value * ((CycElt.one(L) - zeta_val) ** k).inverse()
 
 
-def _dlog_gamma_pullback(k: int, pt: TorsionPoint, prec: Fraction, grid: int) -> QSeries:
+def _dlog_gamma_pullback(k: int, pt: TorsionPoint, prec) -> QSeries:
     """(t d/dt)^{k-1} of t d/dt log gamma, pulled back at t = zeta^b q^{a/N}.
 
     The expansion -t/(1-t) - sum_{n,m>=1} q^{nm}(t^m - t^{-m}) picks up a
     factor (+-m)^{k-1} per term under D^{k-1}, added as an integer at
-    column j = +-bm of its row; the rational part is a geometric q-series
-    when a != 0, and is evaluated in the field and added after the
-    reduction when a = 0.
+    column j = +-bm of its row on the 1/N grid; the rational part is a
+    geometric q-series when a != 0, and is evaluated in the field and
+    added after the reduction when a = 0.
     """
-    N = pt.level
-    a, b = pt.a, pt.b
-    t_idx = _to_idx(prec, grid)
+    N, a, b = pt.level, pt.a, pt.b
+    t_idx = _to_idx(prec, N)
     if t_idx <= 0:
-        return QSeries.zero(grid, prec, N)
+        return QSeries.zero(N, prec, N)
     rows = [[0] * N for _ in range(t_idx)]  # column j holds zeta_N^j
-    step = grid // N
     if a != 0:
-        m = 1
-        while m * a * step < t_idx:
-            rows[m * a * step][b * m % N] -= m ** (k - 1)
-            m += 1
+        for m in range(1, (t_idx - 1) // a + 1):  # m a < t_idx
+            rows[m * a][b * m % N] -= m ** (k - 1)
     n = 1
-    while n * grid - a * step < t_idx:  # smallest exponent contributed at this n
-        base_plus = n * grid + a * step
-        base_minus = n * grid - a * step
+    while n * N - a < t_idx:  # smallest exponent contributed at this n
         m = 1
         while True:
-            e_plus = m * base_plus
-            e_minus = m * base_minus
+            e_plus = m * (n * N + a)
+            e_minus = m * (n * N - a)
             if e_minus >= t_idx and e_plus >= t_idx:
                 break
             mk = m ** (k - 1)
@@ -656,70 +650,54 @@ def _dlog_gamma_pullback(k: int, pt: TorsionPoint, prec: Fraction, grid: int) ->
                 rows[e_minus][-b * m % N] += mk if (k - 1) % 2 == 0 else -mk
             m += 1
         n += 1
-    out = _series(grid, 0, [reduce_mod_cyclotomic(r, N) for r in rows], 1, t_idx, N)
+    out = _series(N, 0, [reduce_mod_cyclotomic(r, N) for r in rows], 1, t_idx, N)
     if a == 0:
-        out = out + QSeries.monomial(_rational_part_derivative(k, CycElt.zeta(N, b)), 0, grid, prec)
+        out = out + QSeries.monomial(_rational_part_derivative(k, CycElt.zeta(N, b)), 0, N, prec)
+    return out
+
+
+def _eisenstein(pt: TorsionPoint, k: int, prec) -> QSeries:
+    """E^(k) at a nonzero point: G_k(pt) + delta_{k,1} (a/N - 1/2).
+
+    G_k is the pulled-back (k-1)-fold D-derivative of dlog gamma at the
+    representative 0 <= a < N, one pullback.  For k >= 2 the derivatives
+    are q-periodic; for k = 1, dlog gamma drops by 1 under t -> q t, and
+    the constant a/N - 1/2 makes E independent of the representative.
+    """
+    if k < 1:
+        raise QExpError("weight k must be >= 1")
+    out = _dlog_gamma_pullback(k, pt, prec)
+    const = Fraction(pt.a, pt.level) - Fraction(1, 2)
+    if k == 1 and const and prec > 0:  # a series known to order 0 has no q^0 term
+        out = out + QSeries.monomial(CycElt.rational(const, pt.level), 0, pt.level, prec)
     return out
 
 
 def dlog_d_eisenstein(pt: TorsionPoint, c: int, k: int, prec) -> QSeries:
     """The weight-k Eisenstein pullback of D^{k-1} dlog of the c-theta.
 
-    Equals delta_{k,1} (c - c^2)/2 + c^2 G_k(pt) - c^k (G_k(c pt) -
-    delta_{k,1} w), where G_k is the pulled-back (k-1)-fold D-derivative
-    of dlog gamma at the representative in the fundamental annulus and
-    w = floor(a c / N) counts the annulus reductions of the scaled
-    point.  For k = 1, dlog gamma drops by 1 under t -> q t, hence the
-    w term; for k >= 2 the derivatives are q-periodic and no correction
-    arises.
+    Equals c^2 E^(k)(pt) - c^k E^(k)(c pt), two pullbacks.  At k = 1 the
+    c-theta's own constant, (c - c^2)/2 + c floor(a c / N) (its factor
+    (-t)^{(c-c^2)/2} and the floor(a c / N) annulus reductions of c pt),
+    is c^2 (a/N - 1/2) - c ((a c mod N)/N - 1/2), the two E constants.
     """
     _check_c(pt, c)
-    if k < 1:
-        raise QExpError("weight k must be >= 1")
-    N = pt.level
     prec = Fraction(prec)
-    grid = N
-    g1 = _dlog_gamma_pullback(k, pt, prec, grid).scale(Fraction(c * c))
-    g2 = _dlog_gamma_pullback(k, pt.scaled(c), prec, grid).scale(Fraction(c**k))
-    out = g1 - g2
-    if k == 1:
-        w = (pt.a * c) // N
-        const = Fraction(c - c * c, 2) + c * w
-        if const and prec > 0:  # a series known to order 0 has no q^0 term
-            out = out + QSeries.monomial(
-                CycElt.rational(const, out.conductor), 0, grid, prec
-            )
-    return out
+    return _eisenstein(pt, k, prec).scale(c * c) - _eisenstein(pt.scaled(c), k, prec).scale(c**k)
 
 
 # ---------------------------------------------------------------------------
 # Eisenstein assembly
 
 
-def eisenstein_00(k: int, c: int, a: int, prec) -> QSeries:
-    """The c-Eisenstein series at (0,0) via the auxiliary-a torsion sum.
+def _torsion_sum_00(k: int, a: int, prec: Fraction) -> QSeries:
+    """E^(k)_{0,0} = (a^k - 1)^{-1} sum of E^(k) over the nonzero a-torsion.
 
-    (a^k - 1)^{-1} sum of the c-Eisenstein pullbacks over the nonzero
-    a-torsion points; the result is checked to have rational
-    coefficients supported on integer exponents and is returned with
-    conductor 1.
+    The sum is checked to have rational coefficients supported on integer
+    exponents and is returned with conductor 1.
     """
-    if a in (1, -1) or a == 0:
-        raise QExpError("auxiliary a must satisfy |a| >= 2")
-    if a < 0:
-        a = -a
-    if gcd(a, c) != 1:
-        raise QExpError("(a, c) = 1 is required")
-    if gcd(c, 6) != 1:
-        raise QExpError("(c, 6) = 1 is required")
-    prec = Fraction(prec)
-    total = None
-    for x in range(a):
-        for y in range(a):
-            if x == 0 and y == 0:
-                continue
-            e = dlog_d_eisenstein(TorsionPoint(x, y, a), c, k, prec)
-            total = e if total is None else total + e
+    xs = [TorsionPoint(x, y, a) for x in range(a) for y in range(a) if x or y]
+    total = sum((_eisenstein(x, k, prec) for x in xs[1:]), _eisenstein(xs[0], k, prec))
     total = total.scale(Fraction(1, a**k - 1))
     g = total.grid
     for i, r in enumerate(total.rows):
@@ -735,6 +713,25 @@ def eisenstein_00(k: int, c: int, a: int, prec) -> QSeries:
     return _series(1, ceil(total.lead_exponent), rows, total.den, t, 1)
 
 
+def eisenstein_00(k: int, c: int, a: int, prec) -> QSeries:
+    """The c-Eisenstein series at (0,0) via the auxiliary-a torsion sum.
+
+    (a^k - 1)^{-1} sums the c-Eisenstein pullbacks c^2 E(x) - c^k E(c x)
+    over the nonzero a-torsion points x.  For (c, a) = 1, multiplication
+    by c is an automorphism of E[a] = (Z/a)^2 fixing 0, so x -> c x
+    permutes the nonzero points and the sum is (c^2 - c^k) E^(k)_{0,0},
+    one pullback per point.
+    """
+    a = abs(a)
+    if a < 2:
+        raise QExpError("auxiliary a must satisfy |a| >= 2")
+    if gcd(a, c) != 1:
+        raise QExpError("(a, c) = 1 is required")
+    if gcd(c, 6) != 1:
+        raise QExpError("(c, 6) = 1 is required")
+    return _torsion_sum_00(k, a, Fraction(prec)).scale(c * c - c**k)
+
+
 def smallest_unit_scalar(N: int) -> int:
     """Smallest c > 1 with c = 1 mod N and (c, 6) = 1."""
     c = N + 1
@@ -743,11 +740,13 @@ def smallest_unit_scalar(N: int) -> int:
     return c
 
 
-def rationalized_eisenstein(pt: TorsionPoint, k: int, prec, c: int | None = None) -> QSeries:
-    """E^(k) at a torsion point with the auxiliary c eliminated (k != 2).
+def rationalized_eisenstein(pt: TorsionPoint, k: int, prec) -> QSeries:
+    """E^(k) at a torsion point, free of any auxiliary c (k != 2).
 
-    For c = 1 mod N the c-series equals (c^2 - c^k) E^(k), an exact
-    rational multiple, so no root extraction is needed.
+    For c = 1 mod N the c-series is (c^2 - c^k) E^(k), so E^(k) itself is
+    the rationalized series: one pullback at a nonzero point, and at
+    (0, 0) the sum over the three nonzero 2-torsion points divided by
+    2^k - 1.
     """
     if k == 2:
         raise GatedFeatureError(
@@ -756,18 +755,8 @@ def rationalized_eisenstein(pt: TorsionPoint, k: int, prec, c: int | None = None
         )
     prec = Fraction(prec)
     if pt.is_zero():
-        cc = c if c is not None else 5
-        aux = 2 if gcd(2, cc) == 1 else 3
-        base = eisenstein_00(k, cc, aux, prec)
-        return base.scale(Fraction(1, cc * cc - cc**k))
-    if c is None:
-        c = smallest_unit_scalar(pt.level)
-    if c % pt.level != 1 % pt.level:
-        raise QExpError("c must be 1 mod the level to eliminate the c-twist")
-    denom = c * c - c**k
-    if denom == 0:  # c = 1, or c = -1 with k even
-        raise QExpError(f"c = {c} gives c^2 = c^k at weight {k}, which eliminates nothing")
-    return dlog_d_eisenstein(pt, c, k, prec).scale(Fraction(1, denom))
+        return _torsion_sum_00(k, 2, prec)
+    return _eisenstein(pt, k, prec)
 
 
 def f_series(k: int, pt: TorsionPoint, prec) -> QSeries:

@@ -11,6 +11,10 @@ rational powers against exp(m log u), the triple product's theta times
 E^{-1} against the product of binomials, the powers of Euler's E against
 schoolbook powers of its binomial product and E^{-1} against the partition
 numbers, and the integer-row dlog sums against a dict of ``CycElt`` terms.
+The Eisenstein series E^(k), one pullback per point, is checked against
+the c-twisted route: two pullbacks at pt and c pt with the k = 1
+constant, divided by c^2 - c^k, and E^(k)_{0,0} against the per-point
+c-twisted torsion sum.
 """
 
 from __future__ import annotations
@@ -153,26 +157,26 @@ def gamma_core_product(s: Fraction, b: int, N: int, grid: int, rel_steps: int) -
     return out
 
 
-def dlog_gamma_terms(k: int, pt: TorsionPoint, prec: Fraction, grid: int) -> QSeries:
+def dlog_gamma_terms(k: int, pt: TorsionPoint, prec: Fraction) -> QSeries:
     """D^{k-1} dlog gamma at t = zeta^b q^{a/N}, summed term by term in a dict."""
     N, a, b = pt.level, pt.a, pt.b
     conductor = N if N > 1 else 1
-    t_idx = _to_idx(prec, grid)
+    t_idx = _to_idx(prec, N)
     acc: dict[int, CycElt] = {}
 
     def add(idx: int, coeff: CycElt):
         acc[idx] = acc[idx] + coeff if idx in acc else coeff
 
-    step = grid // N
     if a == 0:
-        add(0, _rational_part_derivative(k, CycElt.zeta(N, b)))
+        if t_idx > 0:
+            add(0, _rational_part_derivative(k, CycElt.zeta(N, b)))
     else:
         for m in range(1, t_idx):
-            if m * a * step < t_idx:
-                add(m * a * step, CycElt.zeta(N, b * m) * -(m ** (k - 1)))
+            if m * a < t_idx:
+                add(m * a, CycElt.zeta(N, b * m) * -(m ** (k - 1)))
     for n in range(1, t_idx + 1):
         for m in range(1, t_idx + 1):
-            e_plus, e_minus = m * (n * grid + a * step), m * (n * grid - a * step)
+            e_plus, e_minus = m * (n * N + a), m * (n * N - a)
             if e_plus < t_idx:
                 add(e_plus, CycElt.zeta(N, b * m) * -(m ** (k - 1)))
             if e_minus < t_idx:
@@ -180,7 +184,36 @@ def dlog_gamma_terms(k: int, pt: TorsionPoint, prec: Fraction, grid: int) -> QSe
     coeffs = [CycElt.zero(conductor) for _ in range(max(t_idx, 0))]
     for idx, cf in acc.items():
         coeffs[idx] = cyc_embed(cf, conductor)
-    return QSeries(grid, 0, coeffs, t_idx, conductor)
+    return QSeries(N, 0, coeffs, t_idx, conductor)
+
+
+def c_twisted_eisenstein(pt: TorsionPoint, c: int, k: int, prec: Fraction) -> QSeries:
+    """D^{k-1} dlog of the c-theta at pt, from its own two pullbacks.
+
+    c^2 G_k(pt) - c^k G_k(c pt) with G_k the term-by-term dlog sum, plus,
+    at k = 1, the constant (c - c^2)/2 + c floor(a c / N): the factor
+    (-t)^{(c-c^2)/2} and the floor(a c / N) annulus reductions of c pt.
+    """
+    N = pt.level
+    out = termwise_add(
+        dlog_gamma_terms(k, pt, prec).scale(c * c),
+        dlog_gamma_terms(k, pt.scaled(c), prec).scale(-(c**k)),
+    )
+    const = Fraction(c - c * c, 2) + c * (pt.a * c // N)
+    if k == 1 and const and prec > 0:
+        out = termwise_add(out, QSeries.monomial(CycElt.rational(const, N), 0, N, prec))
+    return out
+
+
+def c_twisted_eisenstein_00(k: int, c: int, a: int, prec: Fraction) -> QSeries:
+    """(a^k - 1)^{-1} sum of the c-twisted series over the nonzero a-torsion points."""
+    total = None
+    for x in range(a):
+        for y in range(a):
+            if x or y:
+                e = c_twisted_eisenstein(TorsionPoint(x, y, a), c, k, prec)
+                total = e if total is None else termwise_add(total, e)
+    return total.scale(Fraction(1, a**k - 1))
 
 
 def canonical(x: QSeries):

@@ -631,6 +631,40 @@ PINNED_QEXP = {
         ("f", "--point", "0/1,0/1", "-k", "4", "--prec", "5"),
         "254f0d0c807898b4eed61d09459c5bc7893e53410cf757017f6536246d68307e",
     ),
+    # recorded when every E^(k) was a c-twisted series with c divided back
+    # out; E^(k) from one pullback per point must print the same bytes.
+    # Nonzero at even weight, or with the k = 1 constant terms
+    "e00-k4-aux2": (
+        ("e00", "-k", "4", "--c", "5", "--aux", "2", "--prec", "10"),
+        "6da6208d82550e1a80f23c37c4aee27511356be2c35198f2f33b999a4d9e95b9",
+    ),
+    "e00-k6-aux3": (
+        ("e00", "-k", "6", "--c", "7", "--aux", "3", "--prec", "8"),
+        "d671afe1d6ddd56318ceb0b5ac26e018b02b813055d0c381a9771fe438736f4a",
+    ),
+    "f-k1-level5": (
+        ("f", "--point", "1/5,0/5", "-k", "1", "--prec", "10"),
+        "032b0f5dad8c664eafc716606a3b4b5bb1197e05be25dc7eca538782d2754ab4",
+    ),
+    "f-k1-level3": (
+        ("f", "--point", "2/3,1/3", "-k", "1", "--prec", "7"),
+        "3ee3b276f759a5c07f574c4727f5b97944c44c6b7660012dd8706a2b897c7a2d",
+    ),
+    "zeta-k4": (
+        (
+            "zeta", "--big-m", "3", "--big-n", "5", "--weight", "4", "--r", "3", "--rp", "3",
+            "--prec", "3",
+        ),
+        "a050efc949dc3992b1011196ca44ecbee08c06152b98015b0bab305af800eb5b",
+    ),
+    "eisenstein-k1-a0": (
+        ("eisenstein", "--point", "0/5,2/5", "--c", "7", "-k", "1", "--prec", "8"),
+        "742dce9254b0df0bd5306441fd72ae8536808541ebbc27c559b6bf5948eb544f",
+    ),
+    "eisenstein-k2-c-minus-5": (
+        ("eisenstein", "--point", "3/7,1/7", "--c", "-5", "-k", "2", "--prec", "6"),
+        "8d1615712c6fe8a88817750469e95067c85bbd76405b5f9d15185295dd2d52d6",
+    ),
 }
 
 

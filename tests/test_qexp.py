@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qseries_oracle import (
+    c_twisted_eisenstein,
+    c_twisted_eisenstein_00,
     canonical,
     dlog_gamma_terms,
     euler_product,
@@ -478,13 +480,12 @@ def test_miller_over_sparse_rows_matches_schoolbook_power(data):
 @settings(max_examples=60, deadline=None)
 def test_dlog_rows_match_term_by_term_sum(data):
     N = data.draw(st.sampled_from([2, 3, 5, 7, 12]))
-    grid = N * data.draw(st.sampled_from([1, 2]))
     a = data.draw(st.sampled_from([0, data.draw(st.integers(1, N - 1))]))
     pt = TorsionPoint(a, data.draw(st.integers(1 if a == 0 else 0, N - 1)), N)
     k = data.draw(st.integers(1, 4))
-    prec = F(data.draw(st.integers(1, 6 * grid)), grid)
-    got = qexp._dlog_gamma_pullback(k, pt, prec, grid)
-    assert canonical(got) == canonical(dlog_gamma_terms(k, pt, prec, grid))
+    prec = F(data.draw(st.integers(1, 6 * N)), N)
+    got = qexp._dlog_gamma_pullback(k, pt, prec)
+    assert canonical(got) == canonical(dlog_gamma_terms(k, pt, prec))
 
 
 def test_cyc_power_multiplications(monkeypatch):
@@ -789,18 +790,64 @@ def test_eisenstein00_rationality_and_validation():
     assert series.conductor == 1
 
 
-@pytest.mark.parametrize("c, k", [(1, 3), (1, 4), (-1, 4), (-1, 6)])
-def test_rationalized_eisenstein_refuses_c_squared_equal_to_c_to_the_k(c, k):
-    # c^2 = c^k leaves nothing to divide by; the refusal must not depend
-    # on assertions being enabled
-    with pytest.raises(QExpError, match="c\\^2 = c\\^k"):
-        rationalized_eisenstein(TorsionPoint(1, 1, 2), k, 4, c=c)
-
-
 def test_rationalized_eisenstein_odd_weight_at_c_minus_one():
     # c = -1 = 1 mod 2 with k odd gives c^2 - c^k = 2
-    e = rationalized_eisenstein(TorsionPoint(1, 1, 2), 3, 4, c=-1)
+    e = rationalized_eisenstein(TorsionPoint(1, 1, 2), 3, 4)
     assert e == dlog_d_eisenstein(TorsionPoint(1, 1, 2), -1, 3, 4).scale(F(1, 2))
+
+
+def _unit_scalars(N, k):
+    """c = 1 mod N, prime to 6, with c^2 != c^k: (positive ones, negative ones)."""
+    cs = [c for c in range(-8 * N + 1, 8 * N + 2, N) if gcd(c, 6) == 1 and c * c != c**k]
+    return [c for c in cs if c > 0], [c for c in cs if c < 0]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_rationalized_eisenstein_is_the_c_twist_over_c2_minus_ck(data):
+    # one pullback at pt against the c-twisted route's two, for three c at
+    # once: the result does not depend on c
+    N = data.draw(st.integers(2, 9))
+    a = data.draw(st.integers(0, N - 1))
+    pt = TorsionPoint(a, data.draw(st.integers(1 if a == 0 else 0, N - 1)), N)
+    k = data.draw(st.sampled_from([1, 3, 4, 5]))
+    prec = F(data.draw(st.integers(0, 3 * N)), N)
+    pos, neg = _unit_scalars(N, k)
+    cs = data.draw(st.lists(st.sampled_from(pos), min_size=2, max_size=2, unique=True))
+    cs.append(data.draw(st.sampled_from(neg)))
+    got = canonical(rationalized_eisenstein(pt, k, prec))
+    for c in cs:
+        want = c_twisted_eisenstein(pt, c, k, prec).scale(F(1, c * c - c**k))
+        assert got == canonical(want), c
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_eisenstein00_is_the_per_point_c_twisted_sum(data):
+    # c need not be 1 mod a: x -> c x permutes the nonzero a-torsion
+    a = data.draw(st.sampled_from([2, 3, 4]))
+    c = data.draw(st.sampled_from([c for c in range(-25, 26) if gcd(c, 6 * a) == 1]))
+    k = data.draw(st.integers(1, 5))
+    prec = data.draw(st.integers(0, 4))
+    got = eisenstein_00(k, c, a, prec)
+    assert canonical(got.refine(a).embed(a)) == canonical(c_twisted_eisenstein_00(k, c, a, prec))
+
+
+def test_one_pullback_per_torsion_point(monkeypatch):
+    calls = []
+    inner = qexp._dlog_gamma_pullback
+    monkeypatch.setattr(
+        qexp, "_dlog_gamma_pullback", lambda *args: calls.append(args[1]) or inner(*args)
+    )
+    for run, count in (
+        (lambda: eisenstein_00(3, 5, 3, 40), 8),  # the nonzero 3-torsion
+        (lambda: rationalized_eisenstein(TorsionPoint(1, 2, 5), 3, 6), 1),
+        (lambda: f_series(3, TorsionPoint(1, 2, 5), 6), 27),  # 24 points, 3 for (0, 0)
+        (lambda: dlog_d_eisenstein(TorsionPoint(1, 2, 7), 5, 3, 12), 2),  # pt and 5 pt
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == count
 
 
 # ---------------------------------------------------------------------------
