@@ -30,8 +30,8 @@ _EXPORTS = {
         "f_series", "rationalized_g_qexp", "siegel_theta_qexp", "zeta_modular_form",
     ),
     "theta": (
-        "ThetaElement", "adjudicate_norm_relations", "check_norm_relation",
-        "integrality_report", "theta_element", "twisted_lvalue_avatar",
+        "ThetaElement", "check_norm_relation", "integrality_report", "theta_element",
+        "twisted_lvalue_avatar",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -296,7 +296,7 @@ def cmd_kurihara(args) -> RunReport:
     )
     prime_set = kurihara.sieve_admissible(curve, args.p, args.k, args.bound)
     report.outputs["admissible_primes"] = prime_set.primes
-    table = kurihara.nonvanishing_search(curve, args.p, args.k, args.nu, prime_set)
+    table = kurihara.nonvanishing_search(prime_set, args.nu)
     report.outputs["table"] = [
         {
             "n": r.n,

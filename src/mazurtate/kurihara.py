@@ -12,6 +12,10 @@ reduced into Z/p^k through p^k | ell - 1.  Integral-normalized symbols
 are used, so a global unit ambiguity multiplies the whole table and the
 vanishing pattern is well defined; re-choosing primitive roots likewise
 moves each value by a unit only.
+
+``sieve_admissible`` returns the set with the curve, p and k of its
+sieve; ``kurihara_number`` and ``nonvanishing_search`` read all three
+from it.
 """
 
 from __future__ import annotations
@@ -32,31 +36,9 @@ class AdmissibilityError(ValueError):
     pass
 
 
-def _precision_modulus(p: int, k: int) -> int:
-    if k < 1:
-        raise AdmissibilityError(f"precision exponent k must be >= 1, got {k}")
-    return p**k
-
-
-def _model(curve: CurveData) -> tuple:
-    return curve.a_invariants, curve.conductor
-
-
-def _checked_modulus(curve: CurveData, p: int, k: int, prime_set: "AdmissiblePrimeSet") -> int:
-    """p^k, once ``prime_set`` is known to be sieved for this curve's model at p and k' >= k."""
-    pk = _precision_modulus(p, k)
-    if (prime_set.model, prime_set.p) != (_model(curve), p) or prime_set.k < k:
-        raise AdmissibilityError(
-            f"the prime set was sieved for {prime_set.curve_label} at p = {prime_set.p}, "
-            f"k = {prime_set.k}, not for {curve.label} at p = {p}, k >= {k}"
-        )
-    return pk
-
-
 class AdmissiblePrimeSet(Record):
-    # model: (a-invariants, conductor) of the curve sieved, which fix every a_ell
-    # eta: ell -> chosen primitive root
-    __slots__ = ("curve_label", "model", "p", "k", "bound", "primes", "eta")
+    # curve: the CurveData sieved; eta: ell -> chosen primitive root
+    __slots__ = ("curve", "p", "k", "bound", "primes", "eta")
 
     def __contains__(self, ell: int) -> bool:
         return ell in self.primes
@@ -92,14 +74,16 @@ def sieve_admissible(curve: CurveData, p: int, k: int, bound: int) -> Admissible
         raise AdmissibilityError(
             f"bound {bound} exceeds the point-counting limit {DEFAULT_COUNT_BOUND}"
         )
-    pk = _precision_modulus(p, k)
+    if k < 1:
+        raise AdmissibilityError(f"precision exponent k must be >= 1, got {k}")
+    pk = p**k
     primes = []
     eta = {}
     for ell in primes_up_to(bound):
         if _admissible(curve, ell, p, pk):
             primes.append(ell)
             eta[ell] = smallest_primitive_root(ell)
-    return AdmissiblePrimeSet(curve.label, _model(curve), p, k, bound, primes, eta)
+    return AdmissiblePrimeSet(curve, p, k, bound, primes, eta)
 
 
 class KuriharaNumber(Record):
@@ -127,18 +111,13 @@ def ideal_valuation(curve: CurveData, n: int, p: int) -> int:
 _WEIGHT_BLOCK = 4096
 
 
-def kurihara_number(
-    curve: CurveData,
-    n: int,
-    p: int,
-    k: int,
-    prime_set: AdmissiblePrimeSet,
-) -> KuriharaNumber:
+def kurihara_number(prime_set: AdmissiblePrimeSet, n: int) -> KuriharaNumber:
     """delta_n in Z/p^k for a squarefree product n of admissible primes.
 
-    ``prime_set`` must be sieved for this curve's model, at this p and at a
-    level k' >= k.  n = 1 gives [0]^+ mod p^k (the empty product of logs is
-    1).  For n > 1 the sum is indexed by where each walk starts, not by a.  Let
+    The curve, p and k are those of ``prime_set``'s sieve, and each
+    ell | n must be in the set and admissible for its curve at p^k.  n = 1
+    gives [0]^+ mod p^k (the empty product of logs is 1).  For n > 1 the sum
+    is indexed by where each walk starts, not by a.  Let
     W(c) = prod_{ell | n} log_ell(c) mod p^k and nu = nu(n).  On an
     admissible ell, p^k is odd and divides ell - 1, so log(-1) =
     (ell - 1)/2 = 0 mod p^k and W(n - c) = W(c); and log(c^-1) = -log(c),
@@ -155,19 +134,18 @@ def kurihara_number(
     while its larger entry is >= 128 and reads the rest from the symbol's
     tail table, built once per symbol.
     """
-    pk = _checked_modulus(curve, p, k, prime_set)
-    if n == 1:
-        factors: list[int] = []
-    else:
-        fac = factorize(n)
-        if any(e > 1 for e in fac.values()):
-            raise AdmissibilityError(f"n = {n} is not squarefree")
-        factors = sorted(fac)
-        for ell in factors:
-            if ell not in prime_set:
-                raise AdmissibilityError(
-                    f"{ell} is not in the admissible set for {curve.label}"
-                )
+    curve, p, k = prime_set.curve, prime_set.p, prime_set.k
+    pk = p**k
+    fac = factorize(n)
+    if any(e > 1 for e in fac.values()):
+        raise AdmissibilityError(f"n = {n} is not squarefree")
+    factors = sorted(fac)
+    for ell in factors:
+        if ell not in prime_set or not _admissible(curve, ell, p, pk):
+            raise AdmissibilityError(
+                f"{ell} is not an admissible prime of the set for {curve.label}"
+                f" at p = {p}, k = {k}"
+            )
     plus = eigen_symbol(build_space(curve.conductor), curve, +1)
     if n == 1:
         return KuriharaNumber(n=1, p=p, k=k, value=plus.value(0) % pk, ideal_valuation=0)
@@ -244,9 +222,7 @@ def root_number(curve: CurveData) -> int:
             )
 
 
-def nonvanishing_search(
-    curve: CurveData, p: int, k: int, max_factors: int, prime_set: AdmissiblePrimeSet
-) -> NonvanishingTable:
+def nonvanishing_search(prime_set: AdmissiblePrimeSet, max_factors: int) -> NonvanishingTable:
     """Exhaustive delta_n table over squarefree n with at most max_factors
     factors from ``prime_set``, whose sieve bound the table reports.
 
@@ -254,8 +230,8 @@ def nonvanishing_search(
     without evaluating delta_n, because there delta_n = 0 mod p^k.  Write
     [b/m] for [b/m]^+ and, for a set S of primes dividing m, D_S(m) =
     sum_{units b mod m} [b/m] prod_{ell in S} log_ell(b), so that delta_n =
-    D_S(n) with S all of primes(n).  Each ell in the set is admissible at
-    (p, k), checked here.
+    D_S(n) with S all of primes(n).  Each ell in the set is admissible for
+    its curve at (p, k), checked here.
 
     * log_ell(-1) = (ell - 1)/2 = 0 mod p^k, as p^k is odd and divides
       ell - 1.
@@ -277,7 +253,8 @@ def nonvanishing_search(
     """
     if max_factors < 0:
         raise AdmissibilityError(f"max_factors must be >= 0, got {max_factors}")
-    pk = _checked_modulus(curve, p, k, prime_set)
+    curve, p, k = prime_set.curve, prime_set.p, prime_set.k
+    pk = p**k
     for ell in prime_set.primes:
         if not (is_prime(ell) and _admissible(curve, ell, p, pk)):
             raise AdmissibilityError(f"{ell} is not admissible for {curve.label} at p = {p}, k = {k}")
@@ -286,7 +263,7 @@ def nonvanishing_search(
 
     def emit(n: int, factors: tuple[int, ...]):
         if (-1) ** len(factors) == epsilon:
-            value = kurihara_number(curve, n, p, k, prime_set).value
+            value = kurihara_number(prime_set, n).value
         else:
             value = 0
         v = valuation(value, p) if value else None

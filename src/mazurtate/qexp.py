@@ -720,7 +720,8 @@ def eisenstein_00(k: int, c: int, a: int, prec) -> QSeries:
     over the nonzero a-torsion points x.  For (c, a) = 1, multiplication
     by c is an automorphism of E[a] = (Z/a)^2 fixing 0, so x -> c x
     permutes the nonzero points and the sum is (c^2 - c^k) E^(k)_{0,0},
-    one pullback per point.
+    one pullback per point.  A c with c^2 = c^k (every c at k = 2, c = 1,
+    c = -1 at even k) is refused: the twisted series is then 0.
     """
     a = abs(a)
     if a < 2:
@@ -729,7 +730,10 @@ def eisenstein_00(k: int, c: int, a: int, prec) -> QSeries:
         raise QExpError("(a, c) = 1 is required")
     if gcd(c, 6) != 1:
         raise QExpError("(c, 6) = 1 is required")
-    return _torsion_sum_00(k, a, Fraction(prec)).scale(c * c - c**k)
+    twist = c * c - c**k
+    if twist == 0:
+        raise QExpError(f"c^2 - c^k vanishes at c = {c}, k = {k}: the twisted series is 0")
+    return _torsion_sum_00(k, a, Fraction(prec)).scale(twist)
 
 
 def smallest_unit_scalar(N: int) -> int:

@@ -13,8 +13,8 @@ rational group-ring element is built.
 
 The projection of theta_{M ell} down one prime level satisfies the
 Mazur-Tate relation (Mazur and Tate 1987), which ``check_norm_relation``
-checks coefficientwise, ``adjudicate_norm_relations`` sweeps over (M, ell)
-and ``padic.stabilize`` builds every tower on:
+checks coefficientwise, the ``norm-relations`` suite of ``checks`` sweeps
+over (M, ell) and ``padic.stabilize`` builds every tower on:
 
   pi(theta_{M ell}) = (a_ell - sigma_ell - sigma_ell^{-1}) theta_M   (ell good, ell not| M)
   pi(theta_{M ell}) = a_ell theta_M - nu(theta_{M/ell})              (ell | M)
@@ -36,7 +36,7 @@ from .groupring import (
     project,
 )
 from .modsym import eigen_pair
-from .nt import is_prime, primes_up_to, valuation
+from .nt import is_prime, valuation
 from .records import Record
 
 
@@ -115,29 +115,6 @@ def check_norm_relation(curve: CurveData, M: int, ell: int) -> NormRelationRepor
     witness = first_mismatch(lhs, head - tail)
     return NormRelationReport(
         curve.label, M, ell, branch, witness is None, tail.is_zero(), witness
-    )
-
-
-class AdjudicationSummary(Record):
-    # variant: "A", the Mazur-Tate relation's name in ``padic`` too, when
-    # every case holds and one is not vacuous, else None
-    __slots__ = ("curve_labels", "max_product", "reports", "variant")
-
-    def non_vacuous(self):
-        return [r for r in self.reports if not r.vacuous]
-
-
-def adjudicate_norm_relations(curves, max_product: int) -> AdjudicationSummary:
-    """Sweep all (M, ell) with good prime ell and M*ell <= max_product."""
-    reports = [
-        check_norm_relation(curve, M, ell)
-        for curve in curves
-        for ell in primes_up_to(max_product) if curve.conductor % ell
-        for M in range(1, max_product // ell + 1)
-    ]
-    holds = all(r.holds for r in reports) and any(not r.vacuous for r in reports)
-    return AdjudicationSummary(
-        tuple(c.label for c in curves), max_product, reports, "A" if holds else None
     )
 
 

@@ -143,7 +143,7 @@ def test_criterion_8_kurihara_well_definedness(curves):
     t0 = time.time()
     c37 = curves["37a1"]
     aset = sieve_admissible(c37, 3, 1, 500)
-    base_table = nonvanishing_search(c37, 3, 1, 1, aset)
+    base_table = nonvanishing_search(aset, 1)
     base = {r.n: r.vanishes for r in base_table.rows}
     delta1 = next(r for r in base_table.rows if r.n == 1)
     ok = delta1.vanishes
@@ -155,7 +155,7 @@ def test_criterion_8_kurihara_well_definedness(curves):
             )
             for ell in aset.primes
         }
-        redone = nonvanishing_search(c37, 3, 1, 1, aset.with_roots(eta))
+        redone = nonvanishing_search(aset.with_roots(eta), 1)
         ok = ok and {r.n: r.vanishes for r in redone.rows} == base
     elapsed = time.time() - t0
     ok = ok and elapsed < 300

@@ -290,6 +290,15 @@ def test_qexp_refuses_negative_precision(capsys, argv):
     assert "--prec" in err and "negative" in err
 
 
+@pytest.mark.parametrize("k, c", [("2", "5"), ("3", "1"), ("4", "-1")])
+def test_qexp_e00_refuses_a_vanishing_twist(capsys, k, c):
+    # the twisted E_00 is identically 0 when c^2 = c^k, so an empty series
+    # with exit 0 would say nothing about E_00
+    code, out, err = run(capsys, "qexp", "e00", "-k", k, "--c", c, "--json", "--no-timing")
+    assert (code, out) == (2, "")
+    assert err == f"error: c^2 - c^k vanishes at c = {c}, k = {k}: the twisted series is 0\n"
+
+
 @pytest.mark.parametrize("target", ["eisenstein", "e00", "f", "zeta", "c-relation"])
 def test_qexp_at_zero_precision(capsys, target):
     # the k = 1 dlog series used to add its constant term at order 0, past a
@@ -707,6 +716,12 @@ PINNED_RESIDUES = {
     "kurihara-5077a1-nu3": (
         ("kurihara", "5077a1", "-p", "3", "-k", "1", "--bound", "170", "--nu", "3"),
         "a365c74fc71f90669002edbcf6858412e23a5f459def5e3886f994f4646aeb81",
+    ),
+    # k = 2 with evaluated nu = 2 rows: 47197 reads 5 mod 9, 13843 and
+    # 31609 read 6 mod 9
+    "kurihara-389a1-k2-nu2": (
+        ("kurihara", "389a1", "-p", "3", "-k", "2", "--bound", "1000", "--nu", "2"),
+        "8da032464d82b348ed339c4e9bfed00bc57aa288578d4d1e802ada2d437bbe03",
     ),
     "verify-projectivity": (
         ("verify", "projectivity"),

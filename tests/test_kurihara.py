@@ -61,20 +61,16 @@ def test_sieve_bound_check(c37):
 
 
 @pytest.mark.parametrize("k", [0, -1])
-def test_precision_exponent_below_one_is_refused(c37, aset37, k):
+def test_precision_exponent_below_one_is_refused(c37, k):
     # p^0 = 1 and p^-1 = 1/3 would give '0 mod 1' rows that all "vanish"
     with pytest.raises(AdmissibilityError, match="k must be >= 1"):
         sieve_admissible(c37, 3, k, 50)
-    with pytest.raises(AdmissibilityError, match="k must be >= 1"):
-        kurihara_number(c37, 7, 3, k, aset37)
-    with pytest.raises(AdmissibilityError, match="k must be >= 1"):
-        nonvanishing_search(c37, 3, k, 2, aset37)
 
 
-def test_negative_max_factors_is_refused(c37, aset37):
+def test_negative_max_factors_is_refused(aset37):
     # a negative depth never reached 0: the search walked every subset
     with pytest.raises(AdmissibilityError, match="max_factors"):
-        nonvanishing_search(c37, 3, 1, -1, aset37)
+        nonvanishing_search(aset37, -1)
 
 
 def test_discrete_log_examples():
@@ -99,19 +95,19 @@ def test_discrete_log_rejects_bad_inputs():
         discrete_log(7, 2, 3)
 
 
-def test_kurihara_number_n1(c37, c11, aset37, aset11):
-    assert kurihara_number(c37, 1, 3, 1, aset37).value == 0
-    d = kurihara_number(c11, 1, 3, 1, aset11)
+def test_kurihara_number_n1(c11, aset37, aset11):
+    assert kurihara_number(aset37, 1).value == 0
+    d = kurihara_number(aset11, 1)
     from mazurtate.theta import eigen_pair
 
     assert d.value == eigen_pair(c11)[0].value(0) % 3
 
 
-def test_kurihara_number_validations(c37, aset37):
+def test_kurihara_number_validations(aset37):
     with pytest.raises(AdmissibilityError, match="squarefree"):
-        kurihara_number(c37, 49, 3, 1, aset37)
+        kurihara_number(aset37, 49)
     with pytest.raises(AdmissibilityError, match="admissible"):
-        kurihara_number(c37, 11, 3, 1, aset37)
+        kurihara_number(aset37, 11)
 
 
 def test_ideal_valuation(c37):
@@ -120,30 +116,30 @@ def test_ideal_valuation(c37):
     assert ideal_valuation(c37, 7, 3) == 1
 
 
-def test_nonvanishing_table_regression(c37, aset37):
-    table = nonvanishing_search(c37, 3, 1, 1, aset37)
+def test_nonvanishing_table_regression(aset37):
+    table = nonvanishing_search(aset37, 1)
     assert table.found_nonvanishing
     got_vanishing = {r.n for r in table.rows if r.vanishes}
     assert got_vanishing == VANISHING_37A1_P3
     # nu = 0 row equals kurihara_number(n=1)
     row0 = next(r for r in table.rows if r.n == 1)
-    assert row0.value == kurihara_number(c37, 1, 3, 1, aset37).value
+    assert row0.value == kurihara_number(aset37, 1).value
     # determinism under a fixed prime set
-    again = nonvanishing_search(c37, 3, 1, 1, aset37)
+    again = nonvanishing_search(aset37, 1)
     assert [(r.n, r.value) for r in again.rows] == [
         (r.n, r.value) for r in table.rows
     ]
 
 
-def test_vanishing_invariant_under_root_rechoice(c37, aset37):
+def test_vanishing_invariant_under_root_rechoice(aset37):
     rng = random.Random(2024)
-    base = {r.n: r.vanishes for r in nonvanishing_search(c37, 3, 1, 1, aset37).rows}
+    base = {r.n: r.vanishes for r in nonvanishing_search(aset37, 1).rows}
     for _ in range(3):
         eta = {}
         for ell in aset37.primes:
             roots = [x for x in range(2, ell) if is_primitive_root(x, ell)]
             eta[ell] = rng.choice(roots)
-        redone = nonvanishing_search(c37, 3, 1, 1, aset37.with_roots(eta))
+        redone = nonvanishing_search(aset37.with_roots(eta), 1)
         assert {r.n: r.vanishes for r in redone.rows} == base
 
 
@@ -156,20 +152,20 @@ def test_a_root_for_a_prime_outside_the_set_is_refused(c37):
     rooted = aset._replace(eta=aset.eta | {11: 2})
     assert 11 not in rooted
     with pytest.raises(AdmissibilityError, match="admissible"):
-        kurihara_number(c37, 11, 3, 1, rooted)
+        kurihara_number(rooted, 11)
 
 
-def test_a_search_refuses_a_prime_that_is_not_admissible(c37, aset37):
+def test_a_search_refuses_a_prime_that_is_not_admissible(aset37):
     # a set is a record anyone can build; a row skipped by parity must not
     # stand for a prime at which the theorem does not hold
     for extra in 11, 13, 37, 49:
         padded = aset37._replace(primes=aset37.primes + [extra])
         with pytest.raises(AdmissibilityError, match=f"{extra} is not admissible"):
-            nonvanishing_search(c37, 3, 1, 1, padded)
+            nonvanishing_search(padded, 1)
 
 
-def test_table_reports_the_bound_of_the_set_it_read(c37, aset37):
-    table = nonvanishing_search(c37, 3, 1, 1, aset37)
+def test_table_reports_the_bound_of_the_set_it_read(aset37):
+    table = nonvanishing_search(aset37, 1)
     assert table.bound == 500
     assert "primes <= 500" in table.summary()
     assert max(r.n for r in table.rows) == 463
@@ -200,17 +196,17 @@ def test_skipping_table_equals_the_table_row_by_row(label, bound):
     # equal kurihara_number, which never skips
     curve = curve_by_label(label)
     aset = sieve_admissible(curve, 3, 1, bound)
-    table = nonvanishing_search(curve, 3, 1, 2, aset)
+    table = nonvanishing_search(aset, 2)
     m = len(aset.primes)
     assert len(table.rows) == 1 + m + m * (m - 1) // 2
     for row in table.rows:
-        delta = kurihara_number(curve, row.n, 3, 1, aset)
+        delta = kurihara_number(aset, row.n)
         assert (row.value, row.vanishes) == (delta.value, delta.vanishes), row.n
         if delta.vanishes:
             assert row.unit_class == "0"
 
 
-def test_composite_n_two_factors(c37, aset37):
+def test_composite_n_two_factors(aset37):
     # nu(n) = 2 rows: the product-of-logs weighting over a genuinely
     # composite conductor, re-choice invariance included
     small = aset37.primes[:3]
@@ -219,7 +215,7 @@ def test_composite_n_two_factors(c37, aset37):
     for i in range(len(small)):
         for j in range(i + 1, len(small)):
             n = small[i] * small[j]
-            values[n] = kurihara_number(c37, n, 3, 1, aset37).value
+            values[n] = kurihara_number(aset37, n).value
     assert values  # three pairs
     eta = {
         ell: rng.choice([x for x in range(2, ell) if is_primitive_root(x, ell)])
@@ -227,7 +223,7 @@ def test_composite_n_two_factors(c37, aset37):
     }
     rechosen = aset37.with_roots(eta)
     for n, v in values.items():
-        again = kurihara_number(c37, n, 3, 1, rechosen).value
+        again = kurihara_number(rechosen, n).value
         assert (again == 0) == (v == 0)
 
 
@@ -236,9 +232,9 @@ def test_precision_compatibility(c37):
     aset2 = sieve_admissible(c37, 3, 2, 500)
     assert aset2.primes == [109, 199]  # level-2 subset of the level-1 set
     for n in aset2.primes:
-        d2 = kurihara_number(c37, n, 3, 2, aset2)
+        d2 = kurihara_number(aset2, n)
         aset1 = sieve_admissible(c37, 3, 1, 500).with_roots(aset2.eta)
-        d1 = kurihara_number(c37, n, 3, 1, aset1)
+        d1 = kurihara_number(aset1, n)
         assert d2.value % 3 == d1.value
 
 
@@ -252,7 +248,7 @@ def test_well_definedness_under_constant_shift(c11, aset11):
     for ell in aset11.primes[:3]:
         # annihilation witness: the full log-orbit sum vanishes mod p^k
         assert (ell - 1) * (ell - 2) // 2 % 3 == 0
-        d_orig = kurihara_number(c11, ell, 3, 1, aset11)
+        d_orig = kurihara_number(aset11, ell)
         logs = {pow(aset11.eta[ell], x, ell): x for x in range(ell - 1)}
         for shift in (1, 7, -4):
             shifted = sum((v + shift) * logs[a] for a, v in plus.values_mod(ell).items())
@@ -268,7 +264,7 @@ def test_search_keeps_no_per_modulus_state(c37):
 
     aset = sieve_admissible(c37, 3, 1, 170)
     before = units_mod.cache_info().currsize
-    table = nonvanishing_search(c37, 3, 1, 2, aset)
+    table = nonvanishing_search(aset, 2)
     assert len(table.rows) == 29
     assert units_mod.cache_info().currsize == before
     assert "_values" not in EigenSymbol.__slots__
@@ -352,7 +348,7 @@ def test_kurihara_number_matches_the_definition(label, p, k, picks):
         if n * ell <= 200_000:
             n *= ell
     plus = eigen_pair(curve)[0]
-    delta = kurihara_number(curve, n, p, k, prime_set)
+    delta = kurihara_number(prime_set, n)
     assert delta.value == _delta_by_definition(plus, n, p**k, prime_set)
 
 
@@ -380,7 +376,7 @@ def test_delta_n_of_the_wrong_parity_vanishes(label, p, k, picks):
         if n * ell <= 200_000:
             n, nu = n * ell, nu + 1
     assume((-1) ** nu != -curve.fricke_sign)
-    assert kurihara_number(curve, n, p, k, prime_set).value == 0
+    assert kurihara_number(prime_set, n).value == 0
 
 
 def _rechosen(prime_set, seed):
@@ -409,51 +405,39 @@ def test_kurihara_number_memory_is_bounded_by_one_block(c37, aset37):
     # n = 43 * 109 * 211 = 988,957: a weight list over all c < n/2 would
     # take about 4 MB of pointers; the blocked weights stay far below it
     n = 43 * 109 * 211
-    kurihara_number(c37, 43 * 109, 3, 1, aset37)  # warm per-curve caches
+    kurihara_number(aset37, 43 * 109)  # warm per-curve caches
     ideal_valuation(c37, n, 3)
     tracemalloc.start()
     try:
-        kurihara_number(c37, n, 3, 1, aset37)
+        kurihara_number(aset37, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
 
 
-def test_a_prime_set_sieved_for_another_curve_p_or_k_is_refused(c11, c37):
-    # 7 is admissible for 37a1 at p = 3, k = 1 only: 5 and 9 do not divide 6
-    aset = sieve_admissible(c37, 3, 1, 170)
-    assert 7 in aset
-    for curve, p, k in (c37, 5, 1), (c37, 3, 2), (c11, 3, 1):
-        with pytest.raises(AdmissibilityError, match="sieved"):
-            kurihara_number(curve, 7, p, k, aset)
-        with pytest.raises(AdmissibilityError, match="sieved"):
-            nonvanishing_search(curve, p, k, 1, aset)
-    # a set sieved for 37a1's model under 11a1's label is 37a1's set: a_7
-    # is -1 on 37a1 and -2 on 11a1, where 7 is not admissible at p = 3
-    relabeled = sieve_admissible(c37._replace(label="11a1"), 3, 1, 200)
-    assert 7 in relabeled
-    with pytest.raises(AdmissibilityError, match="sieved"):
-        kurihara_number(c11, 7, 3, 1, relabeled)
-    with pytest.raises(AdmissibilityError, match="sieved"):
-        nonvanishing_search(c11, 3, 1, 1, relabeled)
-    # a set sieved at a higher level serves every lower k
-    aset2 = sieve_admissible(c37, 3, 2, 500)
-    high = kurihara_number(c37, 109, 3, 2, aset2).value
-    assert kurihara_number(c37, 109, 3, 1, aset2).value == high % 3
+def test_a_set_whose_curve_was_swapped_is_refused(c11, aset37):
+    # 7 is admissible for 37a1 at p = 3 (a_7 = -1) but not for 11a1, where
+    # a_7 = -2 and 3 does not divide 8 - (-2)
+    swapped = aset37._replace(curve=c11)
+    assert 7 in swapped
+    with pytest.raises(AdmissibilityError, match="7 is not an admissible prime"):
+        kurihara_number(swapped, 7)
+    with pytest.raises(AdmissibilityError, match="is not admissible for 11a1"):
+        nonvanishing_search(swapped, 1)
 
 
 def test_kurihara_number_memory_with_a_cold_tail_table(c37, aset37):
     # the same n as above, with the symbol's tail table built inside the
     # traced region: the tail cache is cleared after the warm-up
     n = 43 * 109 * 211
-    kurihara_number(c37, 43 * 109, 3, 1, aset37)  # warm per-curve caches
+    kurihara_number(aset37, 43 * 109)  # warm per-curve caches
     ideal_valuation(c37, n, 3)
     key = (37, c37.label, 1)
     modsym._tail_cache.clear()
     tracemalloc.start()
     try:
-        kurihara_number(c37, n, 3, 1, aset37)
+        kurihara_number(aset37, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -465,10 +449,10 @@ def test_tail_cache_holds_one_entry_per_symbol(c37):
     # a second search reuses the first one's table: no entry per modulus
     plus = eigen_pair(c37)[0]
     aset = sieve_admissible(c37, 3, 1, 170)
-    nonvanishing_search(c37, 3, 1, 2, aset)
+    nonvanishing_search(aset, 2)
     size = len(modsym._tail_cache)
     entry = modsym._tail_cache[(37, c37.label, 1)]
     assert entry[0] is plus and len(entry[1]) == modsym._TAIL
-    nonvanishing_search(c37, 3, 1, 2, aset)
+    nonvanishing_search(aset, 2)
     assert len(modsym._tail_cache) == size
     assert modsym._tail_cache[(37, c37.label, 1)] is entry

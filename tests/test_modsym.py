@@ -309,7 +309,7 @@ def test_calibration_leaves_shared_symbols_alone(c11, capsys):
     assert eigen_pair(fresh)[0].value(0) == 2
     assert theta_element(fresh, 1).element.coeffs[0] == 2
     aset = sieve_admissible(fresh, 3, 1, 200)
-    assert kurihara_number(fresh, 1, 3, 1, aset).value == 2
+    assert kurihara_number(aset, 1).value == 2
 
 
 def test_calibration_37a1_undetermined(pair37, c37):

@@ -790,6 +790,13 @@ def test_eisenstein00_rationality_and_validation():
     assert series.conductor == 1
 
 
+@pytest.mark.parametrize("k, c", [(2, 5), (3, 1), (4, -1)])
+def test_eisenstein00_refuses_a_vanishing_twist(k, c):
+    # c^2 = c^k makes the c-twisted series 0, which says nothing of E_00
+    with pytest.raises(QExpError, match="c\\^2 - c\\^k vanishes"):
+        eisenstein_00(k, c, 2, 4)
+
+
 def test_rationalized_eisenstein_odd_weight_at_c_minus_one():
     # c = -1 = 1 mod 2 with k odd gives c^2 - c^k = 2
     e = rationalized_eisenstein(TorsionPoint(1, 1, 2), 3, 4)
@@ -824,10 +831,13 @@ def test_rationalized_eisenstein_is_the_c_twist_over_c2_minus_ck(data):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_eisenstein00_is_the_per_point_c_twisted_sum(data):
-    # c need not be 1 mod a: x -> c x permutes the nonzero a-torsion
+    # c need not be 1 mod a: x -> c x permutes the nonzero a-torsion; k
+    # comes first, as c^2 = c^k is refused (at k = 2, for every c)
     a = data.draw(st.sampled_from([2, 3, 4]))
-    c = data.draw(st.sampled_from([c for c in range(-25, 26) if gcd(c, 6 * a) == 1]))
-    k = data.draw(st.integers(1, 5))
+    k = data.draw(st.sampled_from([1, 3, 4, 5]))
+    c = data.draw(
+        st.sampled_from([c for c in range(-25, 26) if gcd(c, 6 * a) == 1 and c * c != c**k])
+    )
     prec = data.draw(st.integers(0, 4))
     got = eisenstein_00(k, c, a, prec)
     assert canonical(got.refine(a).embed(a)) == canonical(c_twisted_eisenstein_00(k, c, a, prec))

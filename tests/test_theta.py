@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import strategies as st
 from groupring_oracle import quadratic_character
 from lvalue_oracle import omega_sign
 
+from mazurtate.checks import norm_relations
 from mazurtate.curves import curve_by_label
 from mazurtate.groupring import norm_map, project
 from mazurtate.nt import primes_up_to, units_mod
 from mazurtate.theta import (
-    adjudicate_norm_relations,
     check_norm_relation,
     integrality_report,
     theta_element,
@@ -96,11 +97,12 @@ def test_norm_relation_vacuous_case(c37):
     assert ell_scaled_relation_holds(c37, 1, 3)
 
 
-def test_adjudication_small_sweep(c11, c37):
-    summary = adjudicate_norm_relations([c11, c37], max_product=40)
-    assert summary.variant == "A"
-    assert all(r.holds for r in summary.reports)
-    assert summary.non_vacuous() and len(summary.non_vacuous()) < len(summary.reports)
+def test_adjudication_small_sweep():
+    outputs, (check,) = norm_relations(40)
+    assert outputs == {"variant": "A"} and check.status == "pass"
+    counts = re.search(r"(\d+) non-vacuous cases \(of (\d+)\)", check.name)
+    non_vacuous, cases = map(int, counts.groups())
+    assert 0 < non_vacuous < cases
 
 
 @settings(max_examples=60, deadline=None)
