@@ -29,10 +29,7 @@ _EXPORTS = {
         "QSeries", "TorsionPoint", "check_c_relation", "dlog_d_eisenstein", "eisenstein_00",
         "f_series", "rationalized_g_qexp", "siegel_theta_qexp", "zeta_modular_form",
     ),
-    "theta": (
-        "ThetaElement", "check_norm_relation", "integrality_report", "theta_element",
-        "twisted_lvalue_avatar",
-    ),
+    "theta": ("ThetaElement", "check_norm_relation", "theta_element"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

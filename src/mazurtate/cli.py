@@ -224,7 +224,7 @@ def cmd_theta(args) -> RunReport:
     if args.mode == "calibrated":
         # the engine's theta is integral; the period scalar is applied here, to
         # the + part only (no Omega^- calibration exists): lam theta^+ + theta^-
-        lam = modsym.calibrate_periods(modsym.eigen_pair(curve)[0], curve)
+        lam = modsym.calibrate_periods(modsym.symbol(curve, +1), curve)
     theta_m = theta.theta_element(curve, args.modulus)
     coeffs = theta_m.calibrated(lam)
     report = RunReport(

@@ -24,8 +24,8 @@ from itertools import compress
 from math import gcd
 from operator import mul
 
+from . import modsym
 from .curves import CurveData, DEFAULT_COUNT_BOUND
-from .modsym import NotNewformError, build_space, eigen_symbol
 from .nt import (
     factorize, is_prime, is_primitive_root, primes_up_to, smallest_primitive_root, valuation,
 )
@@ -146,7 +146,7 @@ def kurihara_number(prime_set: AdmissiblePrimeSet, n: int) -> KuriharaNumber:
                 f"{ell} is not an admissible prime of the set for {curve.label}"
                 f" at p = {p}, k = {k}"
             )
-    plus = eigen_symbol(build_space(curve.conductor), curve, +1)
+    plus = modsym.symbol(curve, +1)
     if n == 1:
         return KuriharaNumber(n=1, p=p, k=k, value=plus.value(0) % pk, ideal_valuation=0)
     # per-prime log tables reduced into Z/p^k, each repeated so that
@@ -203,7 +203,7 @@ def root_number(curve: CurveData) -> int:
     (Mazur-Tate 1987).  Some M has a nonzero [a/M]^+, since almost every
     twist L(E, chi, 1) is nonzero (Rohrlich 1984), so the walk ends.
     """
-    plus = eigen_symbol(build_space(curve.conductor), curve, +1)
+    plus = modsym.symbol(curve, +1)
     N, M = curve.conductor, 1
     while True:
         M += 1
@@ -217,7 +217,7 @@ def root_number(curve: CurveData) -> int:
         if len(fits) == 1:
             return fits[0]
         if not fits:
-            raise NotNewformError(
+            raise modsym.NotNewformError(
                 f"the + symbol of {curve.label} satisfies no functional equation mod {M}"
             )
 

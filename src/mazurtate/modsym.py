@@ -698,9 +698,18 @@ def eigen_symbol(space: ModularSymbolSpace, curve: CurveData, sign: int) -> Eige
     return sym
 
 
+def symbol(curve: CurveData, sign: int) -> EigenSymbol:
+    """The curve's integral-normalized eigen-symbol of one sign, on the space at its conductor.
+
+    Every layer reads a curve's symbols here, one sign at a time, so that a
+    twisted, numerical or supplied symbol source has one place to plug in
+    (and a test one attribute to substitute).
+    """
+    return eigen_symbol(build_space(curve.conductor), curve, sign)
+
+
 def eigen_pair(curve: CurveData) -> tuple[EigenSymbol, EigenSymbol]:
-    space = build_space(curve.conductor)
-    return eigen_symbol(space, curve, +1), eigen_symbol(space, curve, -1)
+    return symbol(curve, +1), symbol(curve, -1)
 
 
 def calibrate_periods(eigen: EigenSymbol, curve: CurveData) -> Fraction:

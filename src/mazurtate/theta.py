@@ -7,9 +7,8 @@ M = 1 the element is the singleton [0] = [0]^+ (the minus part of r = 0
 vanishes by isotypy).  The period normalization is the one rational
 scalar lambda of ``modsym.calibrate_periods`` on the + part; it is applied
 only where a value is reported in it, by ``ThetaElement.calibrated``, as
-the plain coefficient table {a: lambda [a/M]^+ + [a/M]^-} that
-``integrality_report(..., lam)`` and ``theta --mode calibrated`` read.  No
-rational group-ring element is built.
+the plain coefficient table {a: lambda [a/M]^+ + [a/M]^-} that ``theta
+--mode calibrated`` prints.  No rational group-ring element is built.
 
 The projection of theta_{M ell} down one prime level satisfies the
 Mazur-Tate relation (Mazur and Tate 1987), which ``check_norm_relation``
@@ -27,16 +26,9 @@ holds the scaled one holds only where the last term is 0 (a vacuous case).
 from __future__ import annotations
 
 from .curves import CurveData
-from .groupring import (
-    DirichletCharacter,
-    GroupRingElement,
-    eval_character,
-    first_mismatch,
-    norm_map,
-    project,
-)
+from .groupring import GroupRingElement, first_mismatch, norm_map, project
 from .modsym import eigen_pair
-from .nt import is_prime, valuation
+from .nt import is_prime
 from .records import Record
 
 
@@ -115,59 +107,4 @@ def check_norm_relation(curve: CurveData, M: int, ell: int) -> NormRelationRepor
     witness = first_mismatch(lhs, head - tail)
     return NormRelationReport(
         curve.label, M, ell, branch, witness is None, tail.is_zero(), witness
-    )
-
-
-# ---------------------------------------------------------------------------
-# Twisted L-value avatars and integrality
-
-
-class TwistedValue(Record):
-    # value: CycElt
-    __slots__ = ("curve_label", "character_modulus", "parity", "value")
-
-
-def twisted_lvalue_avatar(curve: CurveData, chi: DirichletCharacter) -> TwistedValue:
-    """chi(theta_d): the exact avatar of tau(chi) L(E, chi_bar, 1) / Omega^{chi(-1)}."""
-    d = chi.modulus
-    theta = theta_element(curve, d)
-    value = eval_character(theta.element, chi)
-    return TwistedValue(curve.label, d, chi.parity(), value)
-
-
-class IntegralityReport(Record):
-    # clearing_exponent: minimal e with p^e * coefficients p-integral
-    __slots__ = (
-        "curve_label", "prime", "level_exponent", "scaling_mode", "p_integral", "clearing_exponent",
-    )
-
-    def __str__(self):
-        state = "p-integral" if self.p_integral else (
-            f"needs p^{self.clearing_exponent} to clear denominators"
-        )
-        return (
-            f"theta({self.curve_label}, {self.prime}^{self.level_exponent}) "
-            f"[{self.scaling_mode}]: {state}"
-        )
-
-
-def integrality_report(curve: CurveData, p: int, n: int, lam=None) -> IntegralityReport:
-    """p-integrality of theta at modulus p^n, or of lam theta^+ + theta^- given
-    the period scalar lam of the + part."""
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    theta = theta_element(curve, p**n)
-    if lam is None:
-        coeffs, mode = theta.element.coeffs, "integral-normalized"
-    else:
-        coeffs, mode = theta.calibrated(lam), "plus period-calibrated, minus integral-normalized"
-    # an all-zero theta is p-integral, with clearing exponent 0
-    worst = min((valuation(v, p) for v in coeffs.values() if v), default=0)
-    return IntegralityReport(
-        curve_label=curve.label,
-        prime=p,
-        level_exponent=n,
-        scaling_mode=mode,
-        p_integral=worst >= 0,
-        clearing_exponent=max(0, -worst),
     )

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from mazurtate.curves import CurveData
 from mazurtate.oracle import LValueOracle
-from mazurtate.theta import TwistedValue
 
 
 def consistency_check(curve: CurveData, plus_value_at_zero, oracle: LValueOracle) -> str:
@@ -27,6 +26,6 @@ def consistency_check(curve: CurveData, plus_value_at_zero, oracle: LValueOracle
     )
 
 
-def omega_sign(value: TwistedValue) -> str:
-    """The sign of the period Omega^+- that the twisted value is divided by."""
-    return "+" if value.parity == 1 else "-"
+def omega_sign(parity: int) -> str:
+    """The sign of the period Omega^+- that chi(theta_d) is divided by, for chi(-1) = parity."""
+    return "+" if parity == 1 else "-"

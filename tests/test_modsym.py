@@ -427,6 +427,39 @@ def test_cli_and_eigen_pair_leave_the_reduction_rows_unbuilt(monkeypatch, capsys
     assert "reduction" in vars(spaces[389])
 
 
+def test_one_patch_of_the_symbol_handle_substitutes_every_layer(monkeypatch, capsys, c11):
+    # theta, kurihara and the CLI read a curve's symbols through modsym.symbol
+    import json
+
+    from mazurtate.cli import main
+    from mazurtate.kurihara import kurihara_number, root_number, sieve_admissible
+
+    def first_kurihara_number():
+        return kurihara_number(sieve_admissible(c11, 3, 1, 200), 1).value
+
+    def plus_at_0():
+        assert main(["--json", "--no-timing", "msym", "11a1"]) == 0
+        return json.loads(capsys.readouterr().out)["outputs"]["value_plus_at_0"]
+
+    real = modsym.symbol
+
+    def doubled(curve, sign):
+        sym = real(curve, sign)
+        return sym._replace(table=tuple(2 * v for v in sym.table))
+
+    theta7 = theta_element(c11, 7).element
+    epsilon = root_number(c11)
+    assert (first_kurihara_number(), plus_at_0()) == (2, "2")
+    monkeypatch.setattr(modsym, "symbol", doubled)
+    assert theta_element(c11, 7).element == theta7.scale(2)
+    assert (first_kurihara_number(), plus_at_0()) == (1, "4")
+    assert root_number(c11) == epsilon
+    monkeypatch.undo()
+    # theta's cache compares the symbol pair by identity, so it refuses the doubled pair
+    assert theta_element(c11, 7).element == theta7
+    assert (first_kurihara_number(), plus_at_0()) == (2, "2")
+
+
 def test_space_build_peak_memory_at_9973():
     # the full RREF and a reduction row per point peaked near 25 MB here
     import tracemalloc

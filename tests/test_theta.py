@@ -9,14 +9,9 @@ from lvalue_oracle import omega_sign
 
 from mazurtate.checks import norm_relations
 from mazurtate.curves import curve_by_label
-from mazurtate.groupring import norm_map, project
-from mazurtate.nt import primes_up_to, units_mod
-from mazurtate.theta import (
-    check_norm_relation,
-    integrality_report,
-    theta_element,
-    twisted_lvalue_avatar,
-)
+from mazurtate.groupring import eval_character, norm_map, project
+from mazurtate.nt import primes_up_to, units_mod, valuation
+from mazurtate.theta import check_norm_relation, theta_element
 
 
 def test_theta_trivial_level(c37, c11):
@@ -130,52 +125,44 @@ def test_ell_scaled_relation_holds_only_on_vacuous_cases(label, data):
 
 
 def test_twisted_avatar_matches_direct_sum(c11):
+    # chi(theta_d), the exact avatar of tau(chi) L(E, chi_bar, 1) / Omega^{chi(-1)}
     chi = quadratic_character(5)
-    tv = twisted_lvalue_avatar(c11, chi)
     th5 = theta_element(c11, 5)
+    value = eval_character(th5.element, chi)
     direct = None
     for a in units_mod(5):
         term = chi(a) * th5.element.coeffs[a]
         direct = term if direct is None else direct + term
-    assert tv.value == direct
-    assert tv.parity == 1 and omega_sign(tv) == "+"
+    assert value == direct
+    assert chi.parity() == 1 and omega_sign(chi.parity()) == "+"
 
 
 def test_twisted_avatar_trivial_character(c11):
     from mazurtate.groupring import trivial_character
 
-    tv = twisted_lvalue_avatar(c11, trivial_character(1))
-    assert tv.value.rational_value() == theta_element(c11, 1).element.coeffs[0]
+    value = eval_character(theta_element(c11, 1).element, trivial_character(1))
+    assert value.rational_value() == theta_element(c11, 1).element.coeffs[0]
 
 
 def test_twisted_avatar_conjugate_characters(c11):
     from mazurtate.groupring import all_characters
 
     chi = next(c for c in all_characters(5) if c.order() == 4)
-    v1 = twisted_lvalue_avatar(c11, chi).value
-    v2 = twisted_lvalue_avatar(c11, chi.conjugate()).value
+    th5 = theta_element(c11, 5).element
+    v1 = eval_character(th5, chi)
+    v2 = eval_character(th5, chi.conjugate())
     assert v1.conj() == v2  # coefficients are rational
-
-
-def test_integrality_reports(c11, c37):
-    assert integrality_report(c11, 3, 2).p_integral
-    assert integrality_report(c11, 5, 1).p_integral
-    assert integrality_report(c37, 3, 1).p_integral
 
 
 def test_integrality_sees_calibration_denominator(c11):
     # with the 11a1 scalar 1/10 on the plus part, p = 5 sees one power of 5
     # in the denominators of lam theta^+ + theta^-
-    from mazurtate.modsym import calibrate_periods
-    from mazurtate.theta import eigen_pair
+    from mazurtate.modsym import calibrate_periods, symbol
 
-    lam = calibrate_periods(eigen_pair(c11)[0], c11)
+    lam = calibrate_periods(symbol(c11, +1), c11)
     assert lam == Fraction(1, 10)
-    rep = integrality_report(c11, 5, 1, lam)
-    assert not rep.p_integral
-    assert rep.clearing_exponent == 1
-    assert rep.scaling_mode == "plus period-calibrated, minus integral-normalized"
-    assert integrality_report(c11, 5, 1).scaling_mode == "integral-normalized"
+    coeffs = theta_element(c11, 5).calibrated(lam)
+    assert min(valuation(v, 5) for v in coeffs.values() if v) == -1
 
 
 def test_caches_keyed_by_curve_model_not_label(tmp_path, c11, c37):
